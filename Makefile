@@ -6,9 +6,8 @@ GO ?= go
 # durably improves; don't lower it casually.
 COVER_MIN ?= 85.0
 
-.PHONY: all build test vet race fuzz bench bench-segments bench-prefilter \
-	bench-sfa bench-hotloop bench-papd experiments report serve clean \
-	conformance cover chaos vulncheck load-smoke
+.PHONY: all build test vet race fuzz bench bench-check experiments report \
+	serve clean conformance cover chaos vulncheck load-smoke
 
 all: build vet test
 
@@ -74,29 +73,12 @@ cover:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Serial vs parallel cross-segment scheduler comparison (the numbers behind
-# BENCH_segments.json; the parallel win scales with real cores).
-bench-segments:
-	$(GO) test -run xxx -bench BenchmarkExecuteSegments -benchmem -count 3 ./internal/core/
-
-# Flow-enumeration vs SFA function-composition execution modes across
-# workload regimes and segment counts (the numbers behind BENCH_sfa.json).
-bench-sfa:
-	$(GO) test -run xxx -bench BenchmarkModeComparison -benchmem -benchtime 5x -count 3 ./internal/core/
-
-# Prefilter regimes and lazy-DFA density rows (the numbers behind
-# BENCH_prefilter.json and the lazydfa/meta rows of BENCH_engines.json),
-# then the 5x quiet-regime throughput gate.
-bench-prefilter:
-	$(GO) test -run xxx -bench 'PrefilterRegime|LazyDensity' ./internal/engine/
-	PAP_BENCH_GUARD=1 $(GO) test -run TestQuietRegimeGuard -v ./internal/engine/
-
-# Vectorized hot loop vs the scalar step loop on the sparse intrusion and
-# regex-suite workloads (the numbers behind BENCH_hotloop.json), then the
-# 5x baseline-skip throughput gate.
-bench-hotloop:
-	$(GO) test -run xxx -bench BenchmarkHotLoop -benchmem -count 3 ./internal/engine/
-	PAP_BENCH_GUARD=1 $(GO) test -run TestHotLoopGuard -v ./internal/engine/
+# bench/ (the repository benchmark, see bench/README.md) is a module of
+# its own that `go build ./...` and `go test ./...` never compile, so an API
+# change here can break it unseen: vet it and run its own tests.
+bench-check:
+	$(GO) vet -C bench ./...
+	$(GO) test -C bench .
 
 # Load smoke: papload drives a spawned 2-replica papd cluster (shard
 # router + coalescing on) in mixed match/stream mode with hot reloads
@@ -105,13 +87,6 @@ bench-hotloop:
 load-smoke:
 	$(GO) run ./cmd/papload -replicas 2 -mode mixed -duration 3s -conns 8 \
 		-reloads 2 -require-zero-errors -require-coalescing
-
-# Replica-scaling load bench: papload sweeps 1..4 spawned replicas and
-# writes latency percentiles + throughput per cluster size (the numbers
-# behind BENCH_papd.json).
-bench-papd:
-	$(GO) run ./cmd/papload -bench -bench-max-replicas 4 -mode match \
-		-duration 5s -conns 8 -out BENCH_papd.json
 
 # Regenerate every table and figure at the default reduced scale.
 experiments:

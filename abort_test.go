@@ -124,7 +124,7 @@ func TestMatchContextCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	input := make([]byte, 1<<16)
-	ms, err := a.MatchContext(ctx, input)
+	ms, _, err := a.MatchWithInfoContext(ctx, input, EngineAuto)
 	if ms != nil {
 		t.Fatalf("matches = %v alongside error", ms)
 	}
@@ -145,7 +145,7 @@ func TestMatchContextCompletes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ms, err := a.MatchContext(context.Background(), []byte("a needle here"))
+	ms, _, err := a.MatchWithInfoContext(context.Background(), []byte("a needle here"), EngineAuto)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,7 @@
 // session resets as JSON. With -reloads it hot-reloads the ruleset while
 // the load runs, which is how `make load-smoke` proves a re-register is
 // zero-downtime; with -bench it sweeps 1..N replica clusters and writes
-// the BENCH_papd.json scaling table.
+// a replica-scaling table.
 //
 // Usage:
 //
@@ -147,7 +147,7 @@ func emit(v any, out string) {
 }
 
 // runBench sweeps spawned cluster sizes 1..max and collects one report
-// per size — the replica-scaling table behind BENCH_papd.json.
+// per size — the replica-scaling table.
 func runBench(opts options, max int, out string) error {
 	if len(opts.targets) > 0 {
 		return fmt.Errorf("-bench spawns its own clusters; drop -targets")

@@ -140,7 +140,7 @@ func run(rulesPath, anmlPath, mnrlPath, inputPath string, parallel bool, ranks i
 		st := a.NewStream(pap.WithEngine(engine), pap.WithScoring())
 		matches = append(matches, st.Write(input)...)
 	} else {
-		matches = a.MatchWith(input, engine)
+		matches, _ = a.MatchWithInfo(input, engine)
 	}
 
 	fmt.Printf("%d matches\n", len(matches))

@@ -92,7 +92,7 @@ func CheckCase(c *Case) (invariant, detail string) {
 func checkEngineRuns(c *Case, oracle []engine.Report) (string, string) {
 	tab := engine.NewTables(c.NFA)
 	for _, kind := range engineKinds {
-		res := engine.RunEngine(c.NFA, c.Input, kind, tab)
+		res := engine.RunEngineOpts(c.NFA, c.Input, kind, tab, engine.RunOpts{})
 		if d := diffReports(oracle, res.Reports); d != "" {
 			return "oracle-vs-run/" + kind.String(), d
 		}
@@ -120,10 +120,9 @@ func checkEngineRuns(c *Case, oracle []engine.Report) (string, string) {
 				fmt.Sprintf("fingerprint %#x, %s %#x",
 					e.Fingerprint(), engineKinds[0], engines[0].Fingerprint())
 		}
-		if e.Transitions() != engines[0].Transitions() {
+		if got, ref := e.Stats().Transitions, engines[0].Stats().Transitions; got != ref {
 			return "engine-transitions/" + engineKinds[i].String(),
-				fmt.Sprintf("transitions %d, %s %d",
-					e.Transitions(), engineKinds[0], engines[0].Transitions())
+				fmt.Sprintf("transitions %d, %s %d", got, engineKinds[0], ref)
 		}
 	}
 	return "", ""
@@ -146,9 +145,9 @@ func checkEngineRuns(c *Case, oracle []engine.Report) (string, string) {
 //     chunk boundaries.
 func checkPrefilteredMeta(c *Case, oracle []engine.Report, rng *rand.Rand) (string, string) {
 	tab := engine.NewTables(c.NFA)
-	sp := engine.RunEngine(c.NFA, c.Input, engine.SparseKind, tab)
+	sp := engine.RunEngineOpts(c.NFA, c.Input, engine.SparseKind, tab, engine.RunOpts{})
 
-	cls := engine.RunEngine(c.NFA, c.Input, engine.MetaKind, tab)
+	cls := engine.RunEngineOpts(c.NFA, c.Input, engine.MetaKind, tab, engine.RunOpts{})
 	if d := diffReports(oracle, cls.Reports); d != "" {
 		return "prefilter-class/reports", d
 	}
@@ -168,8 +167,7 @@ func checkPrefilteredMeta(c *Case, oracle []engine.Report, rng *rand.Rand) (stri
 		return "prefilter-literal/reports", d
 	}
 
-	e := engine.New(engine.MetaKind, c.NFA, tab)
-	pf := engine.PrefilterOf(e)
+	e, pf := engine.NewWithOpts(engine.MetaKind, c.NFA, tab, engine.RunOpts{})
 	var all, chunk []engine.Report
 	emit := func(r engine.Report) { chunk = append(chunk, r) }
 	pos := 0
@@ -210,7 +208,7 @@ func checkBaselineSkip(c *Case, oracle []engine.Report, rng *rand.Rand) (string,
 	tab := engine.NewTables(c.NFA)
 	for _, kind := range engineKinds {
 		name := "baseline-skip/" + kind.String()
-		on := engine.RunEngine(c.NFA, c.Input, kind, tab)
+		on := engine.RunEngineOpts(c.NFA, c.Input, kind, tab, engine.RunOpts{})
 		off := engine.RunEngineOpts(c.NFA, c.Input, kind, tab,
 			engine.RunOpts{DisableBaselineSkip: true})
 		if d := diffReports(oracle, on.Reports); d != "" {
@@ -227,8 +225,8 @@ func checkBaselineSkip(c *Case, oracle []engine.Report, rng *rand.Rand) (string,
 			return name, fmt.Sprintf("frontier stats: enabled max %d sum %d, disabled max %d sum %d",
 				on.MaxFrontier, on.SumFrontier, off.MaxFrontier, off.SumFrontier)
 		}
-		if off.BaselineSkippedBytes != 0 {
-			return name, fmt.Sprintf("disabled run still skipped %d bytes", off.BaselineSkippedBytes)
+		if off.BaselineSkipped != 0 {
+			return name, fmt.Sprintf("disabled run still skipped %d bytes", off.BaselineSkipped)
 		}
 	}
 
@@ -266,7 +264,7 @@ func checkBaselineSkip(c *Case, oracle []engine.Report, rng *rand.Rand) (string,
 func zeroBaselineSkip(res *core.Result) *core.Result {
 	out := *res
 	out.BaselineSkipped = 0
-	out.Golden.BaselineSkippedBytes = 0
+	out.Golden.BaselineSkipped = 0
 	out.Segments = append([]core.SegmentStats(nil), res.Segments...)
 	for i := range out.Segments {
 		out.Segments[i].BaselineSkipped = 0
@@ -274,9 +272,9 @@ func zeroBaselineSkip(res *core.Result) *core.Result {
 	return &out
 }
 
-// cutsFor returns the equal-division cut positions for k segments, clipped
+// CutsFor returns the equal-division cut positions for k segments, clipped
 // to valid strictly-increasing positions inside (0, len).
-func cutsFor(inputLen, k int) []int {
+func CutsFor(inputLen, k int) []int {
 	var cuts []int
 	for j := 1; j < k; j++ {
 		p := j * inputLen / k
@@ -301,8 +299,8 @@ func checkSegmented(c *Case, oracle []engine.Report) (string, string) {
 	tab := engine.NewTables(c.NFA)
 	for ki, k := range segmentCounts {
 		kind := engineKinds[ki%len(engineKinds)]
-		cuts := cutsFor(len(c.Input), k)
-		res, bounds := engine.RunWithBoundariesEngine(c.NFA, c.Input, cuts, kind, tab)
+		cuts := CutsFor(len(c.Input), k)
+		res, bounds, _, _ := engine.RunWithBoundaries(context.Background(), c.NFA, c.Input, cuts, kind, tab, engine.RunOpts{})
 		name := fmt.Sprintf("boundaries-k%d/%s", k, kind)
 		if d := diffReports(oracle, res.Reports); d != "" {
 			return name, d
@@ -637,10 +635,10 @@ func checkScored(c *Case, rng *rand.Rand) (string, string) {
 	// boundary's (enabled, scores) pair must reproduce the oracle exactly.
 	for ki, k := range segmentCounts {
 		kind := engineKinds[ki%len(engineKinds)]
-		cuts := cutsFor(len(c.Input), k)
+		cuts := CutsFor(len(c.Input), k)
 		name := fmt.Sprintf("scored-boundaries-k%d/%s", k, kind)
-		res, bounds, _, err := engine.RunWithBoundariesEngineContext(
-			context.Background(), c.NFA, c.Input, cuts, kind, tab, 0, engine.RunOpts{Scored: true})
+		res, bounds, _, err := engine.RunWithBoundaries(
+			context.Background(), c.NFA, c.Input, cuts, kind, tab, engine.RunOpts{Scored: true})
 		if err != nil {
 			return name, fmt.Sprintf("boundary run: %v", err)
 		}

@@ -138,7 +138,7 @@ func TestHarnessDetectsInjectedBug(t *testing.T) {
 	oracle := OracleRun(c.NFA, c.Input)
 	tampered := append([]engine.Report(nil), oracle...)
 	tampered = append(tampered, engine.Report{Offset: int64(len(c.Input) + 5), State: 0})
-	res := engine.RunEngine(c.NFA, c.Input, engine.Auto, nil)
+	res := engine.RunEngineOpts(c.NFA, c.Input, engine.Auto, nil, engine.RunOpts{})
 	if d := diffReports(tampered, res.Reports); d == "" {
 		t.Fatal("diffReports accepted a tampered oracle set")
 	}

@@ -77,7 +77,7 @@ func TestScoredAllZeroEqualsUnscored(t *testing.T) {
 			t.Fatalf("seed %d: scored flags wrong (zeroed %v, plain %v)", seed, nz.Scored(), np.Scored())
 		}
 		for _, kind := range engineKinds {
-			ref := engine.RunEngine(np, c.Input, kind, nil)
+			ref := engine.RunEngineOpts(np, c.Input, kind, nil, engine.RunOpts{})
 			// diffReports wants a canonical (deduped, sorted) reference set.
 			want := engine.DedupeReports(append([]engine.Report(nil), ref.Reports...))
 			for _, scored := range []bool{false, true} {
@@ -202,8 +202,8 @@ func TestScoredSegmentBoundaryExact(t *testing.T) {
 	n := scoredChain(t, "abcd", []int32{3, -1, 4}) // full-match score 6
 	input := []byte("zabcdz")
 	cuts := []int{3} // mid-pattern: after "zab"
-	res, bounds, _, err := engine.RunWithBoundariesEngineContext(
-		context.Background(), n, input, cuts, engine.SparseKind, nil, 0, engine.RunOpts{Scored: true})
+	res, bounds, _, err := engine.RunWithBoundaries(
+		context.Background(), n, input, cuts, engine.SparseKind, nil, engine.RunOpts{Scored: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -279,9 +279,9 @@ func (p *Plan) runSegmentRounds(ctx context.Context, seg *segmentResult, input [
 			wg.Add(1)
 			pool.work <- func(e engine.Engine) {
 				defer wg.Done()
-				sw := adaptiveSwitches(e)
+				sw := e.Stats().Switches
 				tr := p.runFlowRound(seg, f, input, e, pos, k, first, trace)
-				if d := adaptiveSwitches(e) - sw; d != 0 {
+				if d := e.Stats().Switches - sw; d != 0 {
 					seg.mu.Lock()
 					seg.EngSwitches += d
 					seg.mu.Unlock()
@@ -429,13 +429,13 @@ func (p *Plan) runFlowRound(seg *segmentResult, f *flowRun, input []byte, e engi
 	// happens here, above the engine, representation-independently, and the
 	// engine's own baseline-skip fast path stays off. (It could never fire
 	// anyway: this loop checks Dead() before every step.)
-	engine.SetBaselineSkip(e, false)
+	e.SetBaselineSkip(false)
 	if p.Cfg.Scored {
 		engine.ResetScoredOf(e, ctx, f.scoreBuf)
 	} else {
 		e.Reset(ctx)
 	}
-	t0 := e.Transitions()
+	t0 := e.Stats().Transitions
 	emit := func(r engine.Report) { f.reports = append(f.reports, r) }
 	var trace []snapshot
 	isASG := f.asg && f.id == 0
@@ -443,7 +443,6 @@ func (p *Plan) runFlowRound(seg *segmentResult, f *flowRun, input []byte, e engi
 	scan := p.baselineSkip()
 	deadSkipOK := !firstRound && !p.Cfg.DisablePrefilter
 	baseSkipOK := !firstRound && !p.Cfg.DisableBaselineSkip
-	bs, _ := e.(engine.BatchStepper)
 	for i := 0; i < k; {
 		// Dead-frontier fast paths, both bit-identical to stepping: an
 		// enumeration flow (baseline off) can never revive, so the round's
@@ -470,9 +469,9 @@ func (p *Plan) runFlowRound(seg *segmentResult, f *flowRun, input []byte, e engi
 		}
 		// Rounds past the first have no probe schedule, so the whole
 		// remaining quantum can go through the engine's vectorized batch
-		// kernel in one call (identical observables; see BatchStepper).
-		if bs != nil && !firstRound {
-			c, _, _ := bs.StepBatch(input[pos+i:pos+k], int64(pos+i), emit)
+		// kernel in one call (identical observables; see engine.Engine).
+		if !firstRound {
+			c, _, _ := e.StepBatch(input[pos+i:pos+k], int64(pos+i), emit)
 			f.symbols += int64(c)
 			i += c
 			continue
@@ -480,7 +479,7 @@ func (p *Plan) runFlowRound(seg *segmentResult, f *flowRun, input []byte, e engi
 		e.Step(input[pos+i], int64(pos+i), emit)
 		f.symbols++
 		i++
-		if !firstRound || i%deactivationProbe != 0 {
+		if i%deactivationProbe != 0 {
 			continue
 		}
 		if isASG {
@@ -522,7 +521,7 @@ func (p *Plan) runFlowRound(seg *segmentResult, f *flowRun, input []byte, e engi
 	if p.Cfg.Scored {
 		f.scoreBuf = engine.AppendScoresOf(e, f.ctxBuf, f.scoreBuf[:0])
 	}
-	f.trans += e.Transitions() - t0
+	f.trans += e.Stats().Transitions - t0
 	return trace
 }
 
@@ -551,13 +550,6 @@ func appendFrontierSorted(e engine.Engine, buf []nfa.StateID) []nfa.StateID {
 	buf = e.AppendFrontier(buf[:0])
 	slices.Sort(buf)
 	return buf
-}
-
-// adaptiveSwitches returns the representation-switch count of an adaptive
-// engine (or of one wrapped inside the meta/lazy-DFA backends), and 0 for
-// the fixed backends.
-func adaptiveSwitches(e engine.Engine) int64 {
-	return engine.SwitchesOf(e)
 }
 
 // convEntry pairs an alive flow with its comparator fingerprint for the

@@ -17,8 +17,7 @@ type benchProfile struct {
 	input    func(rng *rand.Rand, size int) []byte
 }
 
-// modeProfiles are the three regimes of BenchmarkModeComparison (and
-// BENCH_sfa.json):
+// modeProfiles are the three regimes of BenchmarkModeComparison:
 //
 //   - quiet: sparse matches in mostly-inert input — enumeration flows die
 //     fast, composition has few classes to map.
@@ -64,8 +63,7 @@ var modeProfiles = []benchProfile{
 }
 
 // BenchmarkModeComparison sweeps the two execution modes across workload
-// regimes and segment counts: the numbers behind BENCH_sfa.json (make
-// bench-sfa). Both modes produce identical matches on every iteration
+// regimes and segment counts. Both modes produce identical matches on every iteration
 // (checked); wall-clock and modelled-cycle differences are the point.
 func BenchmarkModeComparison(b *testing.B) {
 	const size = 1 << 16

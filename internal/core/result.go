@@ -171,7 +171,7 @@ func (p *Plan) Execute(input []byte) (*Result, error) {
 // cancellation contract.
 func (p *Plan) ExecuteContext(ctx context.Context, input []byte) (*Result, error) {
 	res := &Result{Plan: p, Mode: p.Cfg.Mode, IdealSpeedup: float64(p.Segments)}
-	golden, bounds, goldenPos, err := engine.RunWithBoundariesEngineContext(ctx, p.NFA, input, p.Cuts, p.Cfg.Engine, p.tables, 0,
+	golden, bounds, goldenPos, err := engine.RunWithBoundaries(ctx, p.NFA, input, p.Cuts, p.Cfg.Engine, p.tables,
 		engine.RunOpts{DisableBaselineSkip: p.Cfg.DisableBaselineSkip, Scored: p.Cfg.Scored})
 	if err != nil {
 		// Aborted before any segment ran: report the golden execution's
@@ -471,7 +471,7 @@ func (p *Plan) aggregate(res *Result, segs []*segmentResult) {
 		}
 	}
 	res.PrefilterSkipped += res.Golden.PrefilterSkipped
-	res.BaselineSkipped += res.Golden.BaselineSkippedBytes
+	res.BaselineSkipped += res.Golden.BaselineSkipped
 	res.AvgActiveFlows = safeDiv(float64(flowRounds), float64(rounds))
 	res.SwitchOverheadPct = 100 * safeDiv(float64(switchCyc), float64(cyc))
 	if hostSamples > 0 {

@@ -51,10 +51,9 @@ func (p *Plan) runSpeculative(seg *segmentResult, input []byte,
 	wg.Add(1)
 	pool.work <- func(e engine.Engine) {
 		defer wg.Done()
-		sw := adaptiveSwitches(e)
-		t0 := e.Transitions()
+		before := e.Stats()
 		e.SetBaseline(false)
-		engine.SetBaselineSkip(e, false) // skipping is core's job (see runFlowRound)
+		e.SetBaselineSkip(false) // skipping is core's job (see runFlowRound)
 		if p.Cfg.Scored {
 			// The golden boundary carries exact best-path scores for every
 			// enabled state; seeding with them makes the re-run's reports
@@ -64,7 +63,6 @@ func (p *Plan) runSpeculative(seg *segmentResult, input []byte,
 			e.Reset(boundary.Enabled)
 		}
 		emit := func(r engine.Report) { rerun.reports = append(rerun.reports, r) }
-		bs, _ := e.(engine.BatchStepper)
 		for i := seg.Start; i < seg.End; {
 			if !p.Cfg.DisablePrefilter && e.Dead() {
 				// Baseline is off: a dead enumeration frontier can never
@@ -73,18 +71,13 @@ func (p *Plan) runSpeculative(seg *segmentResult, input []byte,
 				rerun.skipped += int64(seg.End - i)
 				break
 			}
-			if bs != nil {
-				c, _, _ := bs.StepBatch(input[i:seg.End], int64(i), emit)
-				rerun.symbols += int64(c)
-				i += c
-				continue
-			}
-			e.Step(input[i], int64(i), emit)
-			rerun.symbols++
-			i++
+			c, _, _ := e.StepBatch(input[i:seg.End], int64(i), emit)
+			rerun.symbols += int64(c)
+			i += c
 		}
-		rerun.trans = e.Transitions() - t0
-		seg.EngSwitches += adaptiveSwitches(e) - sw
+		after := e.Stats()
+		rerun.trans = after.Transitions - before.Transitions
+		seg.EngSwitches += after.Switches - before.Switches
 	}
 	wg.Wait()
 	seg.flows = append(seg.flows, rerun)

@@ -135,7 +135,7 @@ func (a *Adaptive) Step(sym byte, off int64, emit EmitFunc) {
 	}
 }
 
-// StepBatch consumes between 1 and len(input) symbols (see BatchStepper).
+// StepBatch consumes between 1 and len(input) symbols (see Engine).
 // A dead frontier takes the baseline-skip fast path regardless of the
 // current representation; a dense frontier delegates the whole batch to
 // the bit engine's vectorized kernel; a sparse frontier steps one symbol
@@ -208,20 +208,9 @@ func (a *Adaptive) SetBaselineSkip(on bool) {
 	}
 }
 
-// BaselineSkipped returns the cumulative symbols consumed by the
-// baseline-skip fast path (including any the bit engine skipped while it
-// held the frontier).
-func (a *Adaptive) BaselineSkipped() int64 {
-	s := a.skipped
-	if a.bit != nil {
-		s += a.bit.BaselineSkipped()
-	}
-	return s
-}
-
 // switchTo migrates the frontier into the other representation — the
 // cross-engine analogue of an SVC context switch. The transition counters
-// of both engines persist, so Transitions stays cumulative.
+// of both engines persist, so Stats stays cumulative.
 func (a *Adaptive) switchTo(dense bool) {
 	var to Engine
 	if dense {
@@ -253,9 +242,6 @@ func (a *Adaptive) switchTo(dense bool) {
 // Dense reports whether the engine is currently in the bit representation.
 func (a *Adaptive) Dense() bool { return a.dense }
 
-// Switches returns the number of representation switches performed.
-func (a *Adaptive) Switches() int64 { return a.switches }
-
 // FrontierLen returns the number of enabled states (excluding all-input).
 func (a *Adaptive) FrontierLen() int { return a.cur.FrontierLen() }
 
@@ -265,14 +251,16 @@ func (a *Adaptive) Dead() bool { return a.cur.Dead() }
 // Fingerprint returns the Zobrist fingerprint of the frontier.
 func (a *Adaptive) Fingerprint() uint64 { return a.cur.Fingerprint() }
 
-// Transitions returns cumulative transition-edge traversals across both
-// representations.
-func (a *Adaptive) Transitions() int64 {
-	t := a.sparse.Transitions()
+// Stats returns the representation switches performed plus the transition
+// and baseline-skip counters summed over both representations (the bit
+// engine skips on its own account while it holds the frontier).
+func (a *Adaptive) Stats() Stats {
+	st := Stats{Transitions: a.sparse.trans, Switches: a.switches, BaselineSkipped: a.skipped}
 	if a.bit != nil {
-		t += a.bit.Transitions()
+		st.Transitions += a.bit.trans
+		st.BaselineSkipped += a.bit.skipped
 	}
-	return t
+	return st
 }
 
 // AppendFrontier appends the enabled states to dst and returns it.

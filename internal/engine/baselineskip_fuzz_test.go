@@ -45,7 +45,7 @@ func FuzzBaselineSkip(f *testing.F) {
 		adaSkip := NewAdaptive(n, tab)
 		bitNoSkip := NewBit(n, tab)
 		bitNoSkip.SetBaselineSkip(false)
-		subs := []BatchStepper{bitSkip, adaSkip, bitNoSkip}
+		subs := []Engine{bitSkip, adaSkip, bitNoSkip}
 		all := []Engine{ref, bitSkip, adaSkip, bitNoSkip}
 
 		reports := make([][]Report, len(all))
@@ -89,7 +89,7 @@ func FuzzBaselineSkip(f *testing.F) {
 					names[k], names[0], reports[k], reports[0])
 			}
 		}
-		if got := bitNoSkip.BaselineSkipped(); got != 0 {
+		if got := bitNoSkip.Stats().BaselineSkipped; got != 0 {
 			t.Fatalf("skip-ablated engine reports %d skipped bytes", got)
 		}
 	})

@@ -307,7 +307,7 @@ const batchSymbols = 64
 // provably cannot react to, consuming them. Without baseline injection a
 // dead frontier is dead forever; with it, only a start-class byte can fire
 // anything, so the scan jumps straight to the next candidate. Consumed
-// symbols change no observable beyond the BaselineSkipped counter —
+// symbols change no observable beyond Stats.BaselineSkipped —
 // nothing fires, no edge is traversed, no report is emitted — and callers
 // still charge each one its modelled round.
 func (e *Bit) skipAhead(input []byte) int {
@@ -432,10 +432,6 @@ func (e *Bit) StepBatch(input []byte, off int64, emit EmitFunc) (consumed int, s
 // stepping loop, the ablation the conformance harness exercises.
 func (e *Bit) SetBaselineSkip(on bool) { e.skipOn = on }
 
-// BaselineSkipped returns the cumulative number of symbols consumed by
-// the baseline-skip fast path.
-func (e *Bit) BaselineSkipped() int64 { return e.skipped }
-
 // clearFired empties the fired set (used by wrappers that skip input on
 // this engine's behalf: nothing fired on a skipped symbol).
 func (e *Bit) clearFired() { e.firedBs.Reset() }
@@ -447,8 +443,9 @@ func (e *Bit) Enabled() *bitset.Set { return e.enabled }
 // Fired returns the states that fired on the most recent Step.
 func (e *Bit) Fired() *bitset.Set { return e.firedBs }
 
-// Transitions returns cumulative transition-edge traversals.
-func (e *Bit) Transitions() int64 { return e.trans }
+// Stats returns cumulative transition-edge traversals and the symbols the
+// baseline-skip fast path consumed.
+func (e *Bit) Stats() Stats { return Stats{Transitions: e.trans, BaselineSkipped: e.skipped} }
 
 // FrontierLen returns the number of enabled states (excluding all-input).
 func (e *Bit) FrontierLen() int { return e.enabled.Count() }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"testing"
 
 	"pap/internal/nfa"
@@ -33,11 +34,11 @@ func TestRunEdgeInputs(t *testing.T) {
 	}
 	for name, n := range ns {
 		for _, kind := range []Kind{SparseKind, BitKind, Auto} {
-			res := RunEngine(n, nil, kind, nil)
+			res := RunEngineOpts(n, nil, kind, nil, RunOpts{})
 			if len(res.Reports) != 0 || res.Transitions != 0 {
 				t.Errorf("%s/%s: empty input produced %+v", name, kind, res)
 			}
-			res, bounds := RunWithBoundariesEngine(n, []byte("a"), nil, kind, nil)
+			res, bounds, _, _ := RunWithBoundaries(context.Background(), n, []byte("a"), nil, kind, nil, RunOpts{})
 			if len(bounds) != 0 {
 				t.Errorf("%s/%s: boundaries on cut-free run: %+v", name, kind, bounds)
 			}
@@ -90,7 +91,7 @@ func TestBoundaryAtEveryPosition(t *testing.T) {
 
 	input := []byte("ababa")
 	cuts := []int{1, 2, 3, 4}
-	res, bounds := RunWithBoundaries(n, input, cuts)
+	res, bounds, _, _ := RunWithBoundaries(context.Background(), n, input, cuts, Auto, nil, RunOpts{})
 	if len(bounds) != len(cuts) {
 		t.Fatalf("%d boundaries, want %d", len(bounds), len(cuts))
 	}

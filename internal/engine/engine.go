@@ -4,19 +4,25 @@
 // enabling its children for the next step — and all-input start states are
 // re-enabled every step.
 //
-// Three implementations are provided with identical observable behaviour:
+// Four implementations are provided with identical observable behaviour,
+// selected through five kinds (see Kind and New):
 //
 //   - Sparse tracks the enabled frontier as a deduplicated slice, the way
 //     VASim does; cost is proportional to the number of active states.
 //   - Bit tracks the frontier as a dense bit vector, the way the AP's
-//     state-enable mask and State Vector Cache do.
-//   - Adaptive starts sparse and switches representation when the frontier
-//     density crosses a threshold (with hysteresis both ways), so dense
-//     enumeration phases run on the bit engine and quiet phases stay sparse.
+//     state-enable mask and State Vector Cache do, and steps up to 64
+//     symbols per StepBatch call.
+//   - Adaptive (the Auto kind) starts sparse and switches representation
+//     when the frontier density crosses a threshold (with hysteresis both
+//     ways), so dense enumeration phases run on the bit engine and quiet
+//     phases stay sparse.
+//   - The lazy DFA (package lazydfa) determinizes recurring frontiers into
+//     a bounded cache. The LazyDFA kind falls back to Sparse on cache
+//     blowup; the Meta kind is the same engine falling back to Adaptive,
+//     run under the automaton's prefilter (the run loops own the skipping).
 //
-// All three satisfy the Engine interface; execution layers select a backend
-// through Kind and New. Tests assert their equivalence on random automata
-// and inputs.
+// All of them satisfy the one Engine contract. Tests assert their
+// equivalence on random automata and inputs.
 package engine
 
 import (
@@ -40,8 +46,26 @@ type Engine interface {
 	// SetBaseline switches all-input ("baseline") injection; see
 	// Sparse.SetBaseline for the decomposition contract.
 	SetBaseline(on bool)
+	// SetBaselineSkip switches the baseline-skip fast path (on by default):
+	// with the frontier collapsed to the always-active baseline, StepBatch
+	// consumes symbols outside the start class with a memchr-style class
+	// scan instead of stepping them — exactly, since such a symbol provably
+	// fires nothing on an empty frontier. A no-op on backends that step one
+	// symbol per StepBatch (Sparse, the lazy DFA).
+	SetBaselineSkip(on bool)
 	// Step consumes one symbol at the given input offset. emit may be nil.
+	// It is the reference StepBatch is held to; production loops call
+	// StepBatch.
 	Step(sym byte, off int64, emit EmitFunc)
+	// StepBatch consumes between 1 and len(input) symbols starting at
+	// absolute input offset off, observably identical to calling Step once
+	// per consumed symbol. It returns the consumed count together with the
+	// sum and maximum of the frontier length over the consumed symbols, so
+	// callers maintain per-symbol frontier statistics exactly. len(input)
+	// must be > 0. Implementations are free to consume fewer symbols than
+	// offered (batch bounds, a frontier death, a representation switch);
+	// Sparse and the lazy DFA always consume exactly one.
+	StepBatch(input []byte, off int64, emit EmitFunc) (consumed int, sumFrontier int64, maxFrontier int)
 	// FrontierLen returns the number of enabled states (excluding
 	// all-input states).
 	FrontierLen() int
@@ -50,9 +74,9 @@ type Engine interface {
 	// Fingerprint returns the Zobrist fingerprint of the frontier; stable
 	// across engines (see Key).
 	Fingerprint() uint64
-	// Transitions returns cumulative transition-edge traversals, the
-	// paper's dynamic-energy proxy.
-	Transitions() int64
+	// Stats returns the cumulative counters since construction (Reset
+	// preserves them).
+	Stats() Stats
 	// AppendFrontier appends the enabled states (excluding all-input) to
 	// dst and returns it. Order is unspecified; Bit-backed engines happen
 	// to append in ascending order.
@@ -81,9 +105,10 @@ const (
 	// back to sparse on cache blowup. Requires the backend to be linked:
 	// import pap/internal/engine/lazydfa (blank import suffices).
 	LazyDFAKind
-	// MetaKind selects the meta engine: literal/class prefiltering on a
-	// dead frontier, the lazy DFA while its cache holds, and the adaptive
-	// sparse/bit selector beyond — the full regime-matched stack.
+	// MetaKind selects the regime-matched stack: the lazy DFA while its
+	// cache holds and the adaptive sparse/bit selector beyond, with the run
+	// loops skipping dead-frontier input through the automaton's prefilter
+	// (see NewWithOpts; skipping lives in the loops, which own the input).
 	MetaKind
 )
 
@@ -161,7 +186,7 @@ func New(kind Kind, n *nfa.NFA, tab *Tables) Engine {
 	case LazyDFAKind:
 		return newLazyDFA(n, tab, nil)
 	case MetaKind:
-		return NewMeta(n, tab)
+		return newLazyDFA(n, tab, func() Engine { return NewAdaptive(n, tab) })
 	default:
 		return NewAdaptive(n, tab)
 	}
@@ -175,92 +200,41 @@ type CacheStats struct {
 	FellBack                bool
 }
 
-// CacheStatser is implemented by backends carrying a lazy-DFA cache.
-type CacheStatser interface {
-	CacheStats() CacheStats
+// Stats is an engine's cumulative counters. Fields a backend has no
+// machinery for stay zero.
+type Stats struct {
+	// Transitions counts transition-edge traversals, the paper's
+	// dynamic-energy proxy; identical across backends.
+	Transitions int64
+	// Switches counts sparse⇄dense representation switches (Adaptive, and
+	// a lazy DFA that fell back to it).
+	Switches int64
+	// BaselineSkipped counts symbols consumed by the baseline-skip fast
+	// path (see Engine.SetBaselineSkip).
+	BaselineSkipped int64
+	// Cache reports the lazy-DFA state cache.
+	Cache CacheStats
 }
 
-// Switcher is implemented by backends that count sparse⇄dense
-// representation switches (Adaptive, and backends wrapping it).
-type Switcher interface {
-	Switches() int64
-}
+// bench/ — a separate module that ./... never compiles, frozen against this
+// package's API — is the only caller of the three functions below; code in
+// this module calls the Engine methods they forward to.
 
-// SwitchesOf returns the representation-switch count of e, 0 for fixed
-// backends.
-func SwitchesOf(e Engine) int64 {
-	if s, ok := e.(Switcher); ok {
-		return s.Switches()
-	}
-	return 0
-}
-
-// BatchStepper is implemented by engines with a vectorized multi-symbol
-// hot loop (the bit engine, and the adaptive engine while dense).
-type BatchStepper interface {
-	// StepBatch consumes between 1 and len(input) symbols starting at
-	// absolute input offset off, observably identical to calling Step once
-	// per consumed symbol. It returns the consumed count together with the
-	// sum and maximum of the frontier length over the consumed symbols, so
-	// callers maintain per-symbol frontier statistics exactly. len(input)
-	// must be > 0. Implementations are free to consume fewer symbols than
-	// offered (batch bounds, a frontier death, a representation switch).
-	StepBatch(input []byte, off int64, emit EmitFunc) (consumed int, sumFrontier int64, maxFrontier int)
-}
-
-// BaselineSkipper is implemented by engines with the baseline-skip fast
-// path: when the frontier has collapsed to the always-active baseline,
-// StepBatch consumes symbols outside the start class with a memchr-style
-// class scan instead of stepping them — exactly, since such a symbol
-// provably fires nothing on an empty frontier.
-type BaselineSkipper interface {
-	// SetBaselineSkip enables or disables the fast path (on by default).
-	SetBaselineSkip(on bool)
-	// BaselineSkipped returns the cumulative number of symbols the fast
-	// path consumed.
-	BaselineSkipped() int64
-}
-
-// StepBatchOf advances e by up to len(input) symbols through its batched
-// fast path when it has one, or by exactly one scalar Step otherwise.
-// len(input) must be > 0.
+// StepBatchOf is e.StepBatch(input, off, emit).
 func StepBatchOf(e Engine, input []byte, off int64, emit EmitFunc) (consumed int, sumFrontier int64, maxFrontier int) {
-	if b, ok := e.(BatchStepper); ok {
-		return b.StepBatch(input, off, emit)
-	}
-	e.Step(input[0], off, emit)
-	l := e.FrontierLen()
-	return 1, int64(l), l
+	return e.StepBatch(input, off, emit)
 }
 
-// SetBaselineSkip switches e's baseline-skip fast path, a no-op for
-// backends without one.
-func SetBaselineSkip(e Engine, on bool) {
-	if s, ok := e.(BaselineSkipper); ok {
-		s.SetBaselineSkip(on)
-	}
-}
+// SetBaselineSkip is e.SetBaselineSkip(on).
+func SetBaselineSkip(e Engine, on bool) { e.SetBaselineSkip(on) }
 
-// BaselineSkippedOf returns e's cumulative baseline-skip count, 0 for
-// backends without the fast path.
-func BaselineSkippedOf(e Engine) int64 {
-	if s, ok := e.(BaselineSkipper); ok {
-		return s.BaselineSkipped()
-	}
-	return 0
-}
+// SwitchesOf is e.Stats().Switches.
+func SwitchesOf(e Engine) int64 { return e.Stats().Switches }
 
 var (
-	_ Engine          = (*Sparse)(nil)
-	_ Engine          = (*Bit)(nil)
-	_ Engine          = (*Adaptive)(nil)
-	_ Engine          = (*Meta)(nil)
-	_ Switcher        = (*Adaptive)(nil)
-	_ Switcher        = (*Meta)(nil)
-	_ BatchStepper    = (*Bit)(nil)
-	_ BatchStepper    = (*Adaptive)(nil)
-	_ BaselineSkipper = (*Bit)(nil)
-	_ BaselineSkipper = (*Adaptive)(nil)
+	_ Engine = (*Sparse)(nil)
+	_ Engine = (*Bit)(nil)
+	_ Engine = (*Adaptive)(nil)
 )
 
 // Report is one output event: reporting state State (carrying rule
@@ -389,6 +363,17 @@ func (e *Sparse) FrontierScore(q nfa.StateID) int64 {
 		return 0
 	}
 	return e.scoreCur[q]
+}
+
+// SetBaselineSkip is a no-op: Sparse steps one symbol per StepBatch.
+func (e *Sparse) SetBaselineSkip(bool) {}
+
+// StepBatch is exactly one Step: the sparse engine is per-state work
+// already, batching buys nothing.
+func (e *Sparse) StepBatch(input []byte, off int64, emit EmitFunc) (consumed int, sumFrontier int64, maxFrontier int) {
+	e.Step(input[0], off, emit)
+	l := len(e.frontier)
+	return 1, int64(l), l
 }
 
 // Step consumes one symbol at the given input offset. emit may be nil.
@@ -527,9 +512,9 @@ func (e *Sparse) Dead() bool { return len(e.frontier) == 0 }
 // confirmed with EqualFrontier.
 func (e *Sparse) Fingerprint() uint64 { return e.fp }
 
-// Transitions returns the cumulative number of transition-edge traversals
-// (successor activations) performed, the paper's dynamic-energy proxy.
-func (e *Sparse) Transitions() int64 { return e.trans }
+// Stats returns the cumulative number of transition-edge traversals
+// (successor activations) performed; Sparse has no other counter.
+func (e *Sparse) Stats() Stats { return Stats{Transitions: e.trans} }
 
 // FrontierSet materialises the frontier as a bit vector (the AP state
 // vector, minus the always-set all-input bits).

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -141,19 +142,19 @@ func TestTransitionsCounted(t *testing.T) {
 	n := buildABC()
 	e := NewSparse(n)
 	e.Step('a', 0, nil) // state 0 fires, 1 successor traversed
-	if e.Transitions() != 1 {
-		t.Fatalf("transitions = %d, want 1", e.Transitions())
+	if e.Stats().Transitions != 1 {
+		t.Fatalf("transitions = %d, want 1", e.Stats().Transitions)
 	}
 	e.Step('b', 1, nil) // state 1 fires
-	if e.Transitions() != 2 {
-		t.Fatalf("transitions = %d, want 2", e.Transitions())
+	if e.Stats().Transitions != 2 {
+		t.Fatalf("transitions = %d, want 2", e.Stats().Transitions)
 	}
 }
 
 func TestRunWithBoundaries(t *testing.T) {
 	n := buildABC()
 	input := []byte("abcabc")
-	res, bounds := RunWithBoundaries(n, input, []int{3})
+	res, bounds, _, _ := RunWithBoundaries(context.Background(), n, input, []int{3}, Auto, nil, RunOpts{})
 	if len(res.Reports) != 2 {
 		t.Fatalf("reports = %+v", res.Reports)
 	}
@@ -260,8 +261,8 @@ func TestSparseBitEquivalence(t *testing.T) {
 		if !SameReports(rsSp, rsBt) {
 			t.Fatalf("trial %d: reports diverged:\nsparse %+v\nbit    %+v", trial, rsSp, rsBt)
 		}
-		if sp.Transitions() != bt.Transitions() {
-			t.Fatalf("trial %d: transitions %d vs %d", trial, sp.Transitions(), bt.Transitions())
+		if sp.Stats().Transitions != bt.Stats().Transitions {
+			t.Fatalf("trial %d: transitions %d vs %d", trial, sp.Stats().Transitions, bt.Stats().Transitions)
 		}
 	}
 }

@@ -38,9 +38,9 @@ func checkAgreement(t *testing.T, ctx string, names []string, engines []Engine) 
 			t.Fatalf("%s: %s Dead = %v, %s = %v",
 				ctx, names[i+1], e.Dead(), names[0], ref.Dead())
 		}
-		if e.Transitions() != ref.Transitions() {
+		if e.Stats().Transitions != ref.Stats().Transitions {
 			t.Fatalf("%s: %s transitions = %d, %s = %d",
-				ctx, names[i+1], e.Transitions(), names[0], ref.Transitions())
+				ctx, names[i+1], e.Stats().Transitions, names[0], ref.Stats().Transitions)
 		}
 	}
 }
@@ -159,11 +159,11 @@ func TestAdaptiveSwitchesRepresentations(t *testing.T) {
 	if ad.Dense() {
 		t.Fatal("adaptive stayed dense on an empty frontier")
 	}
-	if ad.Switches() < 2 {
-		t.Fatalf("switches = %d, want >= 2", ad.Switches())
+	if ad.Stats().Switches < 2 {
+		t.Fatalf("switches = %d, want >= 2", ad.Stats().Switches)
 	}
-	if sp.Transitions() != ad.Transitions() {
-		t.Fatalf("transitions = %d, want %d", ad.Transitions(), sp.Transitions())
+	if sp.Stats().Transitions != ad.Stats().Transitions {
+		t.Fatalf("transitions = %d, want %d", ad.Stats().Transitions, sp.Stats().Transitions)
 	}
 }
 

@@ -54,8 +54,7 @@ func sparsePayload(rng *rand.Rand, size int) []byte {
 // intrusion (ANMLZoo Snort) and regex-suite (Bro217) workloads: the scalar
 // sparse engine is the pre-vectorization baseline, bit/noskip isolates the
 // batched kernel, and bit and auto add the baseline-skip fast path.
-// BENCH_hotloop.json records a sampled run; the acceptance bar is bit ≥5×
-// sparse on both workloads.
+// The acceptance bar is bit ≥5× sparse on both workloads.
 func BenchmarkHotLoop(b *testing.B) {
 	rng := rand.New(rand.NewSource(61))
 	loads := []struct {
@@ -96,7 +95,7 @@ func BenchmarkHotLoop(b *testing.B) {
 // on the sparse intrusion workload from BenchmarkHotLoop, the batched bit
 // engine with baseline-skip must stay at least 5x faster than the scalar
 // sparse engine (the acceptance bar from ISSUE 8; measured headroom is far
-// larger, see BENCH_hotloop.json). The ratio is relative, so the guard is
+// larger). The ratio is relative, so the guard is
 // hardware-independent. Gated behind PAP_BENCH_GUARD=1 like
 // TestQuietRegimeGuard because timing asserts don't belong in the default
 // -race matrix.

@@ -16,7 +16,7 @@
 // demand), and after too many flushes the engine concludes the workload
 // is cache-hostile (dense, ever-changing frontiers) and falls back
 // permanently to an inner engine — sparse by default, or whatever the
-// caller supplies (the meta selector supplies the adaptive engine).
+// caller supplies (engine.MetaKind supplies the adaptive engine).
 // Cumulative counters carry across the fallback, so observables stay
 // exact through the switch.
 package lazydfa
@@ -166,6 +166,17 @@ func (e *Engine) SetBaseline(on bool) {
 	if e.fb != nil {
 		e.fb.SetBaseline(on)
 	}
+}
+
+// SetBaselineSkip is a no-op: the lazy DFA steps one symbol per StepBatch
+// (a dead frontier is one cached self-edge), before and after fallback.
+func (e *Engine) SetBaselineSkip(bool) {}
+
+// StepBatch is exactly one Step.
+func (e *Engine) StepBatch(input []byte, off int64, emit engine.EmitFunc) (consumed int, sumFrontier int64, maxFrontier int) {
+	e.Step(input[0], off, emit)
+	l := e.FrontierLen()
+	return 1, int64(l), l
 }
 
 // Step consumes one symbol at the given input offset. emit may be nil.
@@ -326,13 +337,27 @@ func (e *Engine) Fingerprint() uint64 {
 	return e.cur.fp
 }
 
-// Transitions returns cumulative transition-edge traversals, carried
-// across cache flushes and fallback.
-func (e *Engine) Transitions() int64 {
-	if e.fb != nil {
-		return e.trans + e.fb.Transitions()
+// Stats returns the cache counters plus, carried across cache flushes and
+// fallback, the cumulative transition count (and the fallback engine's
+// representation switches, when it is adaptive).
+func (e *Engine) Stats() engine.Stats {
+	st := engine.Stats{
+		Transitions: e.trans,
+		Cache: engine.CacheStats{
+			Hits:      e.hits,
+			Misses:    e.misses,
+			Evictions: e.evictions,
+			States:    e.nst,
+			Flushes:   e.flushes,
+			FellBack:  e.fb != nil,
+		},
 	}
-	return e.trans
+	if e.fb != nil {
+		fb := e.fb.Stats()
+		st.Transitions += fb.Transitions
+		st.Switches = fb.Switches
+	}
+	return st
 }
 
 // AppendFrontier appends the enabled states (ascending) to dst.
@@ -361,27 +386,6 @@ func (e *Engine) FrontierSet() *bitset.Set {
 		s.Set(int(q))
 	}
 	return s
-}
-
-// CacheStats reports the cache counters (see engine.CacheStats).
-func (e *Engine) CacheStats() engine.CacheStats {
-	return engine.CacheStats{
-		Hits:      e.hits,
-		Misses:    e.misses,
-		Evictions: e.evictions,
-		States:    e.nst,
-		Flushes:   e.flushes,
-		FellBack:  e.fb != nil,
-	}
-}
-
-// Switches returns the representation switches of an adaptive fallback
-// engine (0 before fallback or for non-adaptive fallbacks).
-func (e *Engine) Switches() int64 {
-	if a, ok := e.fb.(*engine.Adaptive); ok {
-		return a.Switches()
-	}
-	return 0
 }
 
 func init() {

@@ -28,9 +28,9 @@ func checkStep(t *testing.T, trial int, off int64, names []string, engines []eng
 			t.Fatalf("trial %d off %d: %s Dead %v, %s %v",
 				trial, off, names[i+1], e.Dead(), names[0], ref.Dead())
 		}
-		if e.Transitions() != ref.Transitions() {
+		if e.Stats().Transitions != ref.Stats().Transitions {
 			t.Fatalf("trial %d off %d: %s transitions %d, %s %d",
-				trial, off, names[i+1], e.Transitions(), names[0], ref.Transitions())
+				trial, off, names[i+1], e.Stats().Transitions, names[0], ref.Stats().Transitions)
 		}
 		if !ref.FrontierSet().Equal(e.FrontierSet()) {
 			t.Fatalf("trial %d off %d: %s frontier diverged from %s",
@@ -135,10 +135,10 @@ func TestLazyDFAFallbackContinuity(t *testing.T) {
 			t.Fatalf("fingerprint diverged at offset %d", i)
 		}
 	}
-	if e.Transitions() != sp.Transitions() {
-		t.Fatalf("transitions = %d, want %d", e.Transitions(), sp.Transitions())
+	if e.Stats().Transitions != sp.Stats().Transitions {
+		t.Fatalf("transitions = %d, want %d", e.Stats().Transitions, sp.Stats().Transitions)
 	}
-	cs := e.CacheStats()
+	cs := e.Stats().Cache
 	if !cs.FellBack {
 		t.Fatalf("engine never fell back on a cache-hostile workload: %+v", cs)
 	}
@@ -173,7 +173,7 @@ func TestLazyDFACacheReplay(t *testing.T) {
 			off++
 		}
 	}
-	cs := e.CacheStats()
+	cs := e.Stats().Cache
 	if cs.FellBack {
 		t.Fatalf("fell back on a trivially periodic workload: %+v", cs)
 	}
@@ -182,32 +182,5 @@ func TestLazyDFACacheReplay(t *testing.T) {
 	}
 	if cs.States > len(pattern)*4 {
 		t.Fatalf("cached states = %d for a %d-symbol period", cs.States, len(pattern))
-	}
-}
-
-// TestMetaObservability checks the meta stack's introspection hooks: the
-// engine advertises a prefilter (on an automaton with a narrow start
-// class) and surfaces its inner lazy-DFA cache stats.
-func TestMetaObservability(t *testing.T) {
-	b := nfa.NewBuilder("narrow")
-	root := b.AddState(nfa.ClassOf('G'), nfa.AllInput)
-	tail := b.AddState(nfa.ClassOf('T'), 0)
-	b.SetFlags(tail, nfa.Report)
-	b.AddEdge(root, tail)
-	n := b.MustBuild()
-
-	e := engine.New(engine.MetaKind, n, engine.NewTables(n))
-	if engine.PrefilterOf(e) == nil {
-		t.Fatal("meta engine over a narrow start class advertises no prefilter")
-	}
-	for i := 0; i < 100; i++ {
-		e.Step("GTz"[i%3], int64(i), nil)
-	}
-	cs := engine.CacheStatsOf(e)
-	if cs.Hits == 0 {
-		t.Fatalf("meta lazy-DFA cache recorded no hits: %+v", cs)
-	}
-	if engine.PrefilterOf(engine.NewSparse(n)) != nil {
-		t.Fatal("sparse engine unexpectedly advertises a prefilter")
 	}
 }

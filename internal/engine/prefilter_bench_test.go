@@ -93,7 +93,7 @@ func denseInput(rng *rand.Rand, size int) []byte {
 // extractable — prefilter heaven), bursty (alternating quiet stretches and
 // hit clusters), and adversarial (wide root class, no literal, every byte
 // a hit — prefilter can only get in the way). Throughput is reported via
-// b.SetBytes; BENCH_prefilter.json records a sampled run.
+// b.SetBytes.
 func BenchmarkPrefilterRegime(b *testing.B) {
 	rng := rand.New(rand.NewSource(23))
 	regimes := []struct {
@@ -126,8 +126,7 @@ func BenchmarkPrefilterRegime(b *testing.B) {
 
 // BenchmarkLazyDensity reruns the BenchmarkEngineDensity workload (same
 // fanout automaton and hit-rate inputs) for the two backends that live
-// outside the engine package, producing comparable rows for
-// BENCH_engines.json.
+// outside the engine package, producing comparable rows.
 func BenchmarkLazyDensity(b *testing.B) {
 	const states = 2048
 	bd := nfa.NewBuilder("fanout")

@@ -12,7 +12,7 @@ import (
 // TestQuietRegimeGuard is the CI regression guard on prefilter throughput:
 // on the quiet workload from BenchmarkPrefilterRegime the meta stack must
 // stay at least 5x faster than the sparse baseline (the acceptance bar;
-// measured headroom is ~44x, see BENCH_prefilter.json). The ratio is
+// measured headroom when the guard was set was ~44x). The ratio is
 // relative, so the guard is hardware-independent. Gated behind
 // PAP_BENCH_GUARD=1 because it burns ~2s of wall clock and timing asserts
 // don't belong in the default -race matrix.

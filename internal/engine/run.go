@@ -9,49 +9,44 @@ import (
 	"pap/internal/prefilter"
 )
 
-// ctxCheckEvery is the default symbol interval between context polls in
-// the *Context run variants: frequent enough that even slow automata
-// notice a deadline within microseconds, rare enough to keep the poll off
-// the hot per-symbol path.
+// ctxCheckEvery is the symbol interval between context polls in the run
+// loop: frequent enough that even slow automata notice a deadline within
+// microseconds, rare enough to keep the poll off the hot per-symbol path.
 const ctxCheckEvery = 4096
 
 // Result summarises one sequential execution.
 type Result struct {
-	Reports     []Report
-	Transitions int64
+	Reports []Report
+	// Stats is the engine's counters at the end of the run (or at the
+	// abort position): Transitions, Switches, Cache, and BaselineSkipped —
+	// the input bytes the engine's own baseline-skip fast path consumed by
+	// a class scan instead of a step. Like class prefilter skips that path
+	// is fully exact: every observable, including the per-symbol frontier
+	// statistics, is preserved bit-for-bit.
+	Stats
 	MaxFrontier int
 	SumFrontier int64 // Σ frontier size over all positions (avg = Sum/len)
 	// PrefilterSkipped counts input bytes the run never stepped because a
-	// prefilter proved them inert on a dead frontier (0 for engines
-	// without a prefilter). Skipped symbols contribute nothing to
-	// Transitions or the frontier statistics — for class skips that is
-	// exact (the true contribution is zero); literal skips additionally
-	// drop doomed partial frontiers (see RunOpts.LiteralPrefilter).
+	// prefilter proved them inert on a dead frontier (0 for kinds without
+	// a prefilter). Skipped symbols contribute nothing to Transitions or
+	// the frontier statistics — for class skips that is exact (the true
+	// contribution is zero); literal skips additionally drop doomed partial
+	// frontiers (see RunOpts.LiteralPrefilter).
 	PrefilterSkipped int64
-	// BaselineSkippedBytes counts input bytes consumed by an engine's own
-	// baseline-skip fast path (BaselineSkipper backends: bit and adaptive):
-	// with the frontier collapsed to the always-active baseline, bytes
-	// outside the start class are consumed by a class scan instead of a
-	// step. Like class prefilter skips this is fully exact — every
-	// observable, including the per-symbol frontier statistics, is
-	// preserved bit-for-bit.
-	BaselineSkippedBytes int64
-	// Cache reports the lazy-DFA state-cache counters, zero for backends
-	// without one.
-	Cache CacheStats
 	// BestScore is the maximum report Score of a scored run (see
 	// RunOpts.Scored); meaningful only when Reports is non-empty (scores
 	// may be negative, so 0 is not a sentinel). Always 0 for unscored runs.
 	BestScore int64
 }
 
-// RunOpts tunes the run loops.
+// RunOpts tunes the run loop.
 type RunOpts struct {
 	// LiteralPrefilter permits the report-exact literal scanner for
 	// dead-frontier skips, in addition to the always-exact class scanner.
 	// Only the report stream is then guaranteed; MaxFrontier/SumFrontier
 	// may undercount doomed partial-literal activity. Match-only callers
-	// (pap.Match and friends) enable it; metric-bearing callers must not.
+	// (pap.Match and friends) enable it; metric-bearing callers (anything
+	// recording boundaries) must not.
 	LiteralPrefilter bool
 	// DisableBaselineSkip forces every symbol through the stepping loop
 	// even on engines with the baseline-skip fast path — the ablation the
@@ -67,147 +62,60 @@ type RunOpts struct {
 	Scored bool
 }
 
-// engineFor builds the run-loop engine honouring opts: kind remapping,
-// score tracking, and the baseline-skip ablation.
-func engineFor(n *nfa.NFA, kind Kind, tab *Tables, opts RunOpts) Engine {
+// NewWithOpts is New honouring run options — kind remapping and score
+// tracking under Scored, the baseline-skip ablation — and additionally
+// returns the prefilter to skip dead-frontier input with: the automaton's,
+// under MetaKind when scanning can pay off, nil otherwise. The prefilter is
+// a property of the automaton (Tables.Prefilter), not of an engine; only
+// the Meta kind opts into using it. The run loop and pap.Stream start here.
+func NewWithOpts(kind Kind, n *nfa.NFA, tab *Tables, opts RunOpts) (Engine, *prefilter.Prefilter) {
 	if opts.Scored {
 		kind = ScoringKind(kind)
+	}
+	if kind == MetaKind && tab == nil {
+		tab = NewTables(n)
 	}
 	e := New(kind, n, tab)
 	if opts.Scored {
 		SetScoring(e, true)
 	}
 	if opts.DisableBaselineSkip {
-		SetBaselineSkip(e, false)
+		e.SetBaselineSkip(false)
 	}
-	return e
+	if kind == MetaKind {
+		if pf := tab.Prefilter(); pf.Useful() {
+			return e, pf
+		}
+	}
+	return e, nil
 }
 
 // Run executes the automaton over the whole input with the default (Auto)
 // backend and collects all reports in order.
 func Run(n *nfa.NFA, input []byte) Result {
-	return RunEngine(n, input, Auto, nil)
+	return RunEngineOpts(n, input, Auto, nil, RunOpts{})
 }
 
-// RunEngine is Run with an explicit backend kind and optional shared match
-// tables (nil builds private tables on demand; sparse ignores them).
-func RunEngine(n *nfa.NFA, input []byte, kind Kind, tab *Tables) Result {
-	return RunEngineOpts(n, input, kind, tab, RunOpts{})
-}
-
-// skipFrom returns the next offset the engine must actually step from
-// position i, given a dead frontier, or i when no skip applies.
-func skipFrom(pf *prefilter.Prefilter, input []byte, i int, opts RunOpts) int {
-	if opts.LiteralPrefilter && !opts.Scored {
-		return pf.NextLiteral(input, i)
-	}
-	return pf.Next(input, i)
-}
-
-// RunEngineOpts is RunEngine with run options. Engines advertising a
-// prefilter (the meta backend) skip dead-frontier regions instead of
-// stepping them; Result.PrefilterSkipped counts the bytes skipped.
+// RunEngineOpts is Run with an explicit backend kind, optional shared match
+// tables (nil builds private tables on demand; sparse ignores them) and run
+// options. Under MetaKind dead-frontier regions are skipped through the
+// automaton's prefilter instead of stepped; Result.PrefilterSkipped counts
+// the bytes skipped.
 func RunEngineOpts(n *nfa.NFA, input []byte, kind Kind, tab *Tables, opts RunOpts) Result {
-	e := engineFor(n, kind, tab, opts)
-	pf := PrefilterOf(e)
-	bs, _ := e.(BatchStepper)
-	var res Result
-	emit := func(r Report) { res.Reports = append(res.Reports, r) }
-	for i := 0; i < len(input); {
-		if pf != nil && e.Dead() {
-			if j := skipFrom(pf, input, i, opts); j > i {
-				res.PrefilterSkipped += int64(j - i)
-				i = j
-				continue
-			}
-		}
-		if bs != nil {
-			c, sum, max := bs.StepBatch(input[i:], int64(i), emit)
-			res.SumFrontier += sum
-			if max > res.MaxFrontier {
-				res.MaxFrontier = max
-			}
-			i += c
-			continue
-		}
-		e.Step(input[i], int64(i), emit)
-		l := e.FrontierLen()
-		if l > res.MaxFrontier {
-			res.MaxFrontier = l
-		}
-		res.SumFrontier += int64(l)
-		i++
-	}
-	res.Transitions = e.Transitions()
-	res.Cache = CacheStatsOf(e)
-	res.BaselineSkippedBytes = BaselineSkippedOf(e)
-	res.BestScore, _ = BestReportScore(res.Reports)
+	res, _, _, _ := run(context.Background(), n, input, nil, kind, tab, opts)
 	return res
 }
 
-// RunEngineContext is RunEngine with cooperative cancellation: ctx.Err()
-// is polled every `every` symbols (<= 0 selects the default interval), so
-// the per-symbol inner loop stays check-free. On cancellation it returns
-// ctx's error together with the partial result and the number of symbols
-// processed before the poll observed the cancellation.
-func RunEngineContext(ctx context.Context, n *nfa.NFA, input []byte, kind Kind, tab *Tables, every int) (Result, int, error) {
-	return RunEngineOptsContext(ctx, n, input, kind, tab, every, RunOpts{})
-}
-
-// RunEngineOptsContext is RunEngineContext with run options (see
-// RunEngineOpts). Prefilter skips jump over poll offsets without
+// RunContext is RunEngineOpts with cooperative cancellation: ctx.Err() is
+// polled every ctxCheckEvery symbols, so the per-symbol inner loop stays
+// check-free. On cancellation it returns ctx's error together with the
+// partial result and the number of symbols processed before the poll
+// observed the cancellation. Prefilter skips jump over poll offsets without
 // checking — a skip consumes input at scan speed, so cancellation latency
 // stays bounded by the stepped stretches between candidates.
-func RunEngineOptsContext(ctx context.Context, n *nfa.NFA, input []byte, kind Kind, tab *Tables, every int, opts RunOpts) (Result, int, error) {
-	if every <= 0 {
-		every = ctxCheckEvery
-	}
-	e := engineFor(n, kind, tab, opts)
-	pf := PrefilterOf(e)
-	bs, _ := e.(BatchStepper)
-	var res Result
-	emit := func(r Report) { res.Reports = append(res.Reports, r) }
-	nextPoll := 0
-	for i := 0; i < len(input); {
-		if pf != nil && e.Dead() {
-			if j := skipFrom(pf, input, i, opts); j > i {
-				res.PrefilterSkipped += int64(j - i)
-				i = j
-				continue
-			}
-		}
-		if i >= nextPoll {
-			if err := ctx.Err(); err != nil {
-				res.Transitions = e.Transitions()
-				res.Cache = CacheStatsOf(e)
-				res.BaselineSkippedBytes = BaselineSkippedOf(e)
-				res.BestScore, _ = BestReportScore(res.Reports)
-				return res, i, err
-			}
-			nextPoll = i + every
-		}
-		if bs != nil {
-			c, sum, max := bs.StepBatch(input[i:], int64(i), emit)
-			res.SumFrontier += sum
-			if max > res.MaxFrontier {
-				res.MaxFrontier = max
-			}
-			i += c
-			continue
-		}
-		e.Step(input[i], int64(i), emit)
-		l := e.FrontierLen()
-		if l > res.MaxFrontier {
-			res.MaxFrontier = l
-		}
-		res.SumFrontier += int64(l)
-		i++
-	}
-	res.Transitions = e.Transitions()
-	res.Cache = CacheStatsOf(e)
-	res.BaselineSkippedBytes = BaselineSkippedOf(e)
-	res.BestScore, _ = BestReportScore(res.Reports)
-	return res, len(input), nil
+func RunContext(ctx context.Context, n *nfa.NFA, input []byte, kind Kind, tab *Tables, opts RunOpts) (Result, int, error) {
+	res, _, pos, err := run(ctx, n, input, nil, kind, tab, opts)
+	return res, pos, err
 }
 
 // Boundary captures the golden execution state at one segment cut: the
@@ -224,121 +132,91 @@ type Boundary struct {
 	Scores []int64
 }
 
-// RunWithBoundaries is Run, additionally recording the golden state at each
-// cut position. cuts must be strictly increasing, in (0, len(input)).
-func RunWithBoundaries(n *nfa.NFA, input []byte, cuts []int) (Result, []Boundary) {
-	return RunWithBoundariesEngine(n, input, cuts, Auto, nil)
+// RunWithBoundaries is RunContext, additionally recording the golden state
+// at each cut position. cuts must be strictly increasing, in
+// (0, len(input)). Boundary runs feed the modelled-cycle metrics, so opts
+// must leave LiteralPrefilter off.
+func RunWithBoundaries(ctx context.Context, n *nfa.NFA, input []byte, cuts []int, kind Kind, tab *Tables, opts RunOpts) (Result, []Boundary, int, error) {
+	return run(ctx, n, input, cuts, kind, tab, opts)
 }
 
-// RunWithBoundariesEngine is RunWithBoundaries with an explicit backend
-// kind and optional shared match tables.
-func RunWithBoundariesEngine(n *nfa.NFA, input []byte, cuts []int, kind Kind, tab *Tables) (Result, []Boundary) {
-	res, bounds, _, _ := RunWithBoundariesEngineContext(context.Background(), n, input, cuts, kind, tab, 0, RunOpts{})
-	return res, bounds
-}
-
-// RunWithBoundariesEngineContext is RunWithBoundariesEngine with the same
-// cooperative cancellation contract as RunEngineContext: ctx is polled
-// every `every` symbols (<= 0 selects the default) and the partial result,
-// with the number of symbols processed, is returned alongside ctx's error
-// on cancellation. Of opts only DisableBaselineSkip applies (the literal
-// scanner is never exact enough for a metric-bearing boundary run).
-func RunWithBoundariesEngineContext(ctx context.Context, n *nfa.NFA, input []byte, cuts []int, kind Kind, tab *Tables, every int, opts RunOpts) (Result, []Boundary, int, error) {
-	if every <= 0 {
-		every = ctxCheckEvery
-	}
-	e := engineFor(n, kind, tab, opts)
-	pf := PrefilterOf(e)
-	bs, _ := e.(BatchStepper)
+// run is the one sequential loop behind every Run* entry point: skip a
+// dead frontier through the prefilter, poll ctx, advance by StepBatch. It
+// returns the result, the boundary recorded at each cut, and the number of
+// symbols processed — len(input), or the poll position with ctx's error.
+//
+// Each cut is defined by the symbol before it: skips and batches are
+// clamped to stop one symbol short of the next cut, and that symbol is
+// stepped scalar so its Fired/Enabled record the boundary on one path
+// (in a skipped region both are provably empty). Engine-internal baseline
+// skips stay inside the window — they are clamped by the slice. Without
+// cuts nothing is clamped.
+func run(ctx context.Context, n *nfa.NFA, input []byte, cuts []int, kind Kind, tab *Tables, opts RunOpts) (Result, []Boundary, int, error) {
+	e, pf := NewWithOpts(kind, n, tab, opts)
+	literal := opts.LiteralPrefilter && !opts.Scored
 	var res Result
 	emit := func(r Report) { res.Reports = append(res.Reports, r) }
-	bounds := make([]Boundary, 0, len(cuts))
-	ci := 0
-	nextPoll := 0
-	for i := 0; i < len(input); {
-		// Boundary runs feed the modelled-cycle metrics, so only the fully
-		// exact class scanner may skip here, and a skip is clamped to land
-		// one symbol before the next cut: stepping that symbol records the
-		// boundary naturally (its Fired/Enabled are provably empty in a
-		// skipped region, but the recording code stays on one path).
-		if pf != nil && e.Dead() {
-			j := pf.Next(input, i)
-			if ci < len(cuts) && cuts[ci]-1 < j {
-				j = cuts[ci] - 1
-			}
-			if j > i {
-				res.PrefilterSkipped += int64(j - i)
-				i = j
-				continue
-			}
-		}
-		if i >= nextPoll {
-			if err := ctx.Err(); err != nil {
-				res.Transitions = e.Transitions()
-				res.Cache = CacheStatsOf(e)
-				res.BaselineSkippedBytes = BaselineSkippedOf(e)
-				res.BestScore, _ = BestReportScore(res.Reports)
-				return res, bounds, i, err
-			}
-			nextPoll = i + every
-		}
-		// Batch up to one symbol short of the next cut: the cut-defining
-		// symbol is stepped scalar below so its Fired/Enabled record the
-		// boundary. Engine-internal baseline skips stay inside the window
-		// (they are clamped by the slice) and are exact for every metric.
-		if bs != nil {
-			hi := len(input) - 1
-			if ci < len(cuts) && cuts[ci]-1 < hi {
-				hi = cuts[ci] - 1
-			}
-			if i < hi {
-				c, sum, max := bs.StepBatch(input[i:hi], int64(i), emit)
-				res.SumFrontier += sum
-				if max > res.MaxFrontier {
-					res.MaxFrontier = max
-				}
-				i += c
-				continue
-			}
-		}
-		e.Step(input[i], int64(i), emit)
-		l := e.FrontierLen()
-		if l > res.MaxFrontier {
-			res.MaxFrontier = l
-		}
-		res.SumFrontier += int64(l)
-		if ci < len(cuts) && cuts[ci] == i+1 {
-			b := Boundary{
-				Pos:     i + 1,
-				Fired:   sortedIDs(e.AppendFired(nil)),
-				Enabled: sortedIDs(e.AppendFrontier(nil)),
-			}
-			if opts.Scored {
-				b.Scores = AppendScoresOf(e, b.Enabled, nil)
-			}
-			bounds = append(bounds, b)
-			ci++
-		}
-		i++
+	var bounds []Boundary
+	if len(cuts) > 0 {
+		bounds = make([]Boundary, 0, len(cuts))
 	}
-	res.Transitions = e.Transitions()
-	res.Cache = CacheStatsOf(e)
-	res.BaselineSkippedBytes = BaselineSkippedOf(e)
+	pos, nextPoll := 0, 0
+	var err error
+	for pos < len(input) {
+		hi := len(input) // symbols before hi need no boundary bookkeeping
+		if len(bounds) < len(cuts) {
+			hi = cuts[len(bounds)] - 1
+		}
+		if pf != nil && e.Dead() {
+			var j int
+			if literal {
+				j = pf.NextLiteral(input, pos)
+			} else {
+				j = pf.Next(input, pos)
+			}
+			if j = min(j, hi); j > pos {
+				res.PrefilterSkipped += int64(j - pos)
+				pos = j
+				continue
+			}
+		}
+		if pos >= nextPoll {
+			if err = ctx.Err(); err != nil {
+				break
+			}
+			nextPoll = pos + ctxCheckEvery
+		}
+		if pos < hi {
+			c, sum, peak := e.StepBatch(input[pos:hi], int64(pos), emit)
+			res.SumFrontier += sum
+			res.MaxFrontier = max(res.MaxFrontier, peak)
+			pos += c
+			continue
+		}
+		e.Step(input[pos], int64(pos), emit)
+		l := e.FrontierLen()
+		res.SumFrontier += int64(l)
+		res.MaxFrontier = max(res.MaxFrontier, l)
+		pos++
+		b := Boundary{
+			Pos:     pos,
+			Fired:   sortedIDs(e.AppendFired(nil)),
+			Enabled: sortedIDs(e.AppendFrontier(nil)),
+		}
+		if opts.Scored {
+			b.Scores = AppendScoresOf(e, b.Enabled, nil)
+		}
+		bounds = append(bounds, b)
+	}
+	res.Stats = e.Stats()
 	res.BestScore, _ = BestReportScore(res.Reports)
-	return res, bounds, len(input), nil
+	return res, bounds, pos, err
 }
 
 // sortedIDs sorts ids in place and returns them.
 func sortedIDs(ids []nfa.StateID) []nfa.StateID {
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	return ids
-}
-
-// ReportKey is a comparable identity for deduplicating report events across
-// flows: the same (offset, state) pair may be observed by several flows.
-type ReportKey struct {
-	Offset int64
-	State  nfa.StateID
 }
 
 // DedupeReports sorts reports by (offset, state) and removes duplicates,

@@ -10,7 +10,7 @@ import (
 )
 
 // BenchmarkScoredOverhead prices the scoring machinery against the unscored
-// hot path, in the regime BENCH_hotloop.json measures (sparse intrusion
+// hot path, in the regime BenchmarkHotLoop measures (sparse intrusion
 // traffic, mostly-dead frontier) and on a genuinely scored workload:
 //
 //   - intrusion/unscored        — the seed hot path, untouched by this work

@@ -26,9 +26,19 @@ import (
 	"pap/internal/nfa"
 )
 
-var stepDiffKinds = []engine.Kind{
-	engine.SparseKind, engine.BitKind, engine.Auto,
-	engine.LazyDFAKind, engine.MetaKind,
+// allKinds parses engine.KindNames(), so a kind added there is covered by
+// every suite in this package without an edit here.
+func allKinds(t testing.TB) []engine.Kind {
+	t.Helper()
+	var kinds []engine.Kind
+	for _, name := range engine.KindNames() {
+		k, err := engine.ParseKind(name)
+		if err != nil {
+			t.Fatalf("KindNames lists %q, which ParseKind rejects: %v", name, err)
+		}
+		kinds = append(kinds, k)
+	}
+	return kinds
 }
 
 // stepDiffConfig is one lock-step comparison setup.
@@ -37,11 +47,12 @@ type stepDiffConfig struct {
 	baseline    bool
 	disableSkip bool
 	seed        []nfa.StateID // nil = start configuration
+	window      int           // symbols offered per StepBatch call; 0 = all that remain
 }
 
 func (c stepDiffConfig) String() string {
-	return fmt.Sprintf("%s/baseline=%v/skipOff=%v/seeded=%v",
-		c.kind, c.baseline, c.disableSkip, c.seed != nil)
+	return fmt.Sprintf("%s/baseline=%v/skipOff=%v/seeded=%v/window=%d",
+		c.kind, c.baseline, c.disableSkip, c.seed != nil, c.window)
 }
 
 // sortReports orders raw report events canonically; engines may emit the
@@ -70,21 +81,26 @@ func equalReports(a, b []engine.Report) bool {
 	return true
 }
 
-// runStepDiff locks one configured engine step-for-step against the scalar
-// sparse reference over the whole input and fails on the first divergent
-// observable.
+// runStepDiff locks one configured engine, advanced by StepBatch, against
+// the scalar sparse reference over the whole input and fails on the first
+// divergent observable. A twin of the same kind advanced by scalar Step
+// rides along for the counters only a same-kind engine has: its Stats must
+// equal the batched engine's, except for the two fields that record how
+// the input was consumed rather than what it did — Switches (the adaptive
+// density check runs once per call, so call granularity moves switch
+// points) and BaselineSkipped (only StepBatch skips; 0 on both with the
+// fast path ablated).
 func runStepDiff(t *testing.T, n *nfa.NFA, tab *engine.Tables, input []byte, cfg stepDiffConfig) {
 	t.Helper()
 	ref := engine.New(engine.SparseKind, n, tab)
 	sub := engine.New(cfg.kind, n, tab)
-	ref.SetBaseline(cfg.baseline)
-	sub.SetBaseline(cfg.baseline)
-	if cfg.disableSkip {
-		engine.SetBaselineSkip(sub, false)
-	}
-	if cfg.seed != nil {
-		ref.Reset(cfg.seed)
-		sub.Reset(cfg.seed)
+	twin := engine.New(cfg.kind, n, tab)
+	for _, e := range []engine.Engine{ref, sub, twin} {
+		e.SetBaseline(cfg.baseline)
+		e.SetBaselineSkip(!cfg.disableSkip)
+		if cfg.seed != nil {
+			e.Reset(cfg.seed)
+		}
 	}
 
 	var refReports, subReports []engine.Report
@@ -93,9 +109,13 @@ func runStepDiff(t *testing.T, n *nfa.NFA, tab *engine.Tables, input []byte, cfg
 
 	for i := 0; i < len(input); {
 		refReports, subReports = refReports[:0], subReports[:0]
-		consumed, sum, max := engine.StepBatchOf(sub, input[i:], int64(i), subEmit)
-		if consumed < 1 || consumed > len(input)-i {
-			t.Fatalf("%s: StepBatch at %d consumed %d of %d", cfg, i, consumed, len(input)-i)
+		hi := len(input)
+		if cfg.window > 0 {
+			hi = min(hi, i+cfg.window)
+		}
+		consumed, sum, max := sub.StepBatch(input[i:hi], int64(i), subEmit)
+		if consumed < 1 || consumed > hi-i {
+			t.Fatalf("%s: StepBatch at %d consumed %d of %d", cfg, i, consumed, hi-i)
 		}
 		// Replay the same window on the scalar reference, accumulating the
 		// per-symbol frontier statistics the run loops derive from it.
@@ -103,6 +123,7 @@ func runStepDiff(t *testing.T, n *nfa.NFA, tab *engine.Tables, input []byte, cfg
 		refMax := 0
 		for j := 0; j < consumed; j++ {
 			ref.Step(input[i+j], int64(i+j), refEmit)
+			twin.Step(input[i+j], int64(i+j), nil)
 			l := ref.FrontierLen()
 			refSum += int64(l)
 			if l > refMax {
@@ -131,8 +152,17 @@ func runStepDiff(t *testing.T, n *nfa.NFA, tab *engine.Tables, input []byte, cfg
 		if got, want := sub.Fingerprint(), ref.Fingerprint(); got != want {
 			t.Fatalf("%s: fingerprint %#x, reference %#x", at, got, want)
 		}
-		if got, want := sub.Transitions(), ref.Transitions(); got != want {
+		if got, want := sub.Stats().Transitions, ref.Stats().Transitions; got != want {
 			t.Fatalf("%s: transitions %d, reference %d", at, got, want)
+		}
+		got, want := sub.Stats(), twin.Stats()
+		if cfg.disableSkip && got.BaselineSkipped != 0 {
+			t.Fatalf("%s: skip-ablated engine skipped %d symbols", at, got.BaselineSkipped)
+		}
+		got.Switches, want.Switches = 0, 0
+		got.BaselineSkipped, want.BaselineSkipped = 0, 0
+		if got != want {
+			t.Fatalf("%s: stats %+v, same kind stepped scalar %+v", at, got, want)
 		}
 		i += consumed
 	}
@@ -181,7 +211,7 @@ func TestStepDiffLockStep(t *testing.T) {
 		tab := engine.NewTables(c.NFA)
 		rng := rand.New(rand.NewSource(int64(77 + s)))
 		frontiers := [][]nfa.StateID{nil, randomFrontier(rng, c.NFA), randomFrontier(rng, c.NFA)}
-		for _, kind := range stepDiffKinds {
+		for _, kind := range allKinds(t) {
 			for _, disableSkip := range []bool{false, true} {
 				for fi, seed := range frontiers {
 					runStepDiff(t, c.NFA, tab, c.Input, stepDiffConfig{
@@ -210,6 +240,7 @@ func TestStepDiffExecModes(t *testing.T) {
 	if testing.Short() {
 		seeds = 3
 	}
+	kinds := allKinds(t)
 	for s := 0; s < seeds; s++ {
 		c, err := conformance.NewCase(int64(4000 + s))
 		if err != nil {
@@ -225,7 +256,7 @@ func TestStepDiffExecModes(t *testing.T) {
 				cfg.TDMQuantum = 8
 				cfg.Mode = mode
 				cfg.SegmentParallel = parallel
-				cfg.Engine = stepDiffKinds[s%len(stepDiffKinds)]
+				cfg.Engine = kinds[s%len(kinds)]
 				abl := cfg
 				abl.DisableBaselineSkip = true
 

@@ -327,8 +327,10 @@ func (s *Server) countEngineSteps(k pap.EngineKind, symbols int) {
 }
 
 // countEngineInfo feeds one match's (or stream write's delta of) backend
-// observability counters into the prefilter and lazy-DFA cache metrics.
+// observability counters into the engine-switch, prefilter and lazy-DFA
+// cache metrics.
 func (s *Server) countEngineInfo(info pap.EngineInfo) {
+	s.engineSwitches.Add(info.EngineSwitches)
 	s.prefilterSkipped.Add(info.PrefilterSkippedBytes)
 	s.baselineSkipped.Add(info.BaselineSkippedBytes)
 	s.lazyCacheHits.Add(info.CacheHits)
@@ -794,8 +796,8 @@ func (s *Server) handleStreamWrite(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	countWrite := func() {
-		s.engineSwitches.Add(ws.Switches)
 		s.countEngineInfo(pap.EngineInfo{
+			EngineSwitches:        ws.Switches,
 			PrefilterSkippedBytes: ws.PrefilterSkipped,
 			BaselineSkippedBytes:  ws.BaselineSkipped,
 			CacheHits:             ws.CacheHits,

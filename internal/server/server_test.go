@@ -463,6 +463,28 @@ func TestServerEngineSelection(t *testing.T) {
 	}
 }
 
+// TestSequentialMatchCountsEngineSwitches: papd_engine_switches_total must
+// move on the default path — a sequential /match on the auto engine — when
+// the automaton goes dense, not only on parallel matches and stream writes.
+func TestSequentialMatchCountsEngineSwitches(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	// Each rule keeps two of its three states live once its first byte has
+	// been seen, so the frontier passes the 1/8 density threshold at once.
+	reg, _ := json.Marshal(registerRequest{Name: "dense", Patterns: []string{"a.*z", "b.*z", "c.*z", "d.*z"}})
+	if code, body := doJSON(t, "POST", ts.URL+"/v1/automata", reg, nil); code != 201 {
+		t.Fatalf("register = %d %q", code, body)
+	}
+	before := metricValue(t, ts.URL, "papd_engine_switches_total")
+	payload := append([]byte("abcd"), bytes.Repeat([]byte("q"), 256)...)
+	var m matchResponse
+	if code, body := doJSON(t, "POST", ts.URL+"/v1/automata/dense/match", payload, &m); code != 200 || m.Engine != "auto" {
+		t.Fatalf("match = %d %q engine=%q", code, body, m.Engine)
+	}
+	if after := metricValue(t, ts.URL, "papd_engine_switches_total"); after <= before {
+		t.Fatalf("papd_engine_switches_total = %v after a sequential match that went dense, %v before", after, before)
+	}
+}
+
 // TestSerialSegmentsScheduler covers the cross-segment scheduler plumbing:
 // a server configured with SerialSegments defaults parallel-mode matches to
 // the serial scheduler (gauge at 0), a request can override it per call,

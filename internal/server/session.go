@@ -27,14 +27,13 @@ type Session struct {
 	Scored    bool // the stream tracks per-transition scores
 	Created   time.Time
 
-	mu        sync.Mutex
-	stream    *pap.Stream
-	lastUsed  time.Time
-	matches   int64
-	writes    int64
-	lastSwtch int64          // stream switch count at the previous Write, for deltas
-	lastInfo  pap.EngineInfo // stream engine counters at the previous Write, for deltas
-	closed    bool
+	mu       sync.Mutex
+	stream   *pap.Stream
+	lastUsed time.Time
+	matches  int64
+	writes   int64
+	lastInfo pap.EngineInfo // stream engine counters at the previous Write, for deltas
+	closed   bool
 }
 
 // WriteStats is the per-write delta of backend counters, for metrics:
@@ -52,17 +51,15 @@ type WriteStats struct {
 // delta computes the counter movement since the previous write and
 // advances the high-water marks. Callers hold s.mu.
 func (s *Session) delta() WriteStats {
-	sw := s.stream.EngineSwitches()
 	info := s.stream.EngineInfo()
 	d := WriteStats{
-		Switches:         sw - s.lastSwtch,
+		Switches:         info.EngineSwitches - s.lastInfo.EngineSwitches,
 		PrefilterSkipped: info.PrefilterSkippedBytes - s.lastInfo.PrefilterSkippedBytes,
 		BaselineSkipped:  info.BaselineSkippedBytes - s.lastInfo.BaselineSkippedBytes,
 		CacheHits:        info.CacheHits - s.lastInfo.CacheHits,
 		CacheMisses:      info.CacheMisses - s.lastInfo.CacheMisses,
 		CacheEvictions:   info.CacheEvictions - s.lastInfo.CacheEvictions,
 	}
-	s.lastSwtch = sw
 	s.lastInfo = info
 	return d
 }

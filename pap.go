@@ -100,33 +100,29 @@ func ParseEngineKind(s string) (EngineKind, error) {
 	if err != nil {
 		return EngineAuto, fmt.Errorf("pap: %v", err)
 	}
-	switch kind {
-	case engine.SparseKind:
-		return EngineSparse, nil
-	case engine.BitKind:
-		return EngineBit, nil
-	case engine.LazyDFAKind:
-		return EngineLazyDFA, nil
-	case engine.MetaKind:
-		return EngineMeta, nil
-	default:
-		return EngineAuto, nil
-	}
+	return EngineKind(kind), nil
 }
 
+// EngineKind mirrors engine.Kind value for value, so the two convert
+// directly. Each line below fails to compile (constant index out of range)
+// if its pair drifts apart; a kind added to or removed from engine.Kind is
+// one constant above plus one line here.
+var (
+	_ = [1]struct{}{}[EngineAuto-EngineKind(engine.Auto)]
+	_ = [1]struct{}{}[EngineSparse-EngineKind(engine.SparseKind)]
+	_ = [1]struct{}{}[EngineBit-EngineKind(engine.BitKind)]
+	_ = [1]struct{}{}[EngineLazyDFA-EngineKind(engine.LazyDFAKind)]
+	_ = [1]struct{}{}[EngineMeta-EngineKind(engine.MetaKind)]
+	_ = [1]struct{}{}[EngineMeta-EngineKind(engine.MaxKind)]
+)
+
+// toKind converts to the internal kind; values outside the declared
+// constants select the default backend, as the zero value does.
 func (k EngineKind) toKind() engine.Kind {
-	switch k {
-	case EngineSparse:
-		return engine.SparseKind
-	case EngineBit:
-		return engine.BitKind
-	case EngineLazyDFA:
-		return engine.LazyDFAKind
-	case EngineMeta:
-		return engine.MetaKind
-	default:
+	if k < 0 || k > EngineMeta {
 		return engine.Auto
 	}
+	return engine.Kind(k)
 }
 
 // ExecMode selects the parallel execution strategy of MatchParallel: how
@@ -167,21 +163,23 @@ func ParseExecMode(s string) (ExecMode, error) {
 	if err != nil {
 		return ExecFlows, fmt.Errorf("pap: %v", err)
 	}
-	switch m {
-	case core.ModeSFA:
-		return ExecSFA, nil
-	default:
-		return ExecFlows, nil
-	}
+	return ExecMode(m), nil
 }
 
+// ExecMode mirrors core.Mode value for value (see the EngineKind
+// assertions above).
+var (
+	_ = [1]struct{}{}[ExecFlows-ExecMode(core.ModeFlows)]
+	_ = [1]struct{}{}[ExecSFA-ExecMode(core.ModeSFA)]
+)
+
+// toMode converts to the internal mode; undeclared values select the
+// default, as the zero value does.
 func (m ExecMode) toMode() core.Mode {
-	switch m {
-	case ExecSFA:
-		return core.ModeSFA
-	default:
+	if m < 0 || m > ExecSFA {
 		return core.ModeFlows
 	}
+	return core.Mode(m)
 }
 
 // Rule pairs a pattern with the code its matches report.
@@ -364,18 +362,9 @@ func (a *Automaton) WriteDOT(w io.Writer) error { return a.n.WriteDOT(w) }
 // Match runs the automaton sequentially over input and returns all
 // matches in order. Matches at the same offset from different reporting
 // states are deduplicated per (offset, state), exactly as AP report events
-// are. It is equivalent to MatchWith(input, EngineAuto).
+// are. It runs on EngineAuto; MatchWithInfo selects another backend.
 func (a *Automaton) Match(input []byte) []Match {
-	return a.MatchWith(input, EngineAuto)
-}
-
-// MatchWith is Match on an explicitly selected execution backend. All
-// backends return identical matches; see EngineKind for the trade-offs.
-// Match-only runs enable the full prefilter (including the report-exact
-// literal scanner) under EngineMeta, so quiet inputs are scanned rather
-// than stepped.
-func (a *Automaton) MatchWith(input []byte, k EngineKind) []Match {
-	ms, _ := a.matchInfo(input, k)
+	ms, _ := a.MatchWithInfo(input, EngineAuto)
 	return ms
 }
 
@@ -392,6 +381,9 @@ type EngineInfo struct {
 	// always-active states were live). Fully exact: reports, frontier
 	// statistics, and modelled cycles are identical to stepping.
 	BaselineSkippedBytes int64
+	// EngineSwitches counts sparse⇄dense representation switches
+	// (EngineAuto, and EngineMeta once its lazy DFA fell back).
+	EngineSwitches int64
 	// CacheHits/CacheMisses/CacheEvictions are lazy-DFA state-cache
 	// counters (EngineLazyDFA and EngineMeta).
 	CacheHits, CacheMisses, CacheEvictions int64
@@ -400,60 +392,52 @@ type EngineInfo struct {
 	CacheFellBack bool
 }
 
-func infoOf(res engine.Result) EngineInfo {
+// infoOf assembles an EngineInfo from an engine's counters and the bytes
+// the loop around it (engine.Run*, Stream) skipped through the prefilter.
+func infoOf(st engine.Stats, prefilterSkipped int64) EngineInfo {
 	return EngineInfo{
-		PrefilterSkippedBytes: res.PrefilterSkipped,
-		BaselineSkippedBytes:  res.BaselineSkippedBytes,
-		CacheHits:             res.Cache.Hits,
-		CacheMisses:           res.Cache.Misses,
-		CacheEvictions:        res.Cache.Evictions,
-		CacheFellBack:         res.Cache.FellBack,
+		PrefilterSkippedBytes: prefilterSkipped,
+		BaselineSkippedBytes:  st.BaselineSkipped,
+		EngineSwitches:        st.Switches,
+		CacheHits:             st.Cache.Hits,
+		CacheMisses:           st.Cache.Misses,
+		CacheEvictions:        st.Cache.Evictions,
+		CacheFellBack:         st.Cache.FellBack,
 	}
 }
 
-// MatchWithInfo is MatchWith, additionally returning the backend's
-// observability counters (papd surfaces them as metrics).
+// MatchWithInfo is Match on an explicitly selected execution backend,
+// additionally returning the backend's observability counters (papd
+// surfaces them as metrics). All backends return identical matches; see
+// EngineKind for the trade-offs.
 func (a *Automaton) MatchWithInfo(input []byte, k EngineKind) ([]Match, EngineInfo) {
-	return a.matchInfo(input, k)
+	ms, info, _ := a.MatchWithInfoContext(context.Background(), input, k) // Background never aborts
+	return ms, info
 }
 
-func (a *Automaton) matchInfo(input []byte, k EngineKind) ([]Match, EngineInfo) {
-	// Scored automata track scores on every sequential match (scoring is a
-	// property of the automaton, not a per-call option); the run layer
-	// drops the literal prefilter when scoring (see engine.RunOpts.Scored).
-	res := engine.RunEngineOpts(a.n, input, k.toKind(), a.tables(),
-		engine.RunOpts{LiteralPrefilter: true, Scored: a.n.Scored()})
-	return toMatches(engine.DedupeReports(res.Reports)), infoOf(res)
-}
-
-// MatchContext is Match under a context: a cancelled or expired ctx stops
-// the run promptly (the context is polled at coarse symbol intervals, off
-// the per-symbol hot path) and returns ctx's error wrapped in *AbortError
-// with the input offset reached. It is equivalent to
-// MatchWithContext(ctx, input, EngineAuto).
-func (a *Automaton) MatchContext(ctx context.Context, input []byte) ([]Match, error) {
-	return a.MatchWithContext(ctx, input, EngineAuto)
-}
-
-// MatchWithContext is MatchContext on an explicit execution backend.
-func (a *Automaton) MatchWithContext(ctx context.Context, input []byte, k EngineKind) ([]Match, error) {
-	ms, _, err := a.MatchWithInfoContext(ctx, input, k)
-	return ms, err
-}
-
-// MatchWithInfoContext is MatchWithContext, additionally returning the
-// backend's observability counters (valid even on abort, covering the
-// processed prefix).
+// MatchWithInfoContext is MatchWithInfo under a context: a cancelled or
+// expired ctx stops the run promptly (the context is polled at coarse
+// symbol intervals, off the per-symbol hot path) and returns ctx's error
+// wrapped in *AbortError with the input offset reached. The counters are
+// valid even on abort, covering the processed prefix.
+//
+// Match-only runs enable the full prefilter (including the report-exact
+// literal scanner) under EngineMeta, so quiet inputs are scanned rather
+// than stepped. Scored automata track scores on every sequential match
+// (scoring is a property of the automaton, not a per-call option); the run
+// layer drops the literal prefilter when scoring (see
+// engine.RunOpts.Scored).
 func (a *Automaton) MatchWithInfoContext(ctx context.Context, input []byte, k EngineKind) ([]Match, EngineInfo, error) {
-	res, pos, err := engine.RunEngineOptsContext(ctx, a.n, input, k.toKind(), a.tables(), 0,
+	res, pos, err := engine.RunContext(ctx, a.n, input, k.toKind(), a.tables(),
 		engine.RunOpts{LiteralPrefilter: true, Scored: a.n.Scored()})
+	info := infoOf(res.Stats, res.PrefilterSkipped)
 	if err != nil {
-		return nil, infoOf(res), &AbortError{
+		return nil, info, &AbortError{
 			Cause:    err,
 			Progress: []SegmentProgress{{Index: 0, Start: 0, End: len(input), Pos: pos}},
 		}
 	}
-	return toMatches(engine.DedupeReports(res.Reports)), infoOf(res), nil
+	return toMatches(engine.DedupeReports(res.Reports)), info, nil
 }
 
 func toMatches(reports []engine.Report) []Match {

@@ -28,8 +28,7 @@ type Stream struct {
 	a      *Automaton
 	kind   EngineKind
 	eng    engine.Engine
-	pf     *prefilter.Prefilter // non-nil only when the backend carries a useful one
-	bs     engine.BatchStepper  // non-nil when the backend steps in batches
+	pf     *prefilter.Prefilter // non-nil only under EngineMeta with a useful one
 	offset int64
 	// skipped counts bytes proven inert by the prefilter and never
 	// stepped. Only the class scanner runs here — it is exact per byte,
@@ -85,27 +84,19 @@ func (a *Automaton) NewStream(opts ...StreamOption) *Stream {
 	if a.n.Scored() {
 		s.scored = true
 	}
-	s.eng = s.newEngine()
-	s.pf = engine.PrefilterOf(s.eng)
-	s.bs, _ = s.eng.(engine.BatchStepper)
+	s.newEngine()
 	s.emit = func(r engine.Report) { s.reports = append(s.reports, r) }
 	return s
 }
 
-func (s *Stream) newEngine() engine.Engine {
-	kind := s.kind.toKind()
-	if s.scored {
-		kind = engine.ScoringKind(kind)
-	}
+// newEngine (re)positions the stream's engine, and the prefilter that
+// goes with its kind, at the start configuration.
+func (s *Stream) newEngine() {
 	var tab *engine.Tables
-	if kind != engine.SparseKind {
+	if s.kind != EngineSparse {
 		tab = s.a.tables()
 	}
-	e := engine.New(kind, s.a.n, tab)
-	if s.scored {
-		engine.SetScoring(e, true)
-	}
-	return e
+	s.eng, s.pf = engine.NewWithOpts(s.kind.toKind(), s.a.n, tab, engine.RunOpts{Scored: s.scored})
 }
 
 // collect dedupes the accumulated raw reports into scratch and folds them
@@ -133,40 +124,44 @@ func (s *Stream) collect() []Match {
 // Writing to a closed Stream is a no-op returning nil (use WriteContext
 // for an explicit ErrStreamClosed).
 func (s *Stream) Write(chunk []byte) []Match {
-	if s.closed {
-		return nil
-	}
-	s.scratch = s.scratch[:0]
-	s.reports = s.reports[:0]
-	for i := 0; i < len(chunk); {
-		if s.pf != nil && s.eng.Dead() {
-			if j := s.pf.Next(chunk, i); j > i {
-				s.offset += int64(j - i)
-				s.skipped += int64(j - i)
-				i = j
-				continue
-			}
-		}
-		// Batch-capable backends consume as much of the chunk as one call
-		// allows — the vectorized kernel on a live frontier, the exact
-		// baseline-skip scan on a dead one. Chunk boundaries need no special
-		// handling: both are exact per byte.
-		if s.bs != nil {
-			c, _, _ := s.bs.StepBatch(chunk[i:], s.offset, s.emit)
-			s.offset += int64(c)
-			i += c
-			continue
-		}
-		s.eng.Step(chunk[i], s.offset, s.emit)
-		s.offset++
-		i++
-	}
-	return s.collect()
+	ms, _ := s.WriteContext(context.Background(), chunk)
+	return ms
 }
 
 // streamCtxEvery is the symbol interval between context polls in
 // WriteContext — coarse enough to stay off the hot per-symbol path.
 const streamCtxEvery = 4096
+
+// advance consumes chunk in windows of streamCtxEvery symbols with ctx
+// polled before each, and returns ctx's error if a poll stopped it early
+// (s.offset tells how far it got). Within a window a dead frontier skips
+// through the prefilter — the skip may run past the window, which only
+// delays the next poll: skips are bounded by the chunk and cost no
+// per-symbol work — and everything else goes through StepBatch: the
+// vectorized kernel on a live frontier, the exact baseline-skip scan on a
+// dead one. Chunk boundaries need no special handling, all three are exact
+// per byte.
+func (s *Stream) advance(ctx context.Context, chunk []byte) error {
+	for i := 0; i < len(chunk); {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		for end := min(i+streamCtxEvery, len(chunk)); i < end; {
+			if s.pf != nil && s.eng.Dead() {
+				if j := s.pf.Next(chunk, i); j > i {
+					s.offset += int64(j - i)
+					s.skipped += int64(j - i)
+					i = j
+					continue
+				}
+			}
+			c, _, _ := s.eng.StepBatch(chunk[i:end], s.offset, s.emit)
+			s.offset += int64(c)
+			i += c
+		}
+	}
+	return nil
+}
 
 // WriteContext is Write under a context: the chunk is consumed in
 // coarse-grained slices with ctx polled between them, and a cancelled or
@@ -183,47 +178,11 @@ func (s *Stream) WriteContext(ctx context.Context, chunk []byte) ([]Match, error
 	start := s.offset
 	s.scratch = s.scratch[:0]
 	s.reports = s.reports[:0]
-	var ctxErr error
-	// ctx is polled every streamCtxEvery consumed symbols. Batches are
-	// clamped to the next poll offset so the poll cadence is exact; a
-	// prefilter skip may jump over a poll offset, which only delays the
-	// next poll — skips are bounded by the chunk and cost no per-symbol
-	// work anyway.
-	nextPoll := 0
-	for i := 0; i < len(chunk); {
-		if i >= nextPoll {
-			if err := ctx.Err(); err != nil {
-				ctxErr = err
-				break
-			}
-			nextPoll = i + streamCtxEvery
-		}
-		if s.pf != nil && s.eng.Dead() {
-			if j := s.pf.Next(chunk, i); j > i {
-				s.offset += int64(j - i)
-				s.skipped += int64(j - i)
-				i = j
-				continue
-			}
-		}
-		if s.bs != nil {
-			end := nextPoll
-			if end > len(chunk) {
-				end = len(chunk)
-			}
-			c, _, _ := s.bs.StepBatch(chunk[i:end], s.offset, s.emit)
-			s.offset += int64(c)
-			i += c
-			continue
-		}
-		s.eng.Step(chunk[i], s.offset, s.emit)
-		s.offset++
-		i++
-	}
+	err := s.advance(ctx, chunk)
 	s.collect()
-	if ctxErr != nil {
+	if err != nil {
 		return s.scratch, &AbortError{
-			Cause: ctxErr,
+			Cause: err,
 			Progress: []SegmentProgress{{
 				Index: 0,
 				Start: int(start),
@@ -267,7 +226,7 @@ func (s *Stream) BestScore() (int64, bool) { return s.best, s.bestValid }
 // EngineSwitches returns the number of sparse⇄dense representation
 // switches the backend has made (always 0 for fixed backends; for
 // EngineMeta this counts the inner adaptive fallback, if engaged).
-func (s *Stream) EngineSwitches() int64 { return engine.SwitchesOf(s.eng) }
+func (s *Stream) EngineSwitches() int64 { return s.eng.Stats().Switches }
 
 // PrefilterSkipped returns the number of input bytes the stream's
 // prefilter proved inert and never stepped (0 unless the backend carries
@@ -278,28 +237,16 @@ func (s *Stream) PrefilterSkipped() int64 { return s.skipped }
 // baseline-skip fast path scanned past instead of stepping (0 for backends
 // without the fast path, and for rulesets whose start class is too wide to
 // ever skip). Unlike the prefilter this path preserves every observable.
-func (s *Stream) BaselineSkipped() int64 { return engine.BaselineSkippedOf(s.eng) }
+func (s *Stream) BaselineSkipped() int64 { return s.eng.Stats().BaselineSkipped }
 
 // EngineInfo returns the stream's cumulative backend observability
 // counters since creation or the last Reset.
-func (s *Stream) EngineInfo() EngineInfo {
-	cs := engine.CacheStatsOf(s.eng)
-	return EngineInfo{
-		PrefilterSkippedBytes: s.skipped,
-		BaselineSkippedBytes:  engine.BaselineSkippedOf(s.eng),
-		CacheHits:             cs.Hits,
-		CacheMisses:           cs.Misses,
-		CacheEvictions:        cs.Evictions,
-		CacheFellBack:         cs.FellBack,
-	}
-}
+func (s *Stream) EngineInfo() EngineInfo { return infoOf(s.eng.Stats(), s.skipped) }
 
 // Reset rewinds the stream to offset 0 and the start configuration,
 // reopening it if it was closed.
 func (s *Stream) Reset() {
-	s.eng = s.newEngine()
-	s.pf = engine.PrefilterOf(s.eng)
-	s.bs, _ = s.eng.(engine.BatchStepper)
+	s.newEngine()
 	s.offset = 0
 	s.skipped = 0
 	s.scratch = s.scratch[:0]

@@ -1,7 +1,9 @@
 package pap
 
 import (
+	"context"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -179,37 +181,47 @@ func TestStreamDedupeAcrossChunkBoundary(t *testing.T) {
 	}
 }
 
-// TestStreamEngineEquivalence: every backend must produce identical
-// matches over identical chunked input, and report its configured kind.
+// TestStreamEngineEquivalence: on every backend EngineKindNames lists, a
+// stream fed in uneven chunks (from one byte to longer than the
+// context-poll window) returns exactly Match's matches, and
+// Write and WriteContext(context.Background()) are the same operation —
+// same matches chunk for chunk, same offset, same counters.
 func TestStreamEngineEquivalence(t *testing.T) {
 	a, err := Compile("s", []string{"abc", "bc+d", "x.z"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	input := makeInput(1<<13, 29, "abc", "bccd", "xyz")
+	input := makeInput(3<<13, 29, "abc", "bccd", "xyz")
 	want := a.Match(input)
-	for _, k := range []EngineKind{EngineAuto, EngineSparse, EngineBit} {
-		s := a.NewStream(WithEngine(k))
+	for _, name := range EngineKindNames() {
+		k, err := ParseEngineKind(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, sc := a.NewStream(WithEngine(k)), a.NewStream(WithEngine(k))
 		if s.Engine() != k {
 			t.Fatalf("Engine() = %v, want %v", s.Engine(), k)
 		}
 		var got []Match
-		for pos := 0; pos < len(input); pos += 512 {
-			end := pos + 512
-			if end > len(input) {
-				end = len(input)
+		sizes := []int{1, 63, 512, streamCtxEvery + 904}
+		for pos, i := 0, 0; pos < len(input); i++ {
+			end := min(pos+sizes[i%len(sizes)], len(input))
+			ms := s.Write(input[pos:end])
+			mc, err := sc.WriteContext(context.Background(), input[pos:end])
+			if err != nil || !slices.Equal(ms, mc) || s.Offset() != sc.Offset() {
+				t.Fatalf("%v chunk [%d,%d): Write %v at %d, WriteContext %v at %d, err %v",
+					k, pos, end, ms, s.Offset(), mc, sc.Offset(), err)
 			}
-			got = append(got, s.Write(input[pos:end])...)
+			got = append(got, ms...)
+			pos = end
 		}
-		if len(got) != len(want) {
-			t.Fatalf("%v: %d matches, want %d", k, len(got), len(want))
+		if !slices.Equal(got, want) {
+			t.Fatalf("%v: %d matches, Match found %d", k, len(got), len(want))
 		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("%v match %d: %+v, want %+v", k, i, got[i], want[i])
-			}
+		if s.EngineInfo() != sc.EngineInfo() {
+			t.Fatalf("%v: counters %+v after Write, %+v after WriteContext", k, s.EngineInfo(), sc.EngineInfo())
 		}
-		if k != EngineAuto && s.EngineSwitches() != 0 {
+		if k != EngineAuto && k != EngineMeta && s.EngineSwitches() != 0 {
 			t.Fatalf("%v: fixed backend reported %d switches", k, s.EngineSwitches())
 		}
 	}
