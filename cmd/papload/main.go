@@ -81,23 +81,23 @@ type report struct {
 
 func main() {
 	var (
-		targets    = flag.String("targets", "", "comma-separated papd addresses to load (host:port); empty spawns -replicas in-process")
-		replicas   = flag.Int("replicas", 1, "in-process replicas to spawn when -targets is empty")
-		ruleset    = flag.String("ruleset", "load", "ruleset name to register and drive")
-		mode       = flag.String("mode", "match", "traffic shape: match, stream or mixed")
-		duration   = flag.Duration("duration", 5*time.Second, "load duration")
-		conns      = flag.Int("conns", 8, "concurrent connections")
-		rate       = flag.Float64("rate", 0, "total requests/second across all conns (0 = closed loop)")
-		payload    = flag.Int("payload", 256, "payload bytes per request")
-		seed       = flag.Int64("seed", 1, "rng seed for payloads and pacing jitter")
-		reloads    = flag.Int("reloads", 0, "hot-reload the ruleset this many times during the run")
-		out        = flag.String("out", "", "write the JSON report here as well as stdout")
-		reqZero    = flag.Bool("require-zero-errors", false, "exit 1 on any error or session reset")
-		reqCoal    = flag.Bool("require-coalescing", false, "exit 1 unless at least one multi-request batch was coalesced")
-		bench      = flag.Bool("bench", false, "sweep 1..bench-max-replicas spawned clusters and write a scaling table")
-		benchMax   = flag.Int("bench-max-replicas", 4, "largest cluster in the -bench sweep")
-		batchWin   = flag.Duration("batch-window", 2*time.Millisecond, "BatchWindow for spawned replicas (0 disables coalescing)")
-		tenantRPS  = flag.Float64("tenant-rps", 0, "TenantRPS for spawned replicas (0 disables quotas)")
+		targets   = flag.String("targets", "", "comma-separated papd addresses to load (host:port); empty spawns -replicas in-process")
+		replicas  = flag.Int("replicas", 1, "in-process replicas to spawn when -targets is empty")
+		ruleset   = flag.String("ruleset", "load", "ruleset name to register and drive")
+		mode      = flag.String("mode", "match", "traffic shape: match, stream or mixed")
+		duration  = flag.Duration("duration", 5*time.Second, "load duration")
+		conns     = flag.Int("conns", 8, "concurrent connections")
+		rate      = flag.Float64("rate", 0, "total requests/second across all conns (0 = closed loop)")
+		payload   = flag.Int("payload", 256, "payload bytes per request")
+		seed      = flag.Int64("seed", 1, "rng seed for payloads and pacing jitter")
+		reloads   = flag.Int("reloads", 0, "hot-reload the ruleset this many times during the run")
+		out       = flag.String("out", "", "write the JSON report here as well as stdout")
+		reqZero   = flag.Bool("require-zero-errors", false, "exit 1 on any error or session reset")
+		reqCoal   = flag.Bool("require-coalescing", false, "exit 1 unless at least one multi-request batch was coalesced")
+		bench     = flag.Bool("bench", false, "sweep 1..bench-max-replicas spawned clusters and write a scaling table")
+		benchMax  = flag.Int("bench-max-replicas", 4, "largest cluster in the -bench sweep")
+		batchWin  = flag.Duration("batch-window", 2*time.Millisecond, "BatchWindow for spawned replicas (0 disables coalescing)")
+		tenantRPS = flag.Float64("tenant-rps", 0, "TenantRPS for spawned replicas (0 disables quotas)")
 	)
 	flag.Parse()
 
@@ -209,8 +209,8 @@ func runOnce(opts options) (report, error) {
 
 	var (
 		requests, errors, resets, reloadsDone atomic.Int64
-		mu   sync.Mutex
-		lats []float64 // milliseconds
+		mu                                    sync.Mutex
+		lats                                  []float64 // milliseconds
 	)
 	record := func(d time.Duration) {
 		mu.Lock()

@@ -175,8 +175,8 @@ func TestScoredTieMaxMerge(t *testing.T) {
 		hi, lo int32
 		want   int64
 	}{
-		{5, 1, 5},  // dominating path wins
-		{2, 2, 2},  // exact tie: merged score is the tied value
+		{5, 1, 5}, // dominating path wins
+		{2, 2, 2}, // exact tie: merged score is the tied value
 		{-1, -4, -1},
 	} {
 		n := build(tc.hi, tc.lo)

@@ -422,22 +422,22 @@ func (p *Plan) aggregate(res *Result, segs []*segmentResult) {
 	hostSamples := 0
 	for _, seg := range segs {
 		res.Segments = append(res.Segments, SegmentStats{
-			Index:          seg.Index,
-			Start:          seg.Start,
-			End:            seg.End,
-			BoundarySym:    seg.Sym,
-			InitFlows:      seg.InitFlows,
-			Rounds:         seg.Rounds,
-			AvgFlows:       safeDiv(float64(seg.FlowRounds), float64(seg.Rounds)),
-			Deactivations:  seg.Deactivations,
-			Convergences:   seg.Convergences,
-			FIVKills:       seg.FIVKills,
-			FIVApplied:     seg.FIVApplied,
-			Cycles:         seg.Cycles,
-			SwitchCycles:   seg.SwitchCycles,
-			HostCycles:     seg.HostCycles,
-			KnownAt:        seg.KnownAt,
-			Events:         seg.EventsEmitted,
+			Index:            seg.Index,
+			Start:            seg.Start,
+			End:              seg.End,
+			BoundarySym:      seg.Sym,
+			InitFlows:        seg.InitFlows,
+			Rounds:           seg.Rounds,
+			AvgFlows:         safeDiv(float64(seg.FlowRounds), float64(seg.Rounds)),
+			Deactivations:    seg.Deactivations,
+			Convergences:     seg.Convergences,
+			FIVKills:         seg.FIVKills,
+			FIVApplied:       seg.FIVApplied,
+			Cycles:           seg.Cycles,
+			SwitchCycles:     seg.SwitchCycles,
+			HostCycles:       seg.HostCycles,
+			KnownAt:          seg.KnownAt,
+			Events:           seg.EventsEmitted,
 			Transitions:      seg.Transitions,
 			EngineSwitches:   seg.EngSwitches,
 			PrefilterSkipped: seg.PrefilterSkip,

@@ -30,10 +30,10 @@ type Tables struct {
 	// reporting-state mask, so the bit engine's batched kernel walks plain
 	// arrays instead of calling back into the NFA per fired state.
 	edgeOnce sync.Once
-	succOff  []int32        // CSR offsets, len n.Len()+1
-	succ     []nfa.StateID  // flattened successor lists
-	repWord  []uint64       // reporting-state mask, bit-vector word layout
-	repCode  []int32        // per-state report code
+	succOff  []int32       // CSR offsets, len n.Len()+1
+	succ     []nfa.StateID // flattened successor lists
+	repWord  []uint64      // reporting-state mask, bit-vector word layout
+	repCode  []int32       // per-state report code
 
 	// skipOnce compiles the baseline-skip scanner: the byte class that can
 	// move a frontier off the ASG-only baseline (exactly the prefilter

@@ -42,7 +42,7 @@ type Registry struct {
 // Entry is one registered ruleset version with its serving statistics.
 type Entry struct {
 	Name      string
-	Version   int // 1 for a fresh name, v+1 on each hot reload
+	Version   int    // 1 for a fresh name, v+1 on each hot reload
 	Kind      string // "regex", "hamming" or "levenshtein"
 	Patterns  int
 	Distance  int            // for hamming/levenshtein

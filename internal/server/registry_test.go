@@ -24,8 +24,8 @@ func TestRegistryConcurrentSameName(t *testing.T) {
 	r := NewRegistry(16)
 
 	var compiles atomic.Int64
-	entered := make(chan struct{})        // winner reached its compile
-	release := make(chan struct{})        // let the winner finish
+	entered := make(chan struct{}) // winner reached its compile
+	release := make(chan struct{}) // let the winner finish
 	withCompileHook(t, func(name string) {
 		compiles.Add(1)
 		entered <- struct{}{}
