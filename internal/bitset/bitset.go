@@ -28,6 +28,23 @@ func New(n int) *Set {
 	return &Set{n: n, words: make([]uint64, (n+wordBits-1)/wordBits)}
 }
 
+// NewGroup returns k empty sets of n bits each, carved from one allocation
+// of words and one of headers: for callers that build several vectors per
+// call (an engine's enabled, fired and scratch vectors) and would otherwise
+// pay two allocations apiece.
+func NewGroup(n, k int) []Set {
+	if n < 0 {
+		panic("bitset: negative capacity")
+	}
+	w := (n + wordBits - 1) / wordBits
+	words := make([]uint64, k*w)
+	sets := make([]Set, k)
+	for i := range sets {
+		sets[i] = Set{n: n, words: words[i*w : (i+1)*w : (i+1)*w]}
+	}
+	return sets
+}
+
 // Cap returns the capacity (number of addressable bits) of the set.
 func (s *Set) Cap() int { return s.n }
 

@@ -276,3 +276,25 @@ func TestSliceRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// TestNewGroup: the sets of a group are independent full-capacity sets,
+// though they share one allocation.
+func TestNewGroup(t *testing.T) {
+	g := NewGroup(70, 3)
+	if len(g) != 3 {
+		t.Fatalf("NewGroup returned %d sets", len(g))
+	}
+	g[1].Set(0)
+	g[1].Set(69)
+	for i := range g {
+		if g[i].Cap() != 70 || len(g[i].Words()) != 2 || cap(g[i].Words()) != 2 {
+			t.Fatalf("set %d: cap %d, %d words (cap %d)", i, g[i].Cap(), len(g[i].Words()), cap(g[i].Words()))
+		}
+		if want := map[int]int{1: 2}[i]; g[i].Count() != want {
+			t.Fatalf("set %d holds %d bits, want %d", i, g[i].Count(), want)
+		}
+	}
+	if !g[0].Equal(New(70)) {
+		t.Fatal("a grouped set differs from New's")
+	}
+}

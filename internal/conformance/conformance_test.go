@@ -4,6 +4,8 @@ import (
 	"flag"
 	"testing"
 	"time"
+
+	"pap/internal/engine"
 )
 
 var (
@@ -57,4 +59,42 @@ func TestConformance(t *testing.T) {
 		t.Errorf("sweep stopped after %d/%d cases without failures", sum.Cases, cases)
 	}
 	t.Logf("conformance: %d cases, %d failures in %v", sum.Cases, len(sum.Failures), time.Since(start))
+}
+
+// TestSweepCoversBothRepresentations keeps the differential net under the
+// Adaptive engine: ordinary generated automata fit a word or two, where
+// New(Auto, …) is Bit outright, so the list side and the switch path are
+// exercised only by the wide profile. Over the cases of the short default
+// sweep, Auto must construct both engines and an Adaptive run must switch
+// in each direction at least once.
+func TestSweepCoversBothRepresentations(t *testing.T) {
+	var bit, adaptive, toDense, toSparse int
+	for i := 0; i < 1000; i++ {
+		c, err := NewCase(CaseSeed(1, i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ad, ok := engine.New(engine.Auto, c.NFA, nil).(*engine.Adaptive)
+		if !ok {
+			bit++
+			continue
+		}
+		adaptive++
+		for pos := 0; pos < len(c.Input); {
+			was := ad.Dense()
+			n, _, _ := ad.StepBatch(c.Input[pos:], int64(pos), nil)
+			pos += n
+			switch now := ad.Dense(); {
+			case now && !was:
+				toDense++
+			case was && !now:
+				toSparse++
+			}
+		}
+	}
+	t.Logf("auto: %d bit, %d adaptive; switches: %d to dense, %d to sparse", bit, adaptive, toDense, toSparse)
+	if bit == 0 || adaptive == 0 || toDense == 0 || toSparse == 0 {
+		t.Fatalf("default sweep does not cover the adaptive engine: %d bit, %d adaptive, %d switches to dense, %d to sparse",
+			bit, adaptive, toDense, toSparse)
+	}
 }

@@ -197,16 +197,74 @@ func RandomSpec(rng *rand.Rand) *NFASpec {
 			spec.States[0].Flags |= nfa.StartOfData
 		}
 	}
-	// A third of the specs are scored: per-edge weights from a deliberately
-	// tiny range, so negatives, zeros and score ties between competing paths
-	// all occur constantly (ties are where a wrong max-merge hides).
+	// A third of the specs are scored.
 	if len(spec.Edges) > 0 && rng.Intn(3) == 0 {
-		spec.Weights = make([]int32, len(spec.Edges))
-		for i := range spec.Weights {
-			spec.Weights[i] = int32(rng.Intn(8) - 3) // [-3, 4]
-		}
+		spec.Weights = randomWeights(rng, len(spec.Edges))
 	}
 	return spec
+}
+
+// RandomWideSpec generates the wide profile: about two thousand states with one
+// or two all-input states, the shape on which the default engine is the
+// Adaptive selector rather than Bit outright (RandomSpec's automata fit one
+// or two vector words, where the Active State Group always outweighs the
+// vector). Only a live region of 24-63 states, scattered over the ID
+// space, is reachable; the rest is padding that widens the vectors without
+// widening any symbol's range, so the enumeration stays as cheap as on an
+// ordinary case. Live states fan out to two or three live successors over
+// a one- or two-symbol alphabet: a hot run multiplies the frontier past the
+// dense threshold within a few symbols and a miss run empties it again, so
+// both representations and both switch directions occur on RandomInput's
+// ordinary inputs. A block of start-of-data states now and then makes the
+// run begin on the dense side.
+func RandomWideSpec(rng *rand.Rand) *NFASpec {
+	size := 1536 + rng.Intn(1024)
+	live := rng.Perm(size)[:24+rng.Intn(40)]
+	skew := 1 + rng.Intn(2)
+	spec := &NFASpec{States: make([]StateSpec, size)}
+	for i := range spec.States {
+		spec.States[i].Syms = []byte{genAlphabet[rng.Intn(skew)]}
+		// Padding is never enabled; an edge into the live region now and
+		// then keeps it in the structural analyses (components, parents).
+		if rng.Intn(16) == 0 {
+			spec.Edges = append(spec.Edges, [2]int32{int32(i), int32(live[rng.Intn(len(live))])})
+		}
+	}
+	startBlock := 0
+	if rng.Intn(3) == 0 {
+		startBlock = len(live) / 3
+	}
+	for i, q := range live {
+		st := &spec.States[q]
+		switch {
+		case i == 0 || i == 1 && rng.Intn(2) == 0:
+			st.Flags |= nfa.AllInput
+		case i < startBlock:
+			st.Flags |= nfa.StartOfData
+		}
+		if rng.Intn(8) == 0 {
+			st.Flags |= nfa.Report
+			st.Code = int32(rng.Intn(8))
+		}
+		for k := 2 + rng.Intn(2); k > 0; k-- {
+			spec.Edges = append(spec.Edges, [2]int32{int32(q), int32(live[rng.Intn(len(live))])})
+		}
+	}
+	if rng.Intn(3) == 0 {
+		spec.Weights = randomWeights(rng, len(spec.Edges))
+	}
+	return spec
+}
+
+// randomWeights draws per-edge scores from a deliberately tiny range, so
+// negatives, zeros and score ties between competing paths all occur
+// constantly (ties are where a wrong max-merge hides).
+func randomWeights(rng *rand.Rand, edges int) []int32 {
+	w := make([]int32, edges)
+	for i := range w {
+		w[i] = int32(rng.Intn(8) - 3) // [-3, 4]
+	}
+	return w
 }
 
 // RandomInput generates an adversarial input for the spec: dense-match

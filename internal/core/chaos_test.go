@@ -132,7 +132,7 @@ func TestChaosStages(t *testing.T) {
 						ctx, cancel = context.WithTimeout(ctx, 5*time.Millisecond)
 						defer cancel()
 					}
-					res, err := RunContext(ctx, n, in, cfg)
+					res, err := RunContext(ctx, n, in, cfg, nil)
 
 					if err == nil {
 						if action != faultinject.Delay {
@@ -205,7 +205,7 @@ func TestChaosSeeded(t *testing.T) {
 		// The deadline bounds scenarios dominated by persistent delays;
 		// hitting it is a legal outcome, not a failure.
 		ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
-		res, err := RunContext(ctx, nfa, input, cfg)
+		res, err := RunContext(ctx, nfa, input, cfg, nil)
 		cancel()
 
 		switch {
@@ -253,7 +253,7 @@ func TestChaosCancelMidRun(t *testing.T) {
 			}
 			return nil
 		}
-		res, err := RunContext(ctx, nfa, input, cfg)
+		res, err := RunContext(ctx, nfa, input, cfg, nil)
 		cancel()
 		if err == nil {
 			t.Fatalf("parallel=%v: run survived cancellation", parallel)

@@ -87,11 +87,11 @@ type Config struct {
 
 	// Engine selects the execution backend for every engine this run
 	// creates — the golden run, the per-flow TDM engines, and speculative
-	// re-runs. The zero value (engine.Auto) adapts between the sparse
-	// frontier-list and dense bit-vector representations by frontier
-	// density; engine.SparseKind and engine.BitKind force one. The choice
-	// affects simulator wall-clock speed only, never modelled AP cycles or
-	// results (the backends are observably equivalent).
+	// re-runs. The zero value (engine.Auto) chooses between the sparse
+	// frontier-list and dense bit-vector representations by step cost
+	// (see engine.New); engine.SparseKind and engine.BitKind force one.
+	// The choice affects simulator wall-clock speed only, never modelled
+	// AP cycles or results (the backends are observably equivalent).
 	Engine engine.Kind
 
 	// Mode selects the parallel execution strategy: ModeFlows (zero value)

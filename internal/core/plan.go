@@ -72,13 +72,15 @@ type Plan struct {
 
 	// tables is the automaton's symbol→match-vector table, shared by every
 	// bit-capable engine this plan creates. Fills are atomic, so the many
-	// flow engines of one run (and their goroutines) share it race-free.
+	// flow engines of one run (and their goroutines) share it race-free —
+	// and so may the caller's other runs over the same automaton, when it
+	// hands its own tables in (see RunContext).
 	tables *engine.Tables
 }
 
 // newEngine creates one execution engine of the configured backend kind,
 // sharing the plan's match tables. Scored runs remap score-less backends
-// (lazy DFA, meta) to the adaptive engine and switch score tracking on.
+// (lazy DFA, meta) to the Auto choice and switch score tracking on.
 func (p *Plan) newEngine() engine.Engine {
 	kind := p.Cfg.Engine
 	if p.Cfg.Scored {
@@ -94,8 +96,14 @@ func (p *Plan) newEngine() engine.Engine {
 // NewPlan runs the pre-processing pipeline of §3.5: choose the cut symbol
 // by profiling the input (unless forced), place the automaton, derive the
 // number of segments from the board, compute cut positions, and build the
-// flow plan for every boundary symbol in use.
+// flow plan for every boundary symbol in use. The plan's engines fill
+// private match tables.
 func NewPlan(n *nfa.NFA, input []byte, cfg Config) (*Plan, error) {
+	return newPlan(n, input, cfg, nil)
+}
+
+// newPlan is NewPlan over the caller's match tables for n (nil = private).
+func newPlan(n *nfa.NFA, input []byte, cfg Config, tab *engine.Tables) (*Plan, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
@@ -137,6 +145,9 @@ func NewPlan(n *nfa.NFA, input []byte, cfg Config) (*Plan, error) {
 	if segments < 1 {
 		segments = 1
 	}
+	if tab == nil {
+		tab = engine.NewTables(n)
+	}
 
 	p := &Plan{
 		NFA:       n,
@@ -145,7 +156,7 @@ func NewPlan(n *nfa.NFA, input []byte, cfg Config) (*Plan, error) {
 		Placement: placement,
 		Segments:  segments,
 		symPlans:  make(map[byte]*SymbolPlan),
-		tables:    engine.NewTables(n),
+		tables:    tab,
 	}
 	freq := profile(input)
 	if cfg.CutSymbol >= 0 {

@@ -132,7 +132,7 @@ type Result struct {
 // Run plans and executes PAP for one automaton and input, returning the
 // composed reports and all modelled metrics.
 func Run(n *nfa.NFA, input []byte, cfg Config) (*Result, error) {
-	return RunContext(context.Background(), n, input, cfg)
+	return RunContext(context.Background(), n, input, cfg, nil)
 }
 
 // RunContext is Run under a context: a cancelled or expired ctx stops the
@@ -142,13 +142,18 @@ func Run(n *nfa.NFA, input []byte, cfg Config) (*Result, error) {
 // (Config.Fault) abort the same way. The final deferred recover is the
 // backstop for panics outside any segment (plan build); segment panics
 // are converted at the segment-goroutine boundary by guardSegment.
-func RunContext(ctx context.Context, n *nfa.NFA, input []byte, cfg Config) (res *Result, err error) {
+//
+// tab is the caller's shared match tables for n, or nil for tables private
+// to this run. A caller that matches the same automaton repeatedly passes
+// the tables its sequential runs already filled, so the golden run and the
+// flow engines build no match vector a second time.
+func RunContext(ctx context.Context, n *nfa.NFA, input []byte, cfg Config, tab *engine.Tables) (res *Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			res, err = nil, &Aborted{Cause: fmt.Errorf("core: pre-processing panicked: %v", r)}
 		}
 	}()
-	plan, err := NewPlan(n, input, cfg)
+	plan, err := newPlan(n, input, cfg, tab)
 	if err != nil {
 		return nil, err
 	}

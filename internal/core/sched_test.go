@@ -149,6 +149,72 @@ func TestSchedulerParityRandom(t *testing.T) {
 	}
 }
 
+// wideNFA builds the shape on which engine.Auto is the adaptive engine: a
+// live fanout region of 64 'a'-labelled states (one of them all-input, two
+// successors each) scattered over ~3000 states of unreachable padding. The
+// padding widens the vectors without widening range('a'), so enumeration
+// stays cheap; runs of 'a' multiply the frontier past the dense threshold
+// and any other symbol empties it.
+func wideNFA(rng *rand.Rand) *nfa.NFA {
+	size := 2048 + rng.Intn(2048)
+	live := rng.Perm(size)[:64]
+	b := nfa.NewBuilder("wide")
+	for i := 0; i < size; i++ {
+		b.AddState(nfa.ClassOf('a'), 0)
+	}
+	b.SetFlags(nfa.StateID(live[0]), nfa.AllInput)
+	for i, q := range live {
+		if i%8 == 0 {
+			b.SetFlags(nfa.StateID(q), nfa.Report)
+			b.SetReportCode(nfa.StateID(q), int32(i))
+		}
+		b.AddEdge(nfa.StateID(q), nfa.StateID(live[rng.Intn(len(live))]))
+		b.AddEdge(nfa.StateID(q), nfa.StateID(live[rng.Intn(len(live))]))
+	}
+	return b.MustBuild()
+}
+
+// TestSchedulerParityWide runs the scheduler-parity check on the automaton
+// shape where the default engine switches representation mid-run (every
+// other automaton in this suite is a word or two wide, where Auto is the
+// bit engine outright), with the cut forced onto the hot symbol so the
+// flows, not only the golden run, cross the thresholds.
+func TestSchedulerParityWide(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	n := wideNFA(rng)
+	input := make([]byte, 1<<13)
+	for i := 0; i < len(input); {
+		sym, run := byte('a'), 1+rng.Intn(10)
+		if rng.Intn(2) == 0 {
+			sym, run = 'z', 1+rng.Intn(48)
+		}
+		for ; run > 0 && i < len(input); run-- {
+			input[i] = sym
+			i++
+		}
+	}
+	for _, v := range []struct {
+		name   string
+		mutate func(*Config)
+	}{
+		{"default", func(*Config) {}},
+		{"cut-a", func(c *Config) { c.CutSymbol = 'a' }},
+		{"cut-a-quantum8-speculate", func(c *Config) { c.CutSymbol, c.TDMQuantum, c.Speculate = 'a', 8, true }},
+		{"cut-a-sfa", func(c *Config) { c.CutSymbol, c.Mode = 'a', ModeSFA }},
+	} {
+		cfg := testConfig(4)
+		v.mutate(&cfg)
+		res, err := Run(n, input, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", v.name, err)
+		}
+		if res.EngineSwitches == 0 {
+			t.Errorf("%s: no engine switched representation; the wide shape no longer exercises the adaptive engine", v.name)
+		}
+		runBoth(t, v.name, n, input, cfg)
+	}
+}
+
 // TestSchedulerParityRepeatedParallel guards against nondeterminism within
 // the parallel scheduler itself: the same run repeated must agree with
 // itself, not just with the serial path once.

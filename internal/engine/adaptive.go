@@ -6,37 +6,52 @@ import (
 	"pap/internal/prefilter"
 )
 
-// Adaptive switching policy. Density is frontier size relative to the
-// automaton's state count; the two thresholds are deliberately apart
-// (hysteresis) and switches are rate-limited so an oscillating frontier
-// cannot thrash between representations. See docs/ENGINES.md for the
-// rationale and measurements.
+// The representation choice, by what one symbol step costs. The list engine
+// visits every frontier state and — the part a density rule misses — every
+// all-input state, the paper's Active State Group, which is enabled on
+// every cycle: F+A label tests, with F the frontier length and
+// A = len(AllInputStates()). The vector engine touches W = ⌈states/64⌉
+// words however many states are live. The constants weigh one against the
+// other; they come from the 21-automaton sweep in docs/ENGINES.md
+// (BenchmarkAutoPolicySweep) and are not options. The two thresholds are
+// deliberately apart (hysteresis) and switches are rate-limited, so an
+// oscillating frontier cannot thrash between representations.
 const (
-	// adaptiveDenseDiv: go dense when frontier > states/adaptiveDenseDiv
-	// (density above 1/8).
-	adaptiveDenseDiv = 8
-	// adaptiveSparseDiv: go back to sparse when frontier <
-	// states/adaptiveSparseDiv (density below 1/16).
-	adaptiveSparseDiv = 16
+	// adaptiveDenseMul: go dense when adaptiveDenseMul·(F+A) > W.
+	adaptiveDenseMul = 3
+	// adaptiveSparseMul: go back to sparse when adaptiveSparseMul·(F+A) < W.
+	adaptiveSparseMul = 6
 	// adaptiveHoldSteps is the minimum number of Steps between two
 	// representation switches.
 	adaptiveHoldSteps = 16
 )
 
-// Adaptive is the density-adaptive engine: it executes on the Sparse
-// engine while the frontier is small (most inputs, most of the time) and
-// migrates the frontier to the Bit engine when density crosses the dense
-// threshold — the regime the AP's every-cycle dense state-vector update is
-// built for, common under enumeration where a segment runs |Range(σ)|
-// flows at once. Both representations produce identical observable
-// behaviour, so switching is invisible except in speed. Not safe for
-// concurrent use; the shared Tables is.
+// stepWords is W, the words one vector step touches.
+func stepWords(n *nfa.NFA) int { return (n.Len() + 63) / 64 }
+
+// alwaysDense reports whether the list side can never win on n: the Active
+// State Group alone already costs more than the whole vector, whatever the
+// frontier does. New(Auto, …) then returns the Bit engine itself.
+func alwaysDense(n *nfa.NFA) bool {
+	return adaptiveDenseMul*len(n.AllInputStates()) > stepWords(n)
+}
+
+// Adaptive is the cost-adaptive engine for automata whose Active State
+// Group is small against their width: it executes on the Sparse engine
+// while frontier plus ASG stay cheap to walk and migrates the frontier to
+// the Bit engine when they cross the dense threshold — the regime the AP's
+// every-cycle dense state-vector update is built for, common under
+// enumeration where a segment runs |Range(σ)| flows at once. Both
+// representations produce identical observable behaviour, so switching is
+// invisible except in speed. Not safe for concurrent use; the shared
+// Tables is.
 type Adaptive struct {
 	n        *nfa.NFA
-	states   int
+	asg      int // A
+	words    int // W
 	tab      *Tables
-	sparse   *Sparse
-	bit      *Bit // created on the first switch to dense
+	sparse   *Sparse // each side is created when the frontier first lands on it
+	bit      *Bit
 	cur      Engine
 	dense    bool
 	baseline bool
@@ -58,29 +73,48 @@ type Adaptive struct {
 	skipped int64
 }
 
-// NewAdaptive returns an adaptive engine at the start configuration,
-// initially in sparse representation, sharing tab (nil allocates private
-// lazily-filled tables, only ever touched after a dense switch).
+// NewAdaptive returns an adaptive engine at the start configuration, in the
+// representation the start frontier calls for, sharing tab (nil allocates
+// private lazily-filled tables, only ever touched on the dense side).
 func NewAdaptive(n *nfa.NFA, tab *Tables) *Adaptive {
 	if tab == nil {
 		tab = NewTables(n)
 	}
 	a := &Adaptive{
 		n:        n,
-		states:   n.Len(),
+		asg:      len(n.AllInputStates()),
+		words:    stepWords(n),
 		tab:      tab,
-		sparse:   NewSparse(n),
 		baseline: true,
 		since:    adaptiveHoldSteps,
 		skip:     tab.BaselineSkip(),
 		skipOn:   true,
 	}
-	a.cur = a.sparse
+	a.dense = adaptiveDenseMul*(len(n.StartStates())+a.asg) > a.words
+	a.cur = a.side(a.dense)
 	return a
 }
 
+// side returns the engine of one representation, creating it on first use
+// (at the start configuration; callers migrating a frontier reseed it).
+func (a *Adaptive) side(dense bool) Engine {
+	if dense {
+		if a.bit == nil {
+			a.bit = NewBit(a.n, a.tab)
+			a.bit.SetBaselineSkip(a.skipOn)
+			a.bit.SetScoring(a.scoring)
+		}
+		return a.bit
+	}
+	if a.sparse == nil {
+		a.sparse = NewSparse(a.n)
+		a.sparse.SetScoring(a.scoring)
+	}
+	return a.sparse
+}
+
 // Reset replaces the frontier with the given seed states, staying in the
-// current representation (the next Step re-evaluates density immediately).
+// current representation (the next Step re-evaluates the cost immediately).
 func (a *Adaptive) Reset(seed []nfa.StateID) {
 	a.cur.Reset(seed)
 	a.since = adaptiveHoldSteps
@@ -89,7 +123,9 @@ func (a *Adaptive) Reset(seed []nfa.StateID) {
 // SetScoring switches score tracking (see Scorer) on both representations.
 func (a *Adaptive) SetScoring(on bool) {
 	a.scoring = on
-	a.sparse.SetScoring(on)
+	if a.sparse != nil {
+		a.sparse.SetScoring(on)
+	}
 	if a.bit != nil {
 		a.bit.SetScoring(on)
 	}
@@ -112,20 +148,27 @@ func (a *Adaptive) SetBaseline(on bool) {
 	a.cur.SetBaseline(on)
 }
 
-// Step consumes one symbol. The density check runs before the step, so the
+// rebalance applies the policy once the hold has elapsed.
+func (a *Adaptive) rebalance() {
+	if a.since < adaptiveHoldSteps {
+		return
+	}
+	if !a.dense {
+		if adaptiveDenseMul*(len(a.sparse.frontier)+a.asg) > a.words {
+			a.switchTo(true)
+		}
+	} else if adaptiveSparseMul*(a.bit.enabled.Count()+a.asg) < a.words {
+		a.switchTo(false)
+	}
+}
+
+// Step consumes one symbol. The cost check runs before the step, so the
 // fired set observable afterwards always belongs to the engine that
 // executed this symbol. The hot path dispatches on the concrete engines
 // (not through Engine) to keep sparse-regime overhead in the noise.
 func (a *Adaptive) Step(sym byte, off int64, emit EmitFunc) {
-	if a.since >= adaptiveHoldSteps {
-		if !a.dense {
-			if len(a.sparse.frontier)*adaptiveDenseDiv > a.states {
-				a.switchTo(true)
-			}
-		} else if a.bit.enabled.Count()*adaptiveSparseDiv < a.states {
-			a.switchTo(false)
-		}
-	} else {
+	a.rebalance()
+	if a.since < adaptiveHoldSteps {
 		a.since++
 	}
 	if a.dense {
@@ -146,15 +189,7 @@ func (a *Adaptive) StepBatch(input []byte, off int64, emit EmitFunc) (consumed i
 			return n, 0, 0
 		}
 	}
-	if a.since >= adaptiveHoldSteps {
-		if !a.dense {
-			if len(a.sparse.frontier)*adaptiveDenseDiv > a.states {
-				a.switchTo(true)
-			}
-		} else if a.bit.enabled.Count()*adaptiveSparseDiv < a.states {
-			a.switchTo(false)
-		}
-	}
+	a.rebalance()
 	if a.dense {
 		consumed, sumFrontier, maxFrontier = a.bit.StepBatch(input, off, emit)
 		if a.since < adaptiveHoldSteps {
@@ -212,17 +247,7 @@ func (a *Adaptive) SetBaselineSkip(on bool) {
 // cross-engine analogue of an SVC context switch. The transition counters
 // of both engines persist, so Stats stays cumulative.
 func (a *Adaptive) switchTo(dense bool) {
-	var to Engine
-	if dense {
-		if a.bit == nil {
-			a.bit = NewBit(a.n, a.tab)
-			a.bit.SetBaselineSkip(a.skipOn)
-			a.bit.SetScoring(a.scoring)
-		}
-		to = a.bit
-	} else {
-		to = a.sparse
-	}
+	to := a.side(dense)
 	a.seedBuf = a.cur.AppendFrontier(a.seedBuf[:0])
 	to.SetBaseline(a.baseline)
 	if a.scoring {
@@ -255,7 +280,10 @@ func (a *Adaptive) Fingerprint() uint64 { return a.cur.Fingerprint() }
 // and baseline-skip counters summed over both representations (the bit
 // engine skips on its own account while it holds the frontier).
 func (a *Adaptive) Stats() Stats {
-	st := Stats{Transitions: a.sparse.trans, Switches: a.switches, BaselineSkipped: a.skipped}
+	st := Stats{Switches: a.switches, BaselineSkipped: a.skipped}
+	if a.sparse != nil {
+		st.Transitions = a.sparse.trans
+	}
 	if a.bit != nil {
 		st.Transitions += a.bit.trans
 		st.BaselineSkipped += a.bit.skipped

@@ -25,12 +25,15 @@ func FuzzBaselineSkip(f *testing.F) {
 	f.Add(int64(11), bytes.Repeat([]byte("z"), 180))
 	f.Add(int64(23), []byte("azzzzazzzzbzzzzczzzzdzzzzazzzza"))
 	f.Add(int64(42), []byte("abcdabcdabcdabcd"))
+	// Wide class (seed%8 == 0, see fuzzNFA): the adaptive engine crosses its
+	// thresholds both ways between the hit runs and the miss runs.
+	f.Add(int64(24), bytes.Repeat(append(bytes.Repeat([]byte{0}, 24), bytes.Repeat([]byte{5}, 40)...), 5))
 	f.Fuzz(func(t *testing.T, seed int64, input []byte) {
 		if len(input) > 4096 {
 			input = input[:4096]
 		}
 		rng := rand.New(rand.NewSource(seed))
-		n := randomNFA(rng, 2+rng.Intn(64))
+		n := fuzzNFA(rng, seed)
 		// Mostly misses, occasional hits: 'z' is never in a label, so long
 		// fuzz runs exercise the skip scan; 'a'..'d' revive the frontier.
 		mapped := make([]byte, len(input))

@@ -26,14 +26,15 @@ type Tables struct {
 	pfOnce sync.Once
 	pf     *prefilter.Prefilter
 
-	// edgeOnce flattens the successor lists into CSR form and caches the
-	// reporting-state mask, so the bit engine's batched kernel walks plain
-	// arrays instead of calling back into the NFA per fired state.
-	edgeOnce sync.Once
-	succOff  []int32       // CSR offsets, len n.Len()+1
-	succ     []nfa.StateID // flattened successor lists
-	repWord  []uint64      // reporting-state mask, bit-vector word layout
-	repCode  []int32       // per-state report code
+	// staticOnce caches what every bit engine over the automaton reads and
+	// none writes: the all-input mask, and the reporting-state mask and
+	// codes, so the batched kernel reads plain arrays instead of calling
+	// back into the NFA per fired state (the successor lists it walks are
+	// the NFA's own CSR arrays, see nfa.SuccCSR).
+	staticOnce sync.Once
+	allIn      *bitset.Set
+	repWord    []uint64 // reporting-state mask, bit-vector word layout
+	repCode    []int32  // per-state report code
 
 	// skipOnce compiles the baseline-skip scanner: the byte class that can
 	// move a frontier off the ASG-only baseline (exactly the prefilter
@@ -72,6 +73,17 @@ func (t *Tables) Match(sym byte) *bitset.Set {
 	return t.match[sym].Load()
 }
 
+// Built returns how many symbols' match vectors have been built so far.
+func (t *Tables) Built() int {
+	built := 0
+	for s := range t.match {
+		if t.match[s].Load() != nil {
+			built++
+		}
+	}
+	return built
+}
+
 // BuildAll eagerly fills every symbol's match vector and returns t.
 func (t *Tables) BuildAll() *Tables {
 	for s := 0; s < 256; s++ {
@@ -80,27 +92,27 @@ func (t *Tables) BuildAll() *Tables {
 	return t
 }
 
-// edges builds (once) and returns the CSR successor arrays and the
-// reporting-state mask shared by every bit engine over these tables.
-func (t *Tables) edges() (succOff []int32, succ []nfa.StateID, repWord []uint64, repCode []int32) {
-	t.edgeOnce.Do(func() {
+// static builds (once) and returns the all-input mask and the
+// reporting-state mask and codes shared, read-only, by every bit engine
+// over these tables.
+func (t *Tables) static() (allIn *bitset.Set, repWord []uint64, repCode []int32) {
+	t.staticOnce.Do(func() {
 		n := t.n
-		t.succOff = make([]int32, n.Len()+1)
-		t.succ = make([]nfa.StateID, 0, n.Edges())
+		t.allIn = bitset.New(n.Len())
+		for _, q := range n.AllInputStates() {
+			t.allIn.Set(int(q))
+		}
 		t.repWord = make([]uint64, (n.Len()+63)/64)
 		t.repCode = make([]int32, n.Len())
 		for q := 0; q < n.Len(); q++ {
-			t.succOff[q] = int32(len(t.succ))
-			t.succ = append(t.succ, n.Succ(nfa.StateID(q))...)
 			st := n.State(nfa.StateID(q))
 			if st.Flags&nfa.Report != 0 {
 				t.repWord[q>>6] |= 1 << (uint(q) & 63)
 			}
 			t.repCode[q] = st.ReportCode
 		}
-		t.succOff[n.Len()] = int32(len(t.succ))
 	})
-	return t.succOff, t.succ, t.repWord, t.repCode
+	return t.allIn, t.repWord, t.repCode
 }
 
 // BaselineSkip returns the automaton's baseline-skip scanner — the exact
@@ -127,10 +139,10 @@ type Bit struct {
 	enabled  *bitset.Set // excluding all-input states
 	firedBs  *bitset.Set
 	scratch  *bitset.Set
-	allIn    *bitset.Set
+	allIn    *bitset.Set // shared with the Tables, read-only
 	trans    int64
 
-	// Batched hot loop + baseline skip (StepBatch): CSR edges and the
+	// Batched hot loop + baseline skip (StepBatch): the NFA's CSR edges, the
 	// reporting mask cached from the shared Tables, the start-class
 	// scanner, and the fast-path switch and counter.
 	succOff []int32
@@ -154,21 +166,19 @@ func NewBit(n *nfa.NFA, tab *Tables) *Bit {
 	if tab == nil {
 		tab = NewTables(n)
 	}
+	vecs := bitset.NewGroup(n.Len(), 3)
 	e := &Bit{
 		n:        n,
 		tab:      tab,
 		baseline: true,
-		enabled:  bitset.New(n.Len()),
-		firedBs:  bitset.New(n.Len()),
-		scratch:  bitset.New(n.Len()),
-		allIn:    bitset.New(n.Len()),
+		enabled:  &vecs[0],
+		firedBs:  &vecs[1],
+		scratch:  &vecs[2],
 		skip:     tab.BaselineSkip(),
 		skipOn:   true,
 	}
-	e.succOff, e.succ, e.repWord, e.repCode = tab.edges()
-	for _, q := range n.AllInputStates() {
-		e.allIn.Set(int(q))
-	}
+	e.succOff, e.succ = n.SuccCSR()
+	e.allIn, e.repWord, e.repCode = tab.static()
 	e.Reset(n.StartStates())
 	return e
 }

@@ -12,14 +12,18 @@
 //   - Bit tracks the frontier as a dense bit vector, the way the AP's
 //     state-enable mask and State Vector Cache do, and steps up to 64
 //     symbols per StepBatch call.
-//   - Adaptive (the Auto kind) starts sparse and switches representation
-//     when the frontier density crosses a threshold (with hysteresis both
-//     ways), so dense enumeration phases run on the bit engine and quiet
-//     phases stay sparse.
+//   - Adaptive switches between the two by what a step costs — frontier
+//     plus all-input states walked on the list, ⌈states/64⌉ words on the
+//     vector — with hysteresis both ways. The Auto kind makes that choice
+//     once, at construction, when the automaton alone settles it (an
+//     Active State Group the list could never walk cheaply enough): New
+//     then returns Bit itself, and Adaptive only for wide automata with few
+//     all-input states, where quiet phases are cheaper on the list.
 //   - The lazy DFA (package lazydfa) determinizes recurring frontiers into
 //     a bounded cache. The LazyDFA kind falls back to Sparse on cache
-//     blowup; the Meta kind is the same engine falling back to Adaptive,
-//     run under the automaton's prefilter (the run loops own the skipping).
+//     blowup; the Meta kind is the same engine falling back to what Auto
+//     builds, run under the automaton's prefilter (the run loops own the
+//     skipping).
 //
 // All of them satisfy the one Engine contract. Tests assert their
 // equivalence on random automata and inputs.
@@ -93,8 +97,11 @@ type Engine interface {
 type Kind uint8
 
 const (
-	// Auto selects the adaptive engine: sparse until the frontier density
-	// crosses a threshold, dense bit-vector beyond it (the default).
+	// Auto (the default) selects the representation by step cost: the Bit
+	// engine outright when the automaton's all-input states alone outweigh
+	// its vector words, the Adaptive engine — list while frontier plus
+	// all-input states are cheap to walk, vector beyond — otherwise. See
+	// the policy constants in adaptive.go.
 	Auto Kind = iota
 	// SparseKind forces the frontier-list engine.
 	SparseKind
@@ -106,7 +113,7 @@ const (
 	// import pap/internal/engine/lazydfa (blank import suffices).
 	LazyDFAKind
 	// MetaKind selects the regime-matched stack: the lazy DFA while its
-	// cache holds and the adaptive sparse/bit selector beyond, with the run
+	// cache holds and what Auto builds for the automaton beyond, with the run
 	// loops skipping dead-frontier input through the automaton's prefilter
 	// (see NewWithOpts; skipping lives in the loops, which own the input).
 	MetaKind
@@ -173,10 +180,11 @@ func newLazyDFA(n *nfa.NFA, tab *Tables, newFB func() Engine) Engine {
 }
 
 // New returns an engine of the given kind at the automaton's start
-// configuration. tab may be nil (private tables are built on demand); pass
-// a shared *Tables to amortise match-vector construction across engines of
-// the same automaton — Tables fills are atomic, so sharing is race-safe.
-// Sparse engines ignore tab.
+// configuration; for Auto, and for Meta's fallback, the concrete engine is
+// chosen here from the automaton (see alwaysDense). tab may be nil (private
+// tables are built on demand); pass a shared *Tables to amortise
+// match-vector construction across engines of the same automaton — Tables
+// fills are atomic, so sharing is race-safe. Sparse engines ignore tab.
 func New(kind Kind, n *nfa.NFA, tab *Tables) Engine {
 	switch kind {
 	case SparseKind:
@@ -186,8 +194,11 @@ func New(kind Kind, n *nfa.NFA, tab *Tables) Engine {
 	case LazyDFAKind:
 		return newLazyDFA(n, tab, nil)
 	case MetaKind:
-		return newLazyDFA(n, tab, func() Engine { return NewAdaptive(n, tab) })
+		return newLazyDFA(n, tab, func() Engine { return New(Auto, n, tab) })
 	default:
+		if alwaysDense(n) {
+			return NewBit(n, tab)
+		}
 		return NewAdaptive(n, tab)
 	}
 }
@@ -207,7 +218,7 @@ type Stats struct {
 	// dynamic-energy proxy; identical across backends.
 	Transitions int64
 	// Switches counts sparse⇄dense representation switches (Adaptive, and
-	// a lazy DFA that fell back to it).
+	// a lazy DFA that fell back to it); 0 when Auto resolved to Bit.
 	Switches int64
 	// BaselineSkipped counts symbols consumed by the baseline-skip fast
 	// path (see Engine.SetBaselineSkip).

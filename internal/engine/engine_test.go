@@ -229,6 +229,52 @@ func randomNFA(rng *rand.Rand, states int) *nfa.NFA {
 	return b.MustBuild()
 }
 
+// randomWideNFA is the wide size class of the property and fuzz tests:
+// 1024-4095 states with one or two all-input states, so that — unlike on
+// randomNFA's automata, which fit a word or two and have a sixth of their
+// states all-input — the list side of the cost policy is live: Auto is the
+// Adaptive engine and a frontier of a few states belongs on the list. Two
+// successors per state and 'a' in five labels out of eight make runs of
+// 'a' grow the frontier past the dense threshold; other symbols shrink it.
+func randomWideNFA(rng *rand.Rand) *nfa.NFA {
+	states := 1024 + rng.Intn(3072)
+	allInput := 1 + rng.Intn(2)
+	b := nfa.NewBuilder("rand-wide")
+	for i := 0; i < states; i++ {
+		cls := nfa.ClassOf("abcd"[rng.Intn(4)])
+		if rng.Intn(2) == 0 {
+			cls.Add('a')
+		}
+		var flags nfa.Flags
+		switch {
+		case i < allInput:
+			flags |= nfa.AllInput
+		case rng.Intn(64) == 0:
+			flags |= nfa.StartOfData
+		}
+		if rng.Intn(5) == 0 {
+			flags |= nfa.Report
+		}
+		b.AddState(cls, flags)
+	}
+	for i := 0; i < states; i++ {
+		b.AddEdge(nfa.StateID(i), nfa.StateID(rng.Intn(states)))
+		b.AddEdge(nfa.StateID(i), nfa.StateID(rng.Intn(states)))
+	}
+	return b.MustBuild()
+}
+
+// fuzzNFA picks the fuzz targets' automaton: randomNFA's narrow class, or
+// the wide class for one seed in eight. The class is a function of the seed
+// rather than a draw from rng, so every committed corpus entry keeps the
+// automaton it was found on.
+func fuzzNFA(rng *rand.Rand, seed int64) *nfa.NFA {
+	if uint64(seed)%8 == 0 {
+		return randomWideNFA(rng)
+	}
+	return randomNFA(rng, 2+rng.Intn(64))
+}
+
 func randomInput(rng *rand.Rand, n int) []byte {
 	alpha := []byte("abcd")
 	out := make([]byte, n)

@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"bytes"
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -48,12 +50,21 @@ func checkAgreement(t *testing.T, ctx string, names []string, engines []Engine) 
 // TestEngineEquivalence is the three-way differential property test: on
 // random automata and inputs — with mid-run Resets and baseline toggles
 // thrown in — Sparse, Bit and Adaptive must agree on every observable:
-// frontiers, fingerprints, liveness, reports and transition counts.
+// frontiers, fingerprints, liveness, reports and transition counts. Every
+// tenth automaton is of the wide class, where the adaptive engine really
+// uses both representations: the run must see it switch in each direction.
 func TestEngineEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
+	var toDense, toSparse int
 	for trial := 0; trial < 60; trial++ {
-		n := randomNFA(rng, 2+rng.Intn(40))
+		var n *nfa.NFA
+		if trial%10 == 9 {
+			n = randomWideNFA(rng)
+		} else {
+			n = randomNFA(rng, 2+rng.Intn(40))
+		}
 		names, engines := engineTrio(n)
+		adaptive := engines[2].(*Adaptive)
 		reports := make([][]Report, len(engines))
 		emits := make([]EmitFunc, len(engines))
 		for i := range engines {
@@ -82,8 +93,15 @@ func TestEngineEquivalence(t *testing.T) {
 					e.SetBaseline(baseline)
 				}
 			}
+			was := adaptive.Dense()
 			for j, e := range engines {
 				e.Step(sym, int64(i), emits[j])
+			}
+			switch now := adaptive.Dense(); {
+			case now && !was:
+				toDense++
+			case was && !now:
+				toSparse++
 			}
 			checkAgreement(t, "", names, engines)
 		}
@@ -94,6 +112,10 @@ func TestEngineEquivalence(t *testing.T) {
 			}
 		}
 	}
+	if toDense == 0 || toSparse == 0 {
+		t.Fatalf("adaptive switched %d times to dense and %d to sparse; the test no longer covers the switch path", toDense, toSparse)
+	}
+	t.Logf("adaptive switched %d times to dense, %d to sparse", toDense, toSparse)
 }
 
 // FuzzEngineEquivalence drives the three engines over fuzzer-chosen inputs
@@ -102,12 +124,15 @@ func FuzzEngineEquivalence(f *testing.F) {
 	f.Add(int64(1), []byte("abcdabcd"))
 	f.Add(int64(42), []byte("aaaaaaaaaaaaaaaa"))
 	f.Add(int64(9), []byte("dcbadcba\x00\xffzz"))
+	// Wide class (seed%8 == 0): 'a' runs grow the frontier past the dense
+	// threshold, miss runs longer than the hold bring it back.
+	f.Add(int64(16), bytes.Repeat(append(bytes.Repeat([]byte{0}, 20), bytes.Repeat([]byte{4}, 20)...), 6)) // 0 maps to 'a', 4 to 'z'
 	f.Fuzz(func(t *testing.T, seed int64, input []byte) {
 		if len(input) > 4096 {
 			input = input[:4096]
 		}
 		rng := rand.New(rand.NewSource(seed))
-		n := randomNFA(rng, 2+rng.Intn(64))
+		n := fuzzNFA(rng, seed)
 		names, engines := engineTrio(n)
 		reports := make([][]Report, len(engines))
 		for i, sym := range input {
@@ -128,15 +153,21 @@ func FuzzEngineEquivalence(f *testing.F) {
 	})
 }
 
-// TestAdaptiveSwitchesRepresentations pins the adaptive policy down: a
-// high-fanout automaton on an all-hit input must drive the engine dense,
-// and a long miss streak must bring it back to sparse, with the frontier
-// intact across both migrations.
+// TestAdaptiveSwitchesRepresentations pins the adaptive policy down on an
+// automaton wide enough to sit on the sparse side (64 words, one all-input
+// state: dense at frontier >= 21, sparse again at <= 9): a high-fanout
+// automaton on an all-hit input must drive the engine dense, and a long
+// miss streak must bring it back to sparse, with the frontier intact
+// across both migrations.
 func TestAdaptiveSwitchesRepresentations(t *testing.T) {
-	const states = 256
+	const states = 4096
 	n := fanoutNFA(states)
 	sp := NewSparse(n)
-	ad := NewAdaptive(n, nil)
+	e := New(Auto, n, nil)
+	ad, ok := e.(*Adaptive)
+	if !ok || ad.Dense() {
+		t.Fatalf("New(Auto) on %d states with one all-input state: want Adaptive starting sparse, got %T", states, e)
+	}
 	step := func(sym byte, off int64) {
 		sp.Step(sym, off, nil)
 		ad.Step(sym, off, nil)
@@ -164,6 +195,82 @@ func TestAdaptiveSwitchesRepresentations(t *testing.T) {
 	}
 	if sp.Stats().Transitions != ad.Stats().Transitions {
 		t.Fatalf("transitions = %d, want %d", ad.Stats().Transitions, sp.Stats().Transitions)
+	}
+}
+
+// asgNFA builds a chain of the given length whose first allInput states are
+// all-input and whose next starts states are start-of-data: the two
+// quantities the Auto choice looks at, and nothing else.
+func asgNFA(states, allInput, starts int) *nfa.NFA {
+	b := nfa.NewBuilder("asg")
+	for i := 0; i < states; i++ {
+		var flags nfa.Flags
+		switch {
+		case i < allInput:
+			flags = nfa.AllInput
+		case i < allInput+starts:
+			flags = nfa.StartOfData
+		}
+		b.AddState(nfa.ClassOf('a'), flags)
+		if i > 0 {
+			b.AddEdge(nfa.StateID(i-1), nfa.StateID(i))
+		}
+	}
+	return b.MustBuild()
+}
+
+// TestAutoPolicy pins what New(Auto, …) constructs over (A, W) pairs on
+// both sides of 3·A > W, and that the two other routes to the default — the
+// lazy DFA's Meta fallback and ScoringKind's remap of a score-less kind —
+// make the same choice.
+func TestAutoPolicy(t *testing.T) {
+	saved := lazyFactory
+	defer RegisterLazyDFA(saved)
+	// A lazy DFA that falls back at once: New(MetaKind, …) is its fallback.
+	RegisterLazyDFA(func(_ *nfa.NFA, _ *Tables, newFB func() Engine) Engine { return newFB() })
+
+	for _, c := range []struct {
+		states, allInput, starts int
+		bit, startDense          bool
+	}{
+		{states: 64, allInput: 1, starts: 0, bit: true},                        // W=1: 3 > 1
+		{states: 192, allInput: 1, starts: 0, bit: false},                      // W=3: 3 > 3 fails
+		{states: 192, allInput: 2, starts: 0, bit: true},                       // W=3: 6 > 3
+		{states: 4096, allInput: 21, starts: 0, bit: false},                    // W=64: 63 > 64 fails
+		{states: 4096, allInput: 22, starts: 0, bit: true},                     // W=64: 66 > 64
+		{states: 1781, allInput: 100, starts: 0, bit: true},                    // snort_sparse's shape
+		{states: 32735, allInput: 67, starts: 0, bit: false},                   // Snort at scale 1.0
+		{states: 4096, allInput: 1, starts: 30, bit: false, startDense: true},  // 3·(30+1) > 64
+		{states: 4096, allInput: 1, starts: 20, bit: false, startDense: false}, // 3·(20+1) > 64 fails
+		{states: 40, allInput: 0, starts: 1, bit: false, startDense: true},     // anchored, no ASG
+	} {
+		n := asgNFA(c.states, c.allInput, c.starts)
+		name := fmt.Sprintf("states=%d/A=%d/starts=%d", c.states, c.allInput, c.starts)
+		scored, _ := NewWithOpts(MetaKind, n, nil, RunOpts{Scored: true})
+		for route, e := range map[string]Engine{
+			"New(Auto)":            New(Auto, n, nil),
+			"Meta fallback":        New(MetaKind, n, nil),
+			"ScoringKind(Meta)":    scored,
+			"ScoringKind(LazyDFA)": New(ScoringKind(LazyDFAKind), n, nil),
+		} {
+			switch e := e.(type) {
+			case *Bit:
+				if !c.bit {
+					t.Errorf("%s: %s built Bit, want Adaptive", name, route)
+				}
+			case *Adaptive:
+				if c.bit {
+					t.Errorf("%s: %s built Adaptive, want Bit", name, route)
+				} else if e.Dense() != c.startDense {
+					t.Errorf("%s: %s starts dense=%v, want %v", name, route, e.Dense(), c.startDense)
+				}
+			default:
+				t.Errorf("%s: %s built %T", name, route, e)
+			}
+			if sw := e.Stats().Switches; sw != 0 {
+				t.Errorf("%s: %s counts %d switches at construction", name, route, sw)
+			}
+		}
 	}
 }
 
@@ -243,12 +350,15 @@ func hitRateInput(rng *rand.Rand, size int, rate float64) []byte {
 }
 
 // BenchmarkEngineDensity sweeps the three backends across frontier-density
-// regimes on the same fanout automaton: sparse (2% hit rate), mixed (50%)
-// and dense (98% — the frontier saturates). This is the benchmark behind
-// the adaptive engine's thresholds; see docs/ENGINES.md.
+// regimes on the same fanout automaton (32 words, one all-input state:
+// Auto is the Adaptive engine), through the production run loop: sparse
+// (2% hit rate), mixed (50%) and dense (98% — the frontier saturates). Auto
+// should track the better forced kind in each regime; the constants
+// themselves come from BenchmarkAutoPolicySweep, see docs/ENGINES.md.
 func BenchmarkEngineDensity(b *testing.B) {
 	const states = 2048
 	n := fanoutNFA(states)
+	tab := NewTables(n).BuildAll()
 	regimes := []struct {
 		name string
 		rate float64
@@ -263,14 +373,10 @@ func BenchmarkEngineDensity(b *testing.B) {
 		b.Run(reg.name, func(b *testing.B) {
 			for _, kind := range kinds {
 				b.Run(kind.String(), func(b *testing.B) {
-					tab := NewTables(n).BuildAll()
-					e := New(kind, n, tab)
 					b.SetBytes(int64(len(input)))
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
-						for j, sym := range input {
-							e.Step(sym, int64(j), nil)
-						}
+						RunEngineOpts(n, input, kind, tab, RunOpts{})
 					}
 				})
 			}

@@ -16,7 +16,7 @@
 // demand), and after too many flushes the engine concludes the workload
 // is cache-hostile (dense, ever-changing frontiers) and falls back
 // permanently to an inner engine — sparse by default, or whatever the
-// caller supplies (engine.MetaKind supplies the adaptive engine).
+// caller supplies (engine.MetaKind supplies what engine.Auto builds).
 // Cumulative counters carry across the fallback, so observables stay
 // exact through the switch.
 package lazydfa

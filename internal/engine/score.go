@@ -37,8 +37,8 @@ type Scorer interface {
 
 // ScoringKind maps an engine selection to one that supports scoring: the
 // lazy-DFA and meta backends have no score channel (a determinized state
-// collapses frontiers score-blind), so they fall back to the adaptive
-// engine. Other kinds pass through.
+// collapses frontiers score-blind), so they fall back to Auto — whichever
+// of Bit and Adaptive New builds for the automaton. Other kinds pass through.
 func ScoringKind(k Kind) Kind {
 	if k == LazyDFAKind || k == MetaKind {
 		return Auto

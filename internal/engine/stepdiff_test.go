@@ -194,6 +194,30 @@ func randomFrontier(rng *rand.Rand, n *nfa.NFA) []nfa.StateID {
 	return seed
 }
 
+// wideCaseSeed is a conformance seed of the wide profile on which the
+// adaptive engine switches several times in each direction. Ordinary cases
+// fit a word or two, where Auto is Bit outright; this one keeps the list
+// side and the switch path in both harnesses below.
+const wideCaseSeed = 896
+
+// caseSeeds returns count consecutive conformance seeds from base, then
+// the wide one.
+func caseSeeds(t *testing.T, base int64, count int) []int64 {
+	t.Helper()
+	c, err := conformance.NewCase(wideCaseSeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sw := engine.RunEngineOpts(c.NFA, c.Input, engine.Auto, nil, engine.RunOpts{}).Switches; sw < 2 {
+		t.Fatalf("conformance case %d switches representation %d times under auto; pick a wide seed that crosses both ways", wideCaseSeed, sw)
+	}
+	var seeds []int64
+	for s := 0; s < count; s++ {
+		seeds = append(seeds, base+int64(s))
+	}
+	return append(seeds, wideCaseSeed)
+}
+
 // TestStepDiffLockStep is the differential harness over generated cases:
 // scalar vs batched vs baseline-skip execution must agree on every
 // observable at every window, for all backends, from the start
@@ -203,8 +227,8 @@ func TestStepDiffLockStep(t *testing.T) {
 	if testing.Short() {
 		seeds = 6
 	}
-	for s := 0; s < seeds; s++ {
-		c, err := conformance.NewCase(int64(1000 + s))
+	for s, caseSeed := range caseSeeds(t, 1000, seeds) {
+		c, err := conformance.NewCase(caseSeed)
 		if err != nil {
 			t.Fatalf("case %d: %v", s, err)
 		}
@@ -241,8 +265,8 @@ func TestStepDiffExecModes(t *testing.T) {
 		seeds = 3
 	}
 	kinds := allKinds(t)
-	for s := 0; s < seeds; s++ {
-		c, err := conformance.NewCase(int64(4000 + s))
+	for s, caseSeed := range caseSeeds(t, 4000, seeds) {
+		c, err := conformance.NewCase(caseSeed)
 		if err != nil {
 			t.Fatalf("case %d: %v", s, err)
 		}
@@ -257,6 +281,9 @@ func TestStepDiffExecModes(t *testing.T) {
 				cfg.Mode = mode
 				cfg.SegmentParallel = parallel
 				cfg.Engine = kinds[s%len(kinds)]
+				if caseSeed == wideCaseSeed {
+					cfg.Engine = engine.Auto
+				}
 				abl := cfg
 				abl.DisableBaselineSkip = true
 

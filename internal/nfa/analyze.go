@@ -38,13 +38,13 @@ func (n *NFA) ccLocked() (ids []int32, count int) {
 		for len(stack) > 0 {
 			q := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			for _, c := range n.succ[q] {
+			for _, c := range n.Succ(q) {
 				if ids[c] == -1 {
 					ids[c] = id
 					stack = append(stack, c)
 				}
 			}
-			for _, p := range n.pred[q] {
+			for _, p := range n.Pred(q) {
 				if ids[p] == -1 {
 					ids[p] = id
 					stack = append(stack, p)
@@ -102,7 +102,7 @@ func (n *NFA) Range(sym byte) []StateID {
 		if !n.states[q].Label.Test(sym) {
 			continue
 		}
-		for _, c := range n.succ[q] {
+		for _, c := range n.Succ(StateID(q)) {
 			seen[c] = struct{}{}
 		}
 	}
@@ -163,18 +163,18 @@ func (n *NFA) ParentGroups(sym byte) []ParentGroup {
 	var order []key
 	var buf []byte
 	for q := range n.states {
-		if !n.states[q].Label.Test(sym) || len(n.succ[q]) == 0 {
+		succ := n.Succ(StateID(q))
+		if !n.states[q].Label.Test(sym) || len(succ) == 0 {
 			continue
 		}
 		buf = buf[:0]
-		for _, c := range n.succ[q] {
+		for _, c := range succ {
 			buf = append(buf, byte(c), byte(c>>8), byte(c>>16), byte(c>>24))
 		}
 		k := key(buf)
 		g, ok := groups[k]
 		if !ok {
-			seed := make([]StateID, len(n.succ[q]))
-			copy(seed, n.succ[q])
+			seed := append([]StateID(nil), succ...)
 			g = &ParentGroup{Seed: seed, CC: n.CCOf(seed[0])}
 			groups[k] = g
 			order = append(order, k)
@@ -228,7 +228,7 @@ func (n *NFA) ReachableFrom(seed []StateID) *bitset.Set {
 	for len(stack) > 0 {
 		q := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, c := range n.succ[q] {
+		for _, c := range n.Succ(q) {
 			if !r.Test(int(c)) {
 				r.Set(int(c))
 				stack = append(stack, c)

@@ -50,7 +50,7 @@ func mergeOnce(n *NFA) (*NFA, bool) {
 		h.Write([]byte{byte(s.Flags)})
 		binary.LittleEndian.PutUint32(buf[:4], uint32(s.ReportCode))
 		h.Write(buf[:4])
-		for _, p := range n.pred[q] {
+		for _, p := range n.Pred(StateID(q)) {
 			binary.LittleEndian.PutUint32(buf[:4], uint32(p))
 			h.Write(buf[:4])
 		}
@@ -101,7 +101,7 @@ func mergeOnce(n *NFA) (*NFA, bool) {
 		}
 	}
 	for q := range n.states {
-		for _, c := range n.succ[q] {
+		for _, c := range n.Succ(StateID(q)) {
 			b.AddEdge(remap[q], remap[c])
 		}
 	}
@@ -119,7 +119,7 @@ func (n *NFA) sameMergeKey(a, b StateID) bool {
 	if sa.Label != sb.Label || sa.Flags != sb.Flags || sa.ReportCode != sb.ReportCode {
 		return false
 	}
-	pa, pb := n.pred[a], n.pred[b]
+	pa, pb := n.Pred(a), n.Pred(b)
 	if len(pa) != len(pb) {
 		return false
 	}

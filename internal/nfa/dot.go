@@ -39,7 +39,7 @@ func (n *NFA) WriteDOT(w io.Writer) error {
 		}
 	}
 	for q := range n.states {
-		for _, c := range n.succ[q] {
+		for _, c := range n.Succ(StateID(q)) {
 			if _, err := fmt.Fprintf(w, "  n%d -> n%d;\n", q, c); err != nil {
 				return err
 			}

@@ -50,9 +50,19 @@ type State struct {
 type NFA struct {
 	name   string
 	states []State
-	succ   [][]StateID // children per state, sorted, deduplicated
-	succW  [][]int32   // per-edge scores parallel to succ; nil when unscored
-	pred   [][]StateID // parents per state, sorted, deduplicated
+
+	// Adjacency, stored once in CSR form: the children of q are
+	// succ[succOff[q]:succOff[q+1]], sorted and deduplicated, and its parents
+	// pred[predOff[q]:predOff[q+1]], likewise. Both offset arrays have
+	// Len()+1 entries. succW holds the per-edge scores, parallel to succ
+	// edge for edge; it is nil for an unscored automaton. Two flat arrays
+	// per direction instead of a slice header and an allocation per state:
+	// engines walk them directly (see SuccCSR).
+	succOff []int32
+	succ    []StateID
+	succW   []int32
+	predOff []int32
+	pred    []StateID
 
 	startOfData []StateID
 	allInput    []StateID
@@ -86,10 +96,22 @@ func (n *NFA) State(q StateID) State { return n.states[q] }
 func (n *NFA) Label(q StateID) Class { return n.states[q].Label }
 
 // Succ returns the children of q. The returned slice must not be modified.
-func (n *NFA) Succ(q StateID) []StateID { return n.succ[q] }
+func (n *NFA) Succ(q StateID) []StateID {
+	lo, hi := n.succOff[q], n.succOff[q+1]
+	return n.succ[lo:hi:hi]
+}
 
 // Pred returns the parents of q. The returned slice must not be modified.
-func (n *NFA) Pred(q StateID) []StateID { return n.pred[q] }
+func (n *NFA) Pred(q StateID) []StateID {
+	lo, hi := n.predOff[q], n.predOff[q+1]
+	return n.pred[lo:hi:hi]
+}
+
+// SuccCSR returns the successor adjacency as the flat arrays the NFA stores:
+// the children of q are succ[off[q]:off[q+1]]. Hot loops that expand many
+// states per step index these directly instead of calling Succ per state.
+// Neither slice may be modified.
+func (n *NFA) SuccCSR() (off []int32, succ []StateID) { return n.succOff, n.succ }
 
 // Scored reports whether any transition carries a score annotation. Unscored
 // automata pay nothing for the scoring machinery: succW stays nil and every
@@ -102,7 +124,8 @@ func (n *NFA) SuccScores(q StateID) []int32 {
 	if n.succW == nil {
 		return nil
 	}
-	return n.succW[q]
+	lo, hi := n.succOff[q], n.succOff[q+1]
+	return n.succW[lo:hi:hi]
 }
 
 // StartStates returns the start-of-data states. Callers must not modify it.
@@ -112,13 +135,7 @@ func (n *NFA) StartStates() []StateID { return n.startOfData }
 func (n *NFA) AllInputStates() []StateID { return n.allInput }
 
 // Edges returns the total number of transitions.
-func (n *NFA) Edges() int {
-	e := 0
-	for _, s := range n.succ {
-		e += len(s)
-	}
-	return e
-}
+func (n *NFA) Edges() int { return len(n.succ) }
 
 // ReportingStates returns all states with the Report flag, ascending.
 func (n *NFA) ReportingStates() []StateID {
@@ -197,40 +214,56 @@ func (b *Builder) AddScoredEdge(from, to StateID, score int32) {
 	b.succW[from][len(b.succW[from])-1] = score
 }
 
-// Build finalizes the automaton: edges are sorted and deduplicated, parent
-// lists are derived, and start-state lists are extracted. Build returns an
-// error if the automaton has no states or no start states.
+// Build finalizes the automaton: edges are sorted and deduplicated into the
+// CSR adjacency, parent lists are derived, and start-state lists are
+// extracted. Every array of the result is allocated at its exact length and
+// none is shared with the builder. Build returns an error if the automaton
+// has no states or no start states.
 func (b *Builder) Build() (*NFA, error) {
 	if len(b.states) == 0 {
 		return nil, fmt.Errorf("nfa %q: no states", b.name)
 	}
+	ns := len(b.states)
 	n := &NFA{
-		name:   b.name,
-		states: b.states,
-		succ:   make([][]StateID, len(b.states)),
-		pred:   make([][]StateID, len(b.states)),
+		name:    b.name,
+		states:  append(make([]State, 0, ns), b.states...),
+		succOff: make([]int32, ns+1),
+		predOff: make([]int32, ns+1),
 	}
-	if b.succW != nil {
-		n.succW = make([][]int32, len(b.states))
-	}
-	predCount := make([]int, len(b.states))
+	edges := 0
 	for from, children := range b.succ {
 		if b.succW == nil {
-			n.succ[from] = dedupeIDs(children)
+			b.succ[from] = dedupeIDs(children)
 		} else {
-			n.succ[from], n.succW[from] = dedupeScoredIDs(children, b.succW[from])
+			b.succ[from], b.succW[from] = dedupeScoredIDs(children, b.succW[from])
 		}
-		for _, to := range n.succ[from] {
-			predCount[to]++
+		edges += len(b.succ[from])
+	}
+	n.succ = make([]StateID, 0, edges)
+	if b.succW != nil {
+		n.succW = make([]int32, 0, edges)
+	}
+	for from, children := range b.succ {
+		n.succOff[from] = int32(len(n.succ))
+		n.succ = append(n.succ, children...)
+		if b.succW != nil {
+			n.succW = append(n.succW, b.succW[from]...)
 		}
-		_ = from
-	}
-	for to, c := range predCount {
-		n.pred[to] = make([]StateID, 0, c)
-	}
-	for from, children := range n.succ {
 		for _, to := range children {
-			n.pred[to] = append(n.pred[to], StateID(from))
+			n.predOff[to+1]++
+		}
+	}
+	n.succOff[ns] = int32(edges)
+	for q := 0; q < ns; q++ {
+		n.predOff[q+1] += n.predOff[q]
+	}
+	// Parents arrive in ascending order of from, so each list is sorted.
+	n.pred = make([]StateID, edges)
+	fill := append(make([]int32, 0, ns), n.predOff[:ns]...)
+	for from := 0; from < ns; from++ {
+		for _, to := range n.Succ(StateID(from)) {
+			n.pred[fill[to]] = StateID(from)
+			fill[to]++
 		}
 	}
 	for q, s := range n.states {
@@ -313,9 +346,10 @@ func Union(a, b *NFA) *NFA {
 			bl.SetReportCode(id, s.ReportCode)
 		}
 		for q := 0; q < src.Len(); q++ {
-			for i, c := range src.succ[q] {
-				if src.succW != nil {
-					bl.AddScoredEdge(base+StateID(q), base+c, src.succW[q][i])
+			w := src.SuccScores(StateID(q))
+			for i, c := range src.Succ(StateID(q)) {
+				if w != nil {
+					bl.AddScoredEdge(base+StateID(q), base+c, w[i])
 				} else {
 					bl.AddEdge(base+StateID(q), base+c)
 				}

@@ -65,6 +65,51 @@ func TestBuilderDedupesEdges(t *testing.T) {
 	}
 }
 
+// TestBuildCSRLayout pins the adjacency layout: Succ, SuccScores and Pred
+// are capacity-clipped windows of flat arrays that SuccCSR exposes, parents
+// are sorted, every array has its exact length, and the built automaton
+// shares nothing with its builder.
+func TestBuildCSRLayout(t *testing.T) {
+	b := NewBuilder("csr")
+	for i := 0; i < 5; i++ {
+		b.AddState(ClassOf('a'), StartOfData)
+	}
+	b.AddScoredEdge(3, 1, 2)
+	b.AddScoredEdge(0, 1, 5)
+	b.AddScoredEdge(0, 1, 7) // duplicate: the maximum score survives
+	b.AddEdge(0, 4)
+	b.AddEdge(2, 1)
+	n := b.MustBuild()
+
+	off, succ := n.SuccCSR()
+	if len(off) != n.Len()+1 || len(succ) != n.Edges() || n.Edges() != 4 || cap(succ) != 4 {
+		t.Fatalf("SuccCSR: %d offsets, %d edges (cap %d), Edges() = %d", len(off), len(succ), cap(succ), n.Edges())
+	}
+	for q := 0; q < n.Len(); q++ {
+		s, w, p := n.Succ(StateID(q)), n.SuccScores(StateID(q)), n.Pred(StateID(q))
+		if cap(s) != len(s) || cap(w) != len(w) || cap(p) != len(p) {
+			t.Fatalf("state %d: accessor slices not capacity-clipped (%d/%d, %d/%d, %d/%d)",
+				q, len(s), cap(s), len(w), cap(w), len(p), cap(p))
+		}
+		if len(s) != int(off[q+1]-off[q]) || len(w) != len(s) {
+			t.Fatalf("state %d: Succ has %d entries, scores %d, offsets say %d", q, len(s), len(w), off[q+1]-off[q])
+		}
+	}
+	if s, w := n.Succ(0), n.SuccScores(0); len(s) != 2 || s[0] != 1 || s[1] != 4 || w[0] != 7 || w[1] != 0 {
+		t.Fatalf("Succ(0) = %v scores %v, want [1 4] [7 0]", s, w)
+	}
+	if p := n.Pred(1); len(p) != 3 || p[0] != 0 || p[1] != 2 || p[2] != 3 {
+		t.Fatalf("Pred(1) = %v, want [0 2 3]", p)
+	}
+	if cap(n.states) != len(n.states) {
+		t.Fatalf("states keeps builder slack: len %d cap %d", len(n.states), cap(n.states))
+	}
+	b.SetFlags(0, Report)
+	if n.State(0).Flags&Report != 0 {
+		t.Fatal("built automaton shares its states with the builder")
+	}
+}
+
 func TestBuildErrors(t *testing.T) {
 	if _, err := NewBuilder("empty").Build(); err == nil {
 		t.Fatal("expected error for empty automaton")

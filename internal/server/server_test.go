@@ -465,19 +465,26 @@ func TestServerEngineSelection(t *testing.T) {
 
 // TestSequentialMatchCountsEngineSwitches: papd_engine_switches_total must
 // move on the default path — a sequential /match on the auto engine — when
-// the automaton goes dense, not only on parallel matches and stream writes.
+// the run changes representation, not only on parallel matches and stream
+// writes.
 func TestSequentialMatchCountsEngineSwitches(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	// Each rule keeps two of its three states live once its first byte has
-	// been seen, so the frontier passes the 1/8 density threshold at once.
-	reg, _ := json.Marshal(registerRequest{Name: "dense", Patterns: []string{"a.*z", "b.*z", "c.*z", "d.*z"}})
+	// Wide with one all-input state, so auto is the adaptive engine starting
+	// on the list (a narrow ruleset is the bit engine outright and never
+	// switches): the anchored rule only pads the automaton to ~4000 states
+	// (63 vector words), and every "a" of the payload parks one more [^!]*
+	// state on the frontier, which passes the dense threshold at 21.
+	reg, _ := json.Marshal(registerRequest{Name: "wide", Patterns: []string{
+		strings.Repeat("a[^!]*", 32) + "z",
+		"^" + strings.Repeat("x{250}", 16),
+	}})
 	if code, body := doJSON(t, "POST", ts.URL+"/v1/automata", reg, nil); code != 201 {
 		t.Fatalf("register = %d %q", code, body)
 	}
 	before := metricValue(t, ts.URL, "papd_engine_switches_total")
-	payload := append([]byte("abcd"), bytes.Repeat([]byte("q"), 256)...)
+	payload := append(bytes.Repeat([]byte("a"), 40), bytes.Repeat([]byte("q"), 256)...)
 	var m matchResponse
-	if code, body := doJSON(t, "POST", ts.URL+"/v1/automata/dense/match", payload, &m); code != 200 || m.Engine != "auto" {
+	if code, body := doJSON(t, "POST", ts.URL+"/v1/automata/wide/match", payload, &m); code != 200 || m.Engine != "auto" {
 		t.Fatalf("match = %d %q engine=%q", code, body, m.Engine)
 	}
 	if after := metricValue(t, ts.URL, "papd_engine_switches_total"); after <= before {

@@ -62,9 +62,12 @@ import (
 type EngineKind int
 
 const (
-	// EngineAuto (the default) starts on the sparse frontier-list engine
-	// and adaptively switches to the dense bit-vector engine when the
-	// active-state density crosses a threshold, with hysteresis both ways.
+	// EngineAuto (the default) picks the representation by what a step
+	// costs — frontier plus all-input states walked on the list, one word
+	// per 64 states on the vector. Where the automaton's all-input states
+	// alone outweigh its vector it is the bit engine outright; on wide
+	// automata with few all-input states it switches between the two as
+	// the frontier grows and shrinks, with hysteresis both ways.
 	EngineAuto EngineKind = iota
 	// EngineSparse forces the VASim-style frontier-list engine: cost
 	// proportional to active states; fastest on quiet inputs.
@@ -665,7 +668,7 @@ func (a *Automaton) MatchParallelContext(ctx context.Context, input []byte, cfg 
 	if a.n.Scored() {
 		coreCfg.Scored = true // scored automata always track (see Config.Scoring)
 	}
-	res, err := core.RunContext(ctx, a.n, input, coreCfg)
+	res, err := core.RunContext(ctx, a.n, input, coreCfg, a.tables())
 	if err != nil {
 		var ab *core.Aborted
 		if errors.As(err, &ab) {

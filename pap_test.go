@@ -158,6 +158,40 @@ func TestMatchParallelExactAndFaster(t *testing.T) {
 	}
 }
 
+// TestMatchParallelSharesTables: the plan behind MatchParallel runs on the
+// Automaton's shared match tables, not on private ones refilled per call.
+// After a Match the vectors of that input's symbols exist, and a
+// MatchParallel on the same input builds none; on an input with two further
+// symbols it adds exactly those — to the Automaton's tables.
+func TestMatchParallelSharesTables(t *testing.T) {
+	a, err := Compile("t", []string{"abc", "abd"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig(2)
+	cfg.Engine = EngineBit
+	input := makeInput(1<<12, 3, "abc", "abd")
+	a.MatchWithInfo(input, EngineBit)
+	after := a.tables().Built()
+	if after == 0 {
+		t.Fatal("a bit-engine Match built no match vector")
+	}
+	if _, err := a.MatchParallel(input, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if got := a.tables().Built(); got != after {
+		t.Fatalf("MatchParallel on an already-matched input built %d match vectors", got-after)
+	}
+	wider := append(append([]byte(nil), input...), 0xfe, 0xff)
+	if _, err := a.MatchParallel(wider, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if got := a.tables().Built(); got != after+2 {
+		t.Fatalf("MatchParallel over two new symbols left %d vectors in the automaton's tables, want %d: the plan runs on private tables",
+			got, after+2)
+	}
+}
+
 func TestMatchParallelConfigKnobs(t *testing.T) {
 	a, err := Compile("t", []string{"abc"})
 	if err != nil {
