@@ -5,7 +5,9 @@ import (
 	"testing"
 	"time"
 
+	"pap/internal/core"
 	"pap/internal/engine"
+	"pap/internal/nfa"
 )
 
 var (
@@ -96,5 +98,63 @@ func TestSweepCoversBothRepresentations(t *testing.T) {
 	if bit == 0 || adaptive == 0 || toDense == 0 || toSparse == 0 {
 		t.Fatalf("default sweep does not cover the adaptive engine: %d bit, %d adaptive, %d switches to dense, %d to sparse",
 			bit, adaptive, toDense, toSparse)
+	}
+}
+
+// TestSweepReachesLatch keeps the differential net under the bit kernel's
+// latch (engine.Bit): labels over genAlphabet never form a state that
+// matches every byte, so only the latch profile builds one. Over the cases
+// of the short default sweep, read off the spec and the oracle's final
+// frontier — a self-loop state that matches every byte never leaves it — at
+// least fifty must have enabled a latchable state, and in at least one of
+// those the parallel run must have taken a segment with several flows
+// through several TDM rounds: every flow switch resets the engine, which
+// drops the latch, and the next round forms it again.
+func TestSweepReachesLatch(t *testing.T) {
+	var latched, switched int
+	for i := 0; i < 1000; i++ {
+		c, err := NewCase(CaseSeed(1, i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		latchable := make(map[nfa.StateID]bool)
+		for _, e := range c.Spec.Edges {
+			if st := c.Spec.States[e[0]]; e[0] == e[1] && st.Any && st.Flags&(nfa.AllInput|nfa.Report) == 0 {
+				latchable[nfa.StateID(e[0])] = true
+			}
+		}
+		o := NewOracle(c.NFA)
+		for _, sym := range c.Input {
+			o.Step(sym, nil)
+		}
+		on := false
+		for _, q := range o.Enabled() {
+			on = on || latchable[q]
+		}
+		if !on {
+			continue
+		}
+		latched++
+		if len(c.Input) < 8 {
+			continue // too short to partition, as in checkParallel
+		}
+		cfg := core.DefaultConfig(1)
+		cfg.TDMQuantum = 8
+		cfg.Engine = engine.BitKind
+		res, err := core.Run(c.NFA, c.Input, cfg)
+		if err != nil {
+			t.Fatalf("case %d: %v", c.Seed, err)
+		}
+		for _, seg := range res.Segments {
+			if seg.InitFlows > 1 && seg.Rounds > 2 {
+				switched++
+				break
+			}
+		}
+	}
+	t.Logf("latchable state enabled in %d cases, %d of them with flow switches", latched, switched)
+	if latched < 50 || switched == 0 {
+		t.Fatalf("default sweep does not cover the latch: a latchable state enabled in %d cases (want >= 50), %d of them with a multi-flow, multi-round segment (want >= 1)",
+			latched, switched)
 	}
 }

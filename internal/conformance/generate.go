@@ -8,10 +8,11 @@ import (
 	"pap/internal/nfa"
 )
 
-// StateSpec is the shrinkable description of one state: its label symbols,
-// role flags, and report code.
+// StateSpec is the shrinkable description of one state: its label symbols
+// (or Any, for the label of all 256 bytes), role flags, and report code.
 type StateSpec struct {
 	Syms  []byte
+	Any   bool
 	Flags nfa.Flags
 	Code  int32
 }
@@ -37,7 +38,10 @@ func (s *NFASpec) Build() (*nfa.NFA, error) {
 	b := nfa.NewBuilder("conformance")
 	for _, st := range s.States {
 		cls := nfa.ClassOf(st.Syms...)
-		if cls.Empty() {
+		switch {
+		case st.Any:
+			cls = nfa.AnyClass()
+		case cls.Empty():
 			cls = nfa.ClassOf('a')
 		}
 		id := b.AddState(cls, st.Flags&^nfa.Report)
@@ -63,12 +67,16 @@ func (s *NFASpec) Build() (*nfa.NFA, error) {
 }
 
 // String renders the spec compactly, for failure reports:
-// "5 states; 0:[ab]SR 1:[a]A ...; edges 0>1 1>2 2>2".
+// "5 states; 0:[ab]SR 1:[a]A 2:. ...; edges 0>1 1>2 2>2".
 func (s *NFASpec) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%d states;", len(s.States))
 	for i, st := range s.States {
-		fmt.Fprintf(&b, " %d:[%s]", i, st.Syms)
+		if st.Any {
+			fmt.Fprintf(&b, " %d:.", i)
+		} else {
+			fmt.Fprintf(&b, " %d:[%s]", i, st.Syms)
+		}
 		if st.Flags&nfa.StartOfData != 0 {
 			b.WriteByte('S')
 		}
@@ -100,7 +108,7 @@ func (s *NFASpec) clone() *NFASpec {
 		Edges:  make([][2]int32, len(s.Edges)),
 	}
 	for i, st := range s.States {
-		out.States[i] = StateSpec{Syms: append([]byte(nil), st.Syms...), Flags: st.Flags, Code: st.Code}
+		out.States[i] = StateSpec{Syms: append([]byte(nil), st.Syms...), Any: st.Any, Flags: st.Flags, Code: st.Code}
 	}
 	copy(out.Edges, s.Edges)
 	if s.scored() {
@@ -254,6 +262,54 @@ func RandomWideSpec(rng *rand.Rand) *NFASpec {
 		spec.Weights = randomWeights(rng, len(spec.Edges))
 	}
 	return spec
+}
+
+// addLatchStates extends spec with the latch profile: any-byte self-loop
+// states, the '.*' shape the bit kernel latches (engine.Bit) and labels over
+// genAlphabet never form. One to four are plain; half the time one more
+// reports itself, and half the time one is all-input — the two shapes the
+// kernel's latchable mask must leave out. The first is entered from a start
+// or all-input state and each later one from the one before, so they come on
+// one symbol apart; each is also entered from a random state and feeds one,
+// landing in whichever components those belong to. The first feeds a
+// reporting state of its own besides.
+func addLatchStates(rng *rand.Rand, spec *NFASpec) {
+	base := len(spec.States)
+	var live []int32
+	for q, st := range spec.States {
+		if st.Flags&(nfa.StartOfData|nfa.AllInput) != 0 {
+			live = append(live, int32(q))
+		}
+	}
+	edge := func(from, to int32) {
+		spec.Edges = append(spec.Edges, [2]int32{from, to})
+		if spec.scored() {
+			spec.Weights = append(spec.Weights, randomWeights(rng, 1)...)
+		}
+	}
+	flags := make([]nfa.Flags, 1+rng.Intn(4), 6)
+	if rng.Intn(2) == 0 {
+		flags = append(flags, nfa.Report)
+	}
+	if rng.Intn(2) == 0 {
+		flags = append(flags, nfa.AllInput)
+	}
+	prev := live[rng.Intn(len(live))]
+	for k, f := range flags {
+		q := int32(len(spec.States))
+		spec.States = append(spec.States, StateSpec{Any: true, Flags: f, Code: int32(rng.Intn(8))})
+		edge(q, q)
+		edge(prev, q)
+		edge(int32(rng.Intn(base)), q)
+		edge(q, int32(rng.Intn(base)))
+		if k == 0 {
+			spec.States = append(spec.States, StateSpec{
+				Syms: []byte{genAlphabet[rng.Intn(len(genAlphabet))]}, Flags: nfa.Report, Code: int32(rng.Intn(8)),
+			})
+			edge(q, q+1)
+		}
+		prev = q
+	}
 }
 
 // randomWeights draws per-edge scores from a deliberately tiny range, so

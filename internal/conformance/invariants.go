@@ -45,6 +45,12 @@ const wideEvery = 128
 // seed's case is what it was before the wide profile existed.
 func IsWide(seed int64) bool { return uint64(seed)%wideEvery == 0 }
 
+// hasLatchProfile reports whether seed's case carries addLatchStates'
+// any-byte self-loop states on top of its RandomSpec automaton: one seed in
+// eight, none of them wide. Like the wide profile it is a function of the
+// seed, so every other seed keeps its case.
+func hasLatchProfile(seed int64) bool { return uint64(seed)%8 == 4 }
+
 // NewCase deterministically generates the case for a seed.
 func NewCase(seed int64) (*Case, error) {
 	rng := rand.New(rand.NewSource(seed))
@@ -53,6 +59,9 @@ func NewCase(seed int64) (*Case, error) {
 		spec = RandomWideSpec(rng)
 	} else {
 		spec = RandomSpec(rng)
+	}
+	if hasLatchProfile(seed) {
+		addLatchStates(rng, spec)
 	}
 	n, err := spec.Build()
 	if err != nil {

@@ -28,6 +28,11 @@ func FuzzBaselineSkip(f *testing.F) {
 	// Wide class (seed%8 == 0, see fuzzNFA): the adaptive engine crosses its
 	// thresholds both ways between the hit runs and the miss runs.
 	f.Add(int64(24), bytes.Repeat(append(bytes.Repeat([]byte{0}, 24), bytes.Repeat([]byte{5}, 40)...), 5))
+	// Wide class with the latch profile (seed%16 == 12): the '.*' states come
+	// on at once and stay on through the miss runs; the adaptive engine moves
+	// the frontier to the list in a miss run and back in a hit run, where the
+	// bit side must drop its latch and form it again.
+	f.Add(int64(444), bytes.Repeat(append(bytes.Repeat([]byte{0}, 24), bytes.Repeat([]byte{5}, 40)...), 5))
 	f.Fuzz(func(t *testing.T, seed int64, input []byte) {
 		if len(input) > 4096 {
 			input = input[:4096]

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -27,14 +28,15 @@ type Tables struct {
 	pf     *prefilter.Prefilter
 
 	// staticOnce caches what every bit engine over the automaton reads and
-	// none writes: the all-input mask, and the reporting-state mask and
-	// codes, so the batched kernel reads plain arrays instead of calling
-	// back into the NFA per fired state (the successor lists it walks are
-	// the NFA's own CSR arrays, see nfa.SuccCSR).
+	// none writes: the all-input mask, the reporting-state mask and codes,
+	// and the latchable mask, so the batched kernel reads plain arrays
+	// instead of calling back into the NFA per fired state (the successor
+	// lists it walks are the NFA's own CSR arrays, see nfa.SuccCSR).
 	staticOnce sync.Once
 	allIn      *bitset.Set
 	repWord    []uint64 // reporting-state mask, bit-vector word layout
 	repCode    []int32  // per-state report code
+	latchable  []uint64 // states that stay on once on (see Bit.latch), same layout
 
 	// skipOnce compiles the baseline-skip scanner: the byte class that can
 	// move a frontier off the ASG-only baseline (exactly the prefilter
@@ -92,27 +94,40 @@ func (t *Tables) BuildAll() *Tables {
 	return t
 }
 
-// static builds (once) and returns the all-input mask and the
-// reporting-state mask and codes shared, read-only, by every bit engine
-// over these tables.
-func (t *Tables) static() (allIn *bitset.Set, repWord []uint64, repCode []int32) {
+// static builds (once) the all-input mask, the reporting-state mask and
+// codes and the latchable mask shared, read-only, by every bit engine over
+// these tables.
+//
+// A state is latchable when it matches every byte, has an edge to itself
+// and is neither all-input nor reporting: the self-loop half of the paper's
+// Active State Group (§3.3.2). Once enabled it fires on every symbol and
+// re-enables itself, so what it contributes to a step never changes again.
+// All-input states already cost the vector nothing (they are one OR of a
+// constant mask) and stop firing when the baseline goes off; a reporting
+// state must keep emitting in state order among the other reports of its
+// symbol, so it stays in the per-symbol walk.
+func (t *Tables) static() {
 	t.staticOnce.Do(func() {
 		n := t.n
 		t.allIn = bitset.New(n.Len())
 		for _, q := range n.AllInputStates() {
 			t.allIn.Set(int(q))
 		}
-		t.repWord = make([]uint64, (n.Len()+63)/64)
+		t.repWord = make([]uint64, stepWords(n))
 		t.repCode = make([]int32, n.Len())
+		t.latchable = make([]uint64, stepWords(n))
 		for q := 0; q < n.Len(); q++ {
 			st := n.State(nfa.StateID(q))
 			if st.Flags&nfa.Report != 0 {
 				t.repWord[q>>6] |= 1 << (uint(q) & 63)
 			}
 			t.repCode[q] = st.ReportCode
+			if st.Flags&(nfa.Report|nfa.AllInput) == 0 && st.Label == nfa.AnyClass() &&
+				slices.Contains(n.Succ(nfa.StateID(q)), nfa.StateID(q)) {
+				t.latchable[q>>6] |= 1 << (uint(q) & 63)
+			}
 		}
 	})
-	return t.allIn, t.repWord, t.repCode
 }
 
 // BaselineSkip returns the automaton's baseline-skip scanner — the exact
@@ -130,8 +145,11 @@ func (t *Tables) BaselineSkip() *prefilter.ClassScanner {
 }
 
 // Bit is the dense state-vector engine, mirroring the AP's per-STE enable
-// mask. It is slower than Sparse for sparse frontiers but is the reference
-// for state-vector semantics (SVC entries, convergence compares).
+// mask and State Vector Cache entries. A step costs a few passes over
+// ⌈states/64⌉ words plus one edge walk per fired state that is neither
+// all-input nor latched (see latch) — the Active State Group costs the
+// vector nothing — so it is the default wherever that group outweighs the
+// vector (see alwaysDense) and the dense side of Adaptive elsewhere.
 type Bit struct {
 	n        *nfa.NFA
 	tab      *Tables
@@ -142,16 +160,22 @@ type Bit struct {
 	allIn    *bitset.Set // shared with the Tables, read-only
 	trans    int64
 
-	// Batched hot loop + baseline skip (StepBatch): the NFA's CSR edges, the
-	// reporting mask cached from the shared Tables, the start-class
-	// scanner, and the fast-path switch and counter.
-	succOff []int32
-	succ    []nfa.StateID
-	repWord []uint64
-	repCode []int32
-	skip    *prefilter.ClassScanner
-	skipOn  bool
-	skipped int64
+	// Batched hot loop + baseline skip (StepBatch): the reporting and
+	// latchable masks of the shared Tables, the start-class scanner, and
+	// the fast-path switch and counter.
+	repWord   []uint64
+	repCode   []int32
+	latchable []uint64
+	skip      *prefilter.ClassScanner
+	skipOn    bool
+	skipped   int64
+
+	// The latch (see latch): which latchable states have fired since the
+	// last Reset, the union of their successors, and the sum of their
+	// out-degrees — 0 exactly when nothing is latched.
+	latched    *bitset.Set
+	latchNx    *bitset.Set
+	latchTrans int64
 
 	// Score tracking (see Scorer): per-state arrays parallel to the enabled
 	// and scratch bit vectors, swapped alongside them each step. A slot is
@@ -166,19 +190,24 @@ func NewBit(n *nfa.NFA, tab *Tables) *Bit {
 	if tab == nil {
 		tab = NewTables(n)
 	}
-	vecs := bitset.NewGroup(n.Len(), 3)
+	tab.static()
+	vecs := bitset.NewGroup(n.Len(), 5)
 	e := &Bit{
-		n:        n,
-		tab:      tab,
-		baseline: true,
-		enabled:  &vecs[0],
-		firedBs:  &vecs[1],
-		scratch:  &vecs[2],
-		skip:     tab.BaselineSkip(),
-		skipOn:   true,
+		n:         n,
+		tab:       tab,
+		baseline:  true,
+		enabled:   &vecs[0],
+		firedBs:   &vecs[1],
+		scratch:   &vecs[2],
+		allIn:     tab.allIn,
+		repWord:   tab.repWord,
+		repCode:   tab.repCode,
+		latchable: tab.latchable,
+		skip:      tab.BaselineSkip(),
+		skipOn:    true,
+		latched:   &vecs[3],
+		latchNx:   &vecs[4],
 	}
-	e.succOff, e.succ = n.SuccCSR()
-	e.allIn, e.repWord, e.repCode = tab.static()
 	e.Reset(n.StartStates())
 	return e
 }
@@ -200,6 +229,13 @@ func (e *Bit) SetScoring(on bool) {
 // ResetScored is Reset with per-seed entry scores (see Scorer). scores may
 // be nil; ignored unless scoring is on.
 func (e *Bit) ResetScored(seed []nfa.StateID, scores []int64) {
+	if e.latchTrans != 0 {
+		// The new frontier need not hold the latched states; those it does
+		// hold latch again on their first batched step.
+		e.latched.Reset()
+		e.latchNx.Reset()
+		e.latchTrans = 0
+	}
 	e.enabled.Reset()
 	for i, q := range seed {
 		if e.scoring {
@@ -343,13 +379,14 @@ func (e *Bit) skipAhead(input []byte) int {
 // StepBatch consumes between 1 and len(input) symbols starting at absolute
 // offset off, observably identical to calling Step once per consumed
 // symbol. The hot loop processes up to batchSymbols per invocation: the
-// block's match vectors are resolved up front (the batched table lookup),
-// the state-match phase runs as fused word-wide bitset ops, and successor
-// expansion walks the shared CSR edge arrays with the word slices hoisted
-// out of the per-state loop. A dead frontier takes the baseline-skip fast
-// path instead (see skipAhead). It returns the consumed count with the sum
-// and maximum of the frontier length over the consumed symbols, so callers
-// keep per-symbol frontier statistics exact. len(input) must be > 0.
+// state-match phase runs as fused word-wide bitset ops, latched states
+// contribute one precomputed vector instead of an edge walk each (see
+// latch), and successor expansion of the rest walks the shared CSR edge
+// arrays with the word slices hoisted out of the per-state loop. A dead
+// frontier takes the baseline-skip fast path instead (see skipAhead). It
+// returns the consumed count with the sum and maximum of the frontier
+// length over the consumed symbols, so callers keep per-symbol frontier
+// statistics exact. len(input) must be > 0.
 func (e *Bit) StepBatch(input []byte, off int64, emit EmitFunc) (consumed int, sumFrontier int64, maxFrontier int) {
 	if e.enabled.Empty() {
 		if n := e.skipAhead(input); n > 0 {
@@ -383,28 +420,46 @@ func (e *Bit) StepBatch(input []byte, off int64, emit EmitFunc) (consumed int, s
 	if k > batchSymbols {
 		k = batchSymbols
 	}
-	var mats [batchSymbols]*bitset.Set
-	for j := 0; j < k; j++ {
-		mats[j] = e.tab.Match(input[j])
-	}
 	fired := e.firedBs
 	en, nx := e.enabled, e.scratch
 	fdW := fired.Words()
-	succOff, succ := e.succOff, e.succ
-	repWord, repCode := e.repWord, e.repCode
+	succOff, succ := e.n.SuccCSR()
+	// The masks the scan reads per fired word, cut to the vector's length so
+	// that their bounds checks leave the loop.
+	repWord, latchable, ldW := e.repWord[:len(fdW)], e.latchable[:len(fdW)], e.latched.Words()[:len(fdW)]
+	repCode := e.repCode
 	trans := e.trans
 	j := 0
 	for j < k {
-		// State match phase: fired = (enabled ∪ allInput) ∩ match[sym].
+		// State match phase: fired = (enabled ∪ allInput) ∩ match[sym]. The
+		// vector is resolved per consumed symbol: a batch that ends at a dead
+		// frontier builds none for the bytes the skip scan then retires.
+		m := e.tab.Match(input[j])
 		if e.baseline {
-			fired.OrAndOf(en, e.allIn, mats[j])
+			fired.OrAndOf(en, e.allIn, m)
 		} else {
-			fired.AndOf(en, mats[j])
+			fired.AndOf(en, m)
 		}
-		// State transition phase: next = ∪ succ(fired), minus all-input.
-		nx.Reset()
+		// State transition phase: next = ∪ succ(fired), minus all-input,
+		// starting from what the latched states enable.
+		if e.latchTrans != 0 {
+			nx.Copy(e.latchNx)
+		} else {
+			nx.Reset()
+		}
 		nxW := nx.Words()
 		for wi, w := range fdW {
+			if w == 0 {
+				continue
+			}
+			if l := w & latchable[wi]; l != 0 {
+				// Latchable states leave the walk: the latched ones are in
+				// nx already, the others join the latch here.
+				w &^= l
+				if l &^= ldW[wi]; l != 0 {
+					e.latch(wi, l, nxW)
+				}
+			}
 			for w != 0 {
 				b := bits.TrailingZeros64(w)
 				w &= w - 1
@@ -419,6 +474,7 @@ func (e *Bit) StepBatch(input []byte, off int64, emit EmitFunc) (consumed int, s
 				}
 			}
 		}
+		trans += e.latchTrans
 		cnt := nx.AndNotCount(e.allIn)
 		en, nx = nx, en
 		j++
@@ -435,6 +491,30 @@ func (e *Bit) StepBatch(input []byte, off int64, emit EmitFunc) (consumed int, s
 	e.trans = trans
 	e.enabled, e.scratch = en, nx
 	return j, sumFrontier, maxFrontier
+}
+
+// latch adds the states l of vector word wi — latchable (see Tables.static),
+// fired on the current symbol, not latched yet — to the latch, walking
+// their edges for the last time: into latchNx, which every later step
+// starts its next vector from, and into nxW, the current step's. A latched
+// state fires on every symbol and re-enables itself, so its contribution
+// to a step is the constant (latchNx, latchTrans) and latched ⊆ enabled
+// holds whatever runs in between — scalar Steps, scored steps, baseline
+// toggles — until a Reset replaces the frontier and drops the latch. This
+// is the AP not re-evaluating the self-loop half of its Active State
+// Group (§3.3.2), with the membership found at run time.
+func (e *Bit) latch(wi int, l uint64, nxW []uint64) {
+	e.latched.Words()[wi] |= l
+	lnW := e.latchNx.Words()
+	for l != 0 {
+		succ := e.n.Succ(nfa.StateID(wi<<6 | bits.TrailingZeros64(l)))
+		l &= l - 1
+		e.latchTrans += int64(len(succ))
+		for _, c := range succ {
+			lnW[int(c)>>6] |= 1 << (uint(c) & 63)
+			nxW[int(c)>>6] |= 1 << (uint(c) & 63)
+		}
+	}
 }
 
 // SetBaselineSkip enables or disables the baseline-skip fast path

@@ -3,6 +3,8 @@ package engine_test
 import (
 	"context"
 	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"pap/internal/conformance"
@@ -21,6 +23,164 @@ func narrowStartNFA() *nfa.NFA {
 	return b.MustBuild()
 }
 
+// latchNFA is the automaton of the latch lifecycle in TestEngineContract:
+// 4096 states, so a vector of 64 words with the states of interest spread
+// over it, and two all-input states, so that Auto builds the Adaptive engine.
+//
+//	go  'G', all-input   -> l1
+//	l1  '.*'             -> l1, t1, b      latchable
+//	t1  't', reports     -> l2
+//	l2  '.*'             -> l2, t2, r      latchable, far from l1
+//	r   '.*', reports    -> r              stays in the walk: it emits
+//	a2  '.*', all-input  -> a2, q          fires only while the baseline is on
+//	b   'b'              -> c[0..23]
+//	c   '[^z]*'          -> itself         self-loop on a partial class
+//
+// With everything latched the frontier is {l1, t1, b, l2, t2, r, q}, on the
+// list side of the Auto policy; a 'b' adds the 24 c states, which puts it on
+// the vector side until a 'z' clears them.
+func latchNFA() (n *nfa.NFA, l1 nfa.StateID, burst []nfa.StateID) {
+	const (
+		goID, l1ID, t1ID, rID, a2ID, qID, bID, l2ID, t2ID = 0, 70, 71, 130, 200, 201, 500, 3000, 3001
+	)
+	notZ := nfa.AnyClass()
+	notZ.Remove('z')
+	labels := map[int]nfa.Class{
+		goID: nfa.ClassOf('G'), l1ID: nfa.AnyClass(), t1ID: nfa.ClassOf('t'), rID: nfa.AnyClass(),
+		a2ID: nfa.AnyClass(), qID: nfa.ClassOf('q'), bID: nfa.ClassOf('b'), l2ID: nfa.AnyClass(), t2ID: nfa.ClassOf('u'),
+	}
+	flags := map[int]nfa.Flags{goID: nfa.AllInput, a2ID: nfa.AllInput, t1ID: nfa.Report, t2ID: nfa.Report, rID: nfa.Report, qID: nfa.Report}
+	for i := 0; i < 24; i++ {
+		c := 1000 + 40*i
+		labels[c] = notZ
+		burst = append(burst, nfa.StateID(c))
+	}
+	b := nfa.NewBuilder("latch")
+	for q := 0; q < 4096; q++ {
+		label, live := labels[q]
+		if !live {
+			label = nfa.ClassOf('p') // padding, never enabled
+		}
+		b.AddState(label, flags[q])
+	}
+	for _, e := range [][2]nfa.StateID{
+		{goID, l1ID}, {l1ID, l1ID}, {l1ID, t1ID}, {l1ID, bID}, {t1ID, l2ID},
+		{l2ID, l2ID}, {l2ID, t2ID}, {l2ID, rID}, {rID, rID}, {a2ID, a2ID}, {a2ID, qID},
+	} {
+		b.AddEdge(e[0], e[1])
+	}
+	for _, c := range burst {
+		b.AddEdge(bID, c)
+		b.AddEdge(c, c)
+	}
+	return b.MustBuild(), l1ID, burst
+}
+
+// runLatchLifecycle takes one engine of the kind through everything that
+// can happen to a latch (see Bit) — it forms, a scalar Step runs between two
+// batches, the baseline goes off and on, scoring goes on and off, a Reset
+// replaces the frontier with one that lacks the latched states and another
+// with one that holds them, and (under Auto) the frontier moves to the list
+// and back — offering window symbols per StepBatch call, and holds it after
+// every call to a twin of the same kind advanced by scalar Step: reports,
+// fired set, enabled set, fingerprint, frontier length and transitions.
+func runLatchLifecycle(t *testing.T, kind engine.Kind, window int) {
+	t.Helper()
+	n, l1, burst := latchNFA()
+	tab := engine.NewTables(n)
+	sub, twin := engine.New(kind, n, tab), engine.New(kind, n, tab)
+	// dense reports whether the engine under test is on the vector right now.
+	dense := func() bool {
+		ad, ok := sub.(*engine.Adaptive)
+		return ok && ad.Dense()
+	}
+	quiet := strings.Repeat("x", 70)
+	var toDense, toSparse int
+	off := 0
+	for _, phase := range []struct {
+		name   string
+		do     func(e engine.Engine) // applied to both engines before the input
+		input  string
+		scalar bool
+	}{
+		{name: "latch forms", input: "xxGxxtxxuxq" + quiet},
+		{name: "burst", input: "b" + quiet},
+		{name: "scalar steps between batches", input: "xtxGx", scalar: true},
+		{name: "and on", input: "utq" + quiet},
+		{name: "baseline off", do: func(e engine.Engine) { e.SetBaseline(false) }, input: "Gq" + quiet},
+		{name: "baseline on", do: func(e engine.Engine) { e.SetBaseline(true) }, input: "q" + quiet},
+		{name: "scoring on", do: func(e engine.Engine) { engine.SetScoring(e, true) }, input: "xtxuq" + quiet},
+		{name: "scoring off", do: func(e engine.Engine) { engine.SetScoring(e, false) }, input: "xtxuq" + quiet},
+		{name: "reset without the latched states", do: func(e engine.Engine) { e.Reset(burst) }, input: "tuq" + quiet},
+		{name: "reset with a latched state", do: func(e engine.Engine) { e.Reset(append([]nfa.StateID{l1}, burst...)) }, input: "xtxuq" + quiet},
+		{name: "burst cleared", input: "z" + quiet},
+		{name: "second burst", input: "bxtxuq" + quiet},
+		{name: "cleared again", input: "zzGz" + quiet},
+	} {
+		if phase.do != nil {
+			phase.do(sub)
+			phase.do(twin)
+		}
+		input := []byte(phase.input)
+		for i := 0; i < len(input); {
+			var subReports, twinReports []engine.Report
+			subEmit := func(r engine.Report) { subReports = append(subReports, r) }
+			twinEmit := func(r engine.Report) { twinReports = append(twinReports, r) }
+			hi := len(input)
+			if window > 0 && !phase.scalar {
+				hi = min(hi, i+window)
+			}
+			consumed := 1
+			was := dense()
+			if phase.scalar {
+				sub.Step(input[i], int64(off), subEmit)
+			} else {
+				consumed, _, _ = sub.StepBatch(input[i:hi], int64(off), subEmit)
+			}
+			switch now := dense(); {
+			case now && !was:
+				toDense++
+			case was && !now:
+				toSparse++
+			}
+			for j := 0; j < consumed; j++ {
+				twin.Step(input[i+j], int64(off+j), twinEmit)
+			}
+			i += consumed
+			off += consumed
+
+			at := fmt.Sprintf("%s/window=%d: %q, after %d symbols", kind, window, phase.name, i)
+			sortReports(subReports)
+			sortReports(twinReports)
+			if !equalReports(subReports, twinReports) {
+				t.Fatalf("%s: reports %v, scalar twin %v", at, subReports, twinReports)
+			}
+			subFired, twinFired := sub.AppendFired(nil), twin.AppendFired(nil)
+			slices.Sort(subFired)
+			slices.Sort(twinFired)
+			if !slices.Equal(subFired, twinFired) {
+				t.Fatalf("%s: fired %v, scalar twin %v", at, subFired, twinFired)
+			}
+			if !sub.FrontierSet().Equal(twin.FrontierSet()) {
+				t.Fatalf("%s: enabled %v, scalar twin %v", at, sub.FrontierSet(), twin.FrontierSet())
+			}
+			if got, want := sub.Fingerprint(), twin.Fingerprint(); got != want {
+				t.Fatalf("%s: fingerprint %#x, scalar twin %#x", at, got, want)
+			}
+			if got, want := sub.FrontierLen(), twin.FrontierLen(); got != want {
+				t.Fatalf("%s: frontier length %d, scalar twin %d", at, got, want)
+			}
+			if got, want := sub.Stats().Transitions, twin.Stats().Transitions; got != want {
+				t.Fatalf("%s: transitions %d, scalar twin %d", at, got, want)
+			}
+		}
+	}
+	if kind == engine.Auto && (toDense < 2 || toSparse < 2) {
+		t.Fatalf("%s/window=%d: switched %d times to the vector and %d to the list, want each burst to go there and come back",
+			kind, window, toDense, toSparse)
+	}
+}
+
 // TestEngineContract holds every kind engine.KindNames() lists to the one
 // Engine contract, as the run loops rely on it:
 //
@@ -34,7 +194,11 @@ func narrowStartNFA() *nfa.NFA {
 //   - the prefilter goes with the kind, not the engine: offered under
 //     MetaKind for an automaton with a narrow start class, dropped when
 //     scoring remaps the kind; and the lazy-DFA kinds surface their cache
-//     counters through Stats.
+//     counters through Stats;
+//   - what the bit kernel keeps between calls, its latch, shows in no
+//     observable through a run that does everything a caller can do to an
+//     engine (runLatchLifecycle), on Bit itself and behind the Adaptive
+//     engine's representation switches.
 func TestEngineContract(t *testing.T) {
 	var cases []*conformance.Case
 	for s := int64(0); s < 4; s++ {
@@ -97,6 +261,12 @@ func TestEngineContract(t *testing.T) {
 			if (res.PrefilterSkipped > 0) != (pf != nil) {
 				t.Fatalf("prefilter skipped %d bytes with prefilter offered = %v", res.PrefilterSkipped, pf != nil)
 			}
+			if kind == engine.BitKind || kind == engine.Auto {
+				for _, w := range []int{1, 63, 64, 65, 0} {
+					runLatchLifecycle(t, kind, w)
+				}
+			}
+
 			cached := kind == engine.LazyDFAKind || kind == engine.MetaKind
 			if cached && res.Cache.Hits == 0 {
 				t.Fatalf("lazy-DFA cache recorded no hits: %+v", res.Cache)

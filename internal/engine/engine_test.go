@@ -194,6 +194,12 @@ func TestDedupeAndSameReports(t *testing.T) {
 // randomNFA builds a random homogeneous NFA for property tests: small
 // alphabet to get dense activity.
 func randomNFA(rng *rand.Rand, states int) *nfa.NFA {
+	return randomBuilder(rng, states).MustBuild()
+}
+
+// randomBuilder is randomNFA before the build, for callers that extend the
+// automaton (see addLatchStates). State 0 is a start state.
+func randomBuilder(rng *rand.Rand, states int) *nfa.Builder {
 	b := nfa.NewBuilder("rand")
 	alpha := []byte("abcd")
 	for i := 0; i < states; i++ {
@@ -226,17 +232,18 @@ func randomNFA(rng *rand.Rand, states int) *nfa.NFA {
 			b.AddEdge(nfa.StateID(i), nfa.StateID(rng.Intn(states)))
 		}
 	}
-	return b.MustBuild()
+	return b
 }
 
-// randomWideNFA is the wide size class of the property and fuzz tests:
+// randomWideBuilder is the wide size class of the property and fuzz tests:
 // 1024-4095 states with one or two all-input states, so that — unlike on
 // randomNFA's automata, which fit a word or two and have a sixth of their
 // states all-input — the list side of the cost policy is live: Auto is the
 // Adaptive engine and a frontier of a few states belongs on the list. Two
 // successors per state and 'a' in five labels out of eight make runs of
 // 'a' grow the frontier past the dense threshold; other symbols shrink it.
-func randomWideNFA(rng *rand.Rand) *nfa.NFA {
+// It returns the builder, like randomBuilder; state 0 is all-input.
+func randomWideBuilder(rng *rand.Rand) *nfa.Builder {
 	states := 1024 + rng.Intn(3072)
 	allInput := 1 + rng.Intn(2)
 	b := nfa.NewBuilder("rand-wide")
@@ -261,18 +268,57 @@ func randomWideNFA(rng *rand.Rand) *nfa.NFA {
 		b.AddEdge(nfa.StateID(i), nfa.StateID(rng.Intn(states)))
 		b.AddEdge(nfa.StateID(i), nfa.StateID(rng.Intn(states)))
 	}
-	return b.MustBuild()
+	return b
 }
 
-// fuzzNFA picks the fuzz targets' automaton: randomNFA's narrow class, or
-// the wide class for one seed in eight. The class is a function of the seed
-// rather than a draw from rng, so every committed corpus entry keeps the
-// automaton it was found on.
-func fuzzNFA(rng *rand.Rand, seed int64) *nfa.NFA {
-	if uint64(seed)%8 == 0 {
-		return randomWideNFA(rng)
+// addLatchStates appends the latch profile to an automaton under
+// construction: any-byte self-loop states, the '.*' shape the bit kernel
+// latches (see Bit.latch) and labels drawn from "abcd" never form. One to
+// four are plain; half the time one more reports itself, and half the time
+// one is all-input — the two shapes the latchable mask must leave out. The
+// first is entered from state 0, a start state in both size classes, and
+// each later one from the one before, so they come on one symbol apart; each
+// is also entered from a random state and feeds one. The first feeds a
+// reporting state of its own besides.
+func addLatchStates(b *nfa.Builder, rng *rand.Rand) {
+	base := b.Len()
+	flags := make([]nfa.Flags, 1+rng.Intn(4), 6)
+	if rng.Intn(2) == 0 {
+		flags = append(flags, nfa.Report)
 	}
-	return randomNFA(rng, 2+rng.Intn(64))
+	if rng.Intn(2) == 0 {
+		flags = append(flags, nfa.AllInput)
+	}
+	prev := nfa.StateID(0)
+	for k, f := range flags {
+		q := b.AddState(nfa.AnyClass(), f)
+		b.AddEdge(q, q)
+		b.AddEdge(prev, q)
+		b.AddEdge(nfa.StateID(rng.Intn(base)), q)
+		b.AddEdge(q, nfa.StateID(rng.Intn(base)))
+		if k == 0 {
+			b.AddEdge(q, b.AddState(nfa.ClassOf("abcd"[rng.Intn(4)]), nfa.Report))
+		}
+		prev = q
+	}
+}
+
+// fuzzNFA picks the fuzz targets' automaton: randomNFA's narrow class, the
+// wide class for one seed in eight, and for another one in eight the latch
+// profile on top of either. The choice is a function of the seed rather than
+// a draw from rng, so every committed corpus entry keeps the automaton it
+// was found on.
+func fuzzNFA(rng *rand.Rand, seed int64) *nfa.NFA {
+	var b *nfa.Builder
+	if uint64(seed)%8 == 0 || uint64(seed)%16 == 12 {
+		b = randomWideBuilder(rng)
+	} else {
+		b = randomBuilder(rng, 2+rng.Intn(64))
+	}
+	if uint64(seed)%8 == 4 {
+		addLatchStates(b, rng)
+	}
+	return b.MustBuild()
 }
 
 func randomInput(rng *rand.Rand, n int) []byte {

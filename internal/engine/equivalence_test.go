@@ -10,11 +10,23 @@ import (
 	"pap/internal/nfa"
 )
 
-// engineTrio builds one engine of each kind over n, sharing one Tables.
-func engineTrio(n *nfa.NFA) (names []string, engines []Engine) {
+// engineSet builds one engine of each kind over n, sharing one Tables, plus
+// a second Bit advanced through the batch kernel.
+func engineSet(n *nfa.NFA) (names []string, engines []Engine) {
 	tab := NewTables(n)
-	return []string{"sparse", "bit", "adaptive"},
-		[]Engine{NewSparse(n), NewBit(n, tab), NewAdaptive(n, tab)}
+	return []string{"sparse", "bit", "adaptive", "bit-batch"},
+		[]Engine{NewSparse(n), NewBit(n, tab), NewAdaptive(n, tab), batched{NewBit(n, tab)}}
+}
+
+// batched drives a Bit engine's StepBatch kernel through the scalar Step
+// signature, one symbol per call: suites that advance their engines by Step
+// then hold the kernel, and the latch it keeps from call to call across
+// their Resets and baseline toggles, to the same checks as the scalar
+// engines.
+type batched struct{ *Bit }
+
+func (b batched) Step(sym byte, off int64, emit EmitFunc) {
+	b.StepBatch([]byte{sym}, off, emit)
 }
 
 // checkAgreement fails the test if any engine disagrees with the first on
@@ -47,23 +59,29 @@ func checkAgreement(t *testing.T, ctx string, names []string, engines []Engine) 
 	}
 }
 
-// TestEngineEquivalence is the three-way differential property test: on
-// random automata and inputs — with mid-run Resets and baseline toggles
-// thrown in — Sparse, Bit and Adaptive must agree on every observable:
+// TestEngineEquivalence is the differential property test: on random
+// automata and inputs — with mid-run Resets and baseline toggles thrown
+// in — Sparse, Bit, Adaptive and Bit's batch kernel must agree on every
+// observable:
 // frontiers, fingerprints, liveness, reports and transition counts. Every
 // tenth automaton is of the wide class, where the adaptive engine really
 // uses both representations: the run must see it switch in each direction.
+// Every fifth carries the latch profile (see addLatchStates).
 func TestEngineEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	var toDense, toSparse int
 	for trial := 0; trial < 60; trial++ {
-		var n *nfa.NFA
+		var b *nfa.Builder
 		if trial%10 == 9 {
-			n = randomWideNFA(rng)
+			b = randomWideBuilder(rng)
 		} else {
-			n = randomNFA(rng, 2+rng.Intn(40))
+			b = randomBuilder(rng, 2+rng.Intn(40))
 		}
-		names, engines := engineTrio(n)
+		if trial%5 == 4 {
+			addLatchStates(b, rng)
+		}
+		n := b.MustBuild()
+		names, engines := engineSet(n)
 		adaptive := engines[2].(*Adaptive)
 		reports := make([][]Report, len(engines))
 		emits := make([]EmitFunc, len(engines))
@@ -118,8 +136,9 @@ func TestEngineEquivalence(t *testing.T) {
 	t.Logf("adaptive switched %d times to dense, %d to sparse", toDense, toSparse)
 }
 
-// FuzzEngineEquivalence drives the three engines over fuzzer-chosen inputs
-// on a fuzzer-chosen random automaton and requires identical observables.
+// FuzzEngineEquivalence drives the engines of engineSet over fuzzer-chosen
+// inputs on a fuzzer-chosen random automaton and requires identical
+// observables.
 func FuzzEngineEquivalence(f *testing.F) {
 	f.Add(int64(1), []byte("abcdabcd"))
 	f.Add(int64(42), []byte("aaaaaaaaaaaaaaaa"))
@@ -127,13 +146,16 @@ func FuzzEngineEquivalence(f *testing.F) {
 	// Wide class (seed%8 == 0): 'a' runs grow the frontier past the dense
 	// threshold, miss runs longer than the hold bring it back.
 	f.Add(int64(16), bytes.Repeat(append(bytes.Repeat([]byte{0}, 20), bytes.Repeat([]byte{4}, 20)...), 6)) // 0 maps to 'a', 4 to 'z'
+	// Latch profile (seed%8 == 4, see fuzzNFA): four '.*' states come on one
+	// after another from the third symbol and stay on through hits and misses.
+	f.Add(int64(68), bytes.Repeat([]byte{0, 1, 2, 3, 0, 0, 4, 4}, 16))
 	f.Fuzz(func(t *testing.T, seed int64, input []byte) {
 		if len(input) > 4096 {
 			input = input[:4096]
 		}
 		rng := rand.New(rand.NewSource(seed))
 		n := fuzzNFA(rng, seed)
-		names, engines := engineTrio(n)
+		names, engines := engineSet(n)
 		reports := make([][]Report, len(engines))
 		for i, sym := range input {
 			// Map arbitrary fuzz bytes onto the automaton's alphabet plus a

@@ -10,24 +10,37 @@ import (
 // TestStepBatchAllocs pins the vectorized batch kernel at zero allocations
 // per pass: after one warm-up pass has published the lazy match vectors and
 // the CSR successor arrays, batching an input through a live frontier must
-// touch only preallocated engine state.
+// touch only preallocated engine state — also when the frontier holds '.*'
+// states and every pass forms the latch anew (NewBit carves its vectors
+// from the engine's one group).
 func TestStepBatchAllocs(t *testing.T) {
-	n := fanoutNFA(256)
-	tab := NewTables(n)
-	e := NewBit(n, tab)
-	// Hits keep the frontier live (every state matches 'a'); interleaved
-	// misses force the frontier-death path inside the kernel too.
-	input := bytes.Repeat([]byte("aaaaaaaz"), 64)
-	emit := func(Report) {}
-	run := func() {
-		for i := 0; i < len(input); {
-			c, _, _ := e.StepBatch(input[i:], int64(i), emit)
-			i += c
+	b := nfa.NewBuilder("a.*a")
+	head := b.AddState(nfa.ClassOf('a'), nfa.AllInput)
+	gap := b.AddState(nfa.AnyClass(), 0)
+	tail := b.AddReportState(nfa.ClassOf('a'), 0, 1)
+	b.AddEdge(head, gap)
+	b.AddEdge(gap, gap)
+	b.AddEdge(gap, tail)
+	for name, n := range map[string]*nfa.NFA{"fanout": fanoutNFA(256), "latch": b.MustBuild()} {
+		e := NewBit(n, NewTables(n))
+		// Hits keep the frontier live (every state matches 'a'); interleaved
+		// misses force the frontier-death path inside the kernel too.
+		input := bytes.Repeat([]byte("aaaaaaaz"), 64)
+		emit := func(Report) {}
+		run := func() {
+			e.Reset(n.StartStates())
+			for i := 0; i < len(input); {
+				c, _, _ := e.StepBatch(input[i:], int64(i), emit)
+				i += c
+			}
 		}
-	}
-	run() // warm-up: lazy tables, CSR arrays, skip scanner
-	if allocs := testing.AllocsPerRun(100, run); allocs != 0 {
-		t.Fatalf("StepBatch allocates %.1f objects per pass, want 0", allocs)
+		run() // warm-up: lazy tables, CSR arrays, skip scanner
+		if name == "latch" && e.latchTrans == 0 {
+			t.Fatal("the '.*' state never latched")
+		}
+		if allocs := testing.AllocsPerRun(100, run); allocs != 0 {
+			t.Fatalf("%s: StepBatch allocates %.1f objects per pass, want 0", name, allocs)
+		}
 	}
 }
 
