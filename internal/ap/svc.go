@@ -18,7 +18,8 @@ type FlowID int
 //
 // Concurrency: Alloc and Invalidate must be serialized; Save and Load on
 // *distinct* valid entries may run concurrently (each touches only its own
-// entry), which is how PAP's per-flow workers use it.
+// entry). PAP needs neither: a segment's SVC belongs to the segment's
+// driver.
 type SVC struct {
 	capacity int
 	entries  []svcEntry

@@ -325,7 +325,7 @@ func checkSegmented(c *Case, oracle []engine.Report) (string, string) {
 	for ki, k := range segmentCounts {
 		kind := engineKinds[ki%len(engineKinds)]
 		cuts := CutsFor(len(c.Input), k)
-		res, bounds, _, _ := engine.RunWithBoundaries(context.Background(), c.NFA, c.Input, cuts, kind, tab, engine.RunOpts{})
+		res, bounds, _, _ := engine.RunWithBoundaries(context.Background(), c.NFA, c.Input, cuts, kind, tab, engine.RunOpts{}, nil)
 		name := fmt.Sprintf("boundaries-k%d/%s", k, kind)
 		if d := diffReports(oracle, res.Reports); d != "" {
 			return name, d
@@ -663,7 +663,7 @@ func checkScored(c *Case, rng *rand.Rand) (string, string) {
 		cuts := CutsFor(len(c.Input), k)
 		name := fmt.Sprintf("scored-boundaries-k%d/%s", k, kind)
 		res, bounds, _, err := engine.RunWithBoundaries(
-			context.Background(), c.NFA, c.Input, cuts, kind, tab, engine.RunOpts{Scored: true})
+			context.Background(), c.NFA, c.Input, cuts, kind, tab, engine.RunOpts{Scored: true}, nil)
 		if err != nil {
 			return name, fmt.Sprintf("boundary run: %v", err)
 		}

@@ -203,7 +203,7 @@ func TestScoredSegmentBoundaryExact(t *testing.T) {
 	input := []byte("zabcdz")
 	cuts := []int{3} // mid-pattern: after "zab"
 	res, bounds, _, err := engine.RunWithBoundaries(
-		context.Background(), n, input, cuts, engine.SparseKind, nil, engine.RunOpts{Scored: true})
+		context.Background(), n, input, cuts, engine.SparseKind, nil, engine.RunOpts{Scored: true}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -60,13 +60,17 @@ func ctxAborted(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// abortError assembles the Aborted error for a run whose segments carry
-// the given errors, preferring a root cause (fault, panic) over the
-// secondary context errors that sibling segments die with when the run
-// context is cancelled on first failure. ctxErr is the caller context's
-// own error (nil when only a fault aborted the run).
-func abortError(segs []*segmentResult, ctxErr error) error {
-	var cause, anyErr error
+// abortError assembles the Aborted error for a run whose golden execution
+// and segments carry the given errors, preferring a root cause (fault,
+// panic) — the golden run's, then the lowest segment's — over the secondary
+// context errors the others die with when the run context is cancelled on
+// first failure. Without a root cause the caller gave up: the golden run's
+// context error says how far the input was verified; otherwise ctxErr, the
+// caller context's own error, is the cause (nil when only a fault aborted
+// the run).
+func abortError(goldenErr error, segs []*segmentResult, ctxErr error) error {
+	cause := goldenErr
+	var anyErr error
 	for _, seg := range segs {
 		if seg.err == nil {
 			continue
@@ -74,7 +78,7 @@ func abortError(segs []*segmentResult, ctxErr error) error {
 		if anyErr == nil {
 			anyErr = seg.err
 		}
-		if cause == nil && !ctxAborted(seg.err) {
+		if (cause == nil || ctxAborted(cause)) && !ctxAborted(seg.err) {
 			cause = seg.err
 		}
 	}

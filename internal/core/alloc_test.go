@@ -1,11 +1,66 @@
 package core
 
 import (
+	"math/rand"
 	"testing"
 
 	"pap/internal/ap"
 	"pap/internal/nfa"
+	"pap/internal/regex"
 )
+
+// quietPlan plans a literal ruleset over size bytes in which no match gets
+// past its first byte, cut where nothing is enabled: no segment has an
+// enumeration flow, so flow 0 is the sole live flow of every round of every
+// segment, stepping a few symbols after each 'a', 'e' or 'x' — one byte in
+// sixteen — and scanning the rest.
+func quietPlan(tb testing.TB, size, segments int) (*Plan, []byte) {
+	tb.Helper()
+	n, err := regex.CompilePatterns("quiet", []string{"attack", "GET /admin", "etc/passwd", "xy{2,4}z"})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(31))
+	input := make([]byte, size)
+	for i := range input {
+		input[i] = "bfhjloqruv"[rng.Intn(10)]
+		if rng.Intn(16) == 0 {
+			input[i] = "aex"[rng.Intn(3)]
+		}
+	}
+	cfg := testConfig(1)
+	cfg.MaxSegments = segments
+	p, err := NewPlan(n, input, cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if p.Segments != segments || p.MaxFlows() != 1 {
+		tb.Fatalf("quiet plan has %d segments and %d flows, want %d and 1", p.Segments, p.MaxFlows(), segments)
+	}
+	return p, input
+}
+
+// TestExecuteAllocs pins what a round costs the host when nothing happens
+// in it: with a sole live flow per round, the allocations of one Execute
+// are those of its set-up and must not grow with the input. A hand-off of
+// each flow-round to another goroutine — a closure, a channel send, a
+// WaitGroup — is five allocations a round, 80 000 more for the longer input
+// here.
+func TestExecuteAllocs(t *testing.T) {
+	allocs := func(size int) float64 {
+		p, input := quietPlan(t, size, 16)
+		return testing.AllocsPerRun(3, func() {
+			if res, err := p.Execute(input); err != nil || !res.Correct {
+				t.Fatalf("Execute: %v", err)
+			}
+		})
+	}
+	short, long := allocs(64<<10), allocs(1<<20)
+	t.Logf("allocs per Execute at 16 segments: %.0f for 64 KiB, %.0f for 1 MiB", short, long)
+	if long-short >= 64 {
+		t.Fatalf("allocations grow with the input: %.0f for 64 KiB, %.0f for 1 MiB", short, long)
+	}
+}
 
 // convergenceFixture builds a segment with n alive enumeration flows whose
 // SVC contexts and fingerprints are chosen by the caller.

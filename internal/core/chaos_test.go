@@ -87,6 +87,7 @@ func TestChaosStages(t *testing.T) {
 		faultinject.FIVTransfer,
 		faultinject.TruthPublish,
 		faultinject.SFACompose,
+		faultinject.GoldenBoundary,
 	}
 	actions := []faultinject.Action{faultinject.Fail, faultinject.Panic, faultinject.Delay}
 
@@ -267,6 +268,59 @@ func TestChaosCancelMidRun(t *testing.T) {
 		var ab *Aborted
 		if !errors.As(err, &ab) {
 			t.Fatalf("parallel=%v: error %v is not *Aborted", parallel, err)
+		}
+		checkAbortProgress(t, err)
+	}
+	waitGoroutines(t, baseline)
+}
+
+// TestChaosCancelGoldenMidInput cancels the caller's context at the one
+// moment only the parallel scheduler has: every segment has finished and
+// the golden run, beside them, is still mid-input. The hook holds the
+// golden run at its first cut until the last segment publishes its truth
+// (no FIV, so no segment needs a boundary before then), cancels, and lets
+// it go on to its next poll. The documented outcome (docs/ROBUSTNESS.md):
+// no result — an unfinished golden run verifies nothing — and an abort
+// whose cause is the golden run's context error, naming how far it got,
+// over segments that all report full progress.
+func TestChaosCancelGoldenMidInput(t *testing.T) {
+	nfa := mustCompile(t, "abc", "abd", "xyz")
+	rng := rand.New(rand.NewSource(19))
+	input := genInput(rng, 1<<15, []string{"abc", "xyz"})
+
+	baseline := runtime.NumGoroutine()
+	for _, mode := range []Mode{ModeFlows, ModeSFA} {
+		ctx, cancel := context.WithCancel(context.Background())
+		cfg := chaosConfig(true)
+		cfg.Mode = mode
+		cfg.DisableFIV = true
+		segmentsDone := make(chan struct{})
+		cfg.Fault = func(p faultinject.Point) error {
+			switch {
+			case p.Stage == faultinject.TruthPublish && p.Segment == cfg.MaxSegments-1:
+				close(segmentsDone)
+			case p.Stage == faultinject.GoldenBoundary && p.Segment == 1:
+				<-segmentsDone
+				cancel()
+			}
+			return nil
+		}
+		res, err := RunContext(ctx, nfa, input, cfg, nil)
+		cancel()
+		if res != nil || !errors.Is(err, context.Canceled) {
+			t.Fatalf("%v: result %v, error %v; want no result and context.Canceled", mode, res, err)
+		}
+		if !strings.Contains(err.Error(), "golden execution at byte") {
+			t.Fatalf("%v: error %v does not say where the golden run stopped", mode, err)
+		}
+		var ab *Aborted
+		if !errors.As(err, &ab) || len(ab.Segments) != cfg.MaxSegments {
+			t.Fatalf("%v: error %v does not carry every segment's progress", mode, err)
+		}
+		for _, p := range ab.Segments {
+			if p.Pos != p.End {
+				t.Fatalf("%v: segment %d reports %d of %d..%d, want finished", mode, p.Index, p.Pos, p.Start, p.End)
+			}
 		}
 		checkAbortProgress(t, err)
 	}

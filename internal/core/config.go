@@ -68,17 +68,21 @@ type Config struct {
 	// profiling the input for a frequent low-range symbol (§3.1).
 	CutSymbol int
 
-	// Workers bounds the simulator goroutines of the shared flow-execution
-	// pool (one pool per run; every segment draws from it). It affects
-	// wall-clock simulation speed only, never modelled AP cycles.
-	// Default: GOMAXPROCS.
+	// Workers bounds the simulator goroutines of one run under the parallel
+	// scheduler, the calling one among them: at most this many segments are
+	// simulated at once, the golden run included — each on an engine its
+	// goroutine keeps from one segment to the next. With one worker, and
+	// under the serial scheduler, everything runs in turn on the caller,
+	// golden run first. It affects wall-clock simulation speed only, never
+	// modelled AP cycles. Default: GOMAXPROCS.
 	Workers int
 
 	// SegmentParallel executes the k input segments concurrently from t=0
-	// on their own goroutines — the paper's actual machine model (§3,
-	// Figure 6) — chaining boundary truth through channels so each
-	// segment's Flow Invalidation Vector fires the moment its predecessor's
-	// truth is known. Modelled ap.Cycles metrics are bit-identical to the
+	// on up to Workers goroutines, with the golden execution beside them —
+	// the paper's actual machine model (§3, Figure 6; §5.1) — chaining
+	// boundary truth through truth cells so each segment's Flow
+	// Invalidation Vector fires the moment its predecessor's truth is
+	// known. Modelled ap.Cycles metrics are bit-identical to the
 	// serial scheduler (the conformance parity invariant asserts this);
 	// only real wall-clock time changes. Default true (DefaultConfig); set
 	// false for the serial scheduler, kept for the timing model's
@@ -148,12 +152,15 @@ type Config struct {
 
 	// Fault, when non-nil, is fired at every instrumented pipeline point
 	// (plan build, each TDM round boundary, FIV transfers, truth
-	// publication, SFA boundary composition) and may delay the stage,
-	// fail it with an error, or
+	// publication, SFA boundary composition, each cut the golden run
+	// passes) and may delay the stage, fail it with an error, or
 	// panic — the deterministic chaos layer (internal/faultinject). A
 	// returned error aborts the run with *Aborted; a panic is recovered
-	// at the segment-goroutine boundary and converted likewise. nil (the
-	// default) costs one comparison per round and nothing per symbol.
+	// at the boundary of the segment, or of the golden run, that reached
+	// the point, and converted likewise. A run with a hook takes every TDM
+	// round on its own, so that round coordinates mean what they say; nil
+	// (the default) costs one comparison per trip of the round loop and
+	// nothing per symbol.
 	Fault faultinject.Hook
 }
 

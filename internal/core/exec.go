@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"slices"
-	"sync"
 
 	"pap/internal/ap"
 	"pap/internal/engine"
@@ -56,11 +55,20 @@ type flowRun struct {
 	ctxBuf []nfa.StateID
 	// scoreBuf (scored runs only) carries the flow's best-path scores across
 	// TDM rounds, parallel to the sorted context the flow last saved to the
-	// SVC: the engine pool hands flows different engines round to round, so
-	// scores travel with the flow, exactly like the context itself. Seeded
-	// by seedSegment with the golden boundary scores; nil for the ASG flow
-	// (baseline paths start at score 0 by definition).
+	// SVC: a flow switched off the segment's engine leaves its scores here,
+	// exactly like the context itself. Seeded by seedScores with the golden
+	// boundary scores; nil for the ASG flow (baseline paths start at score 0
+	// by definition).
 	scoreBuf []int64
+	// emit appends to reports; built once per flow, not once per flow-round.
+	emit engine.EmitFunc
+}
+
+// newFlowRun returns an alive flow with its report sink in place.
+func newFlowRun(id int, asg bool) *flowRun {
+	f := &flowRun{id: id, asg: asg, alive: true}
+	f.emit = func(r engine.Report) { f.reports = append(f.reports, r) }
+	return f
 }
 
 // segmentResult aggregates one segment's functional and timing outcomes.
@@ -96,9 +104,14 @@ type segmentResult struct {
 	ComposeOps   int64 // SFA mode: boundary-composition set operations
 	FPCollisions int64 // verified fingerprint collisions (hash hit, sets differ)
 
-	flows    []*flowRun
-	svc      *ap.SVC // flow context store (one SVC per replica)
-	unitTrue []bool  // truth of this segment's units at its start boundary
+	flows []*flowRun
+	svc   *ap.SVC // flow context store (one SVC per replica)
+	// resident is the flow whose context is live on the segment's engine:
+	// the flow that ran last. It resumes without a load from the SVC.
+	resident *flowRun
+	// unitTrue is the truth of this segment's units at its start boundary;
+	// nil in flow mode until decodeTruth first needs it.
+	unitTrue []bool
 
 	convScratch []convEntry // reusable convergence sort buffer (no per-check allocs)
 
@@ -108,8 +121,6 @@ type segmentResult struct {
 	// reports — the whole run returns *Aborted.
 	err error
 	pos int
-
-	mu sync.Mutex // guards Deactivations during round-0 parallel probes
 }
 
 // progress returns the next unprocessed input offset: Start for a segment
@@ -133,44 +144,6 @@ type snapshot struct {
 	frontier []nfa.StateID // sorted
 }
 
-// flowPool is the bounded worker pool that executes flow-rounds. One pool
-// is shared by every segment of a run (replacing the per-segment, per-round
-// goroutine fan-out the scheduler used to spawn): Config.Workers goroutines,
-// each lazily creating and then owning one engine, drain a single task
-// channel. Pool sizing therefore bounds both simulator threads and engine
-// allocations for the whole run, regardless of segment count.
-type flowPool struct {
-	work chan func(engine.Engine)
-	wg   sync.WaitGroup
-}
-
-// newFlowPool starts a pool of the given width. Close it with close().
-func (p *Plan) newFlowPool(workers int) *flowPool {
-	if workers < 1 {
-		workers = 1
-	}
-	fp := &flowPool{work: make(chan func(engine.Engine), 4*workers)}
-	fp.wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer fp.wg.Done()
-			var e engine.Engine
-			for fn := range fp.work {
-				if e == nil {
-					e = p.newEngine()
-				}
-				fn(e)
-			}
-		}()
-	}
-	return fp
-}
-
-func (fp *flowPool) close() {
-	close(fp.work)
-	fp.wg.Wait()
-}
-
 // segScheduler is the per-segment policy hook of the TDM round loop: what
 // bookkeeping runs after every round, and how the "has the Flow
 // Invalidation Vector arrived by now?" question is answered at each round
@@ -179,8 +152,8 @@ func (fp *flowPool) close() {
 // predecessor's live truth cell, blocking only while the answer is genuinely
 // undetermined.
 type segScheduler interface {
-	// tick runs after each round's cycle accounting, with seg.Cycles at the
-	// round's end time.
+	// tick runs after each trip's cycle accounting — a round, or a stretch
+	// of sole-flow rounds — with seg.Cycles at its end time.
 	tick(seg *segmentResult)
 	// fivArrived reports whether the FIV has arrived by seg.Cycles. last
 	// marks the check after the final round; implementations may defer the
@@ -200,45 +173,62 @@ func (s serialFIV) fivArrived(seg *segmentResult, _ bool) bool {
 }
 
 // applyFIV kills every alive enumeration flow whose attribution holds no
-// true unit (§3.4): the Flow Invalidation Vector has arrived.
-func applyFIV(seg *segmentResult) {
+// true unit (§3.4): the Flow Invalidation Vector has arrived. The vector's
+// content is the truth at the segment's start boundary, decoded from the
+// golden run the first time a flow is judged by it (decodeTruth); a golden
+// run that stopped short of that cut leaves its error on the segment.
+func (p *Plan) applyFIV(seg *segmentResult, g *goldenRun) {
 	seg.FIVApplied = true
 	for _, f := range seg.flows[1:] {
-		if f.alive && !anyAttribTrue(f.attrib, seg.unitTrue) {
+		if !f.alive {
+			continue
+		}
+		if !p.decodeTruth(seg, g) {
+			return
+		}
+		if !anyAttribTrue(f.attrib, seg.unitTrue) {
 			f.alive = false
 			seg.FIVKills++
 		}
 	}
 }
 
-// runSegment executes one segment's flows under TDM, applying deactivation,
-// convergence, and (unless disabled) the Flow Invalidation Vector that
-// arrives at wall-clock cycle fivAt carrying the truth in seg.unitTrue. It
-// owns a private flow pool; the run-wide schedulers in result.go and
-// sched.go share one pool across all segments instead.
-func (p *Plan) runSegment(seg *segmentResult, input []byte, fivAt ap.Cycles) {
-	pool := p.newFlowPool(p.Cfg.Workers)
-	defer pool.close()
-	p.runSegmentRounds(context.Background(), seg, input, pool, serialFIV{fivAt})
-}
-
-// runSegmentRounds is the TDM round loop shared by both schedulers. All
-// modelled quantities it computes depend only on (plan, segment, input) —
-// never on pool width or scheduler interleaving — which is what makes the
+// runSegmentRounds is the TDM round loop, the one both schedulers, both
+// modes, speculation's ASG pass and fault-injected runs go through. It
+// runs every round of every flow of the segment on e, the engine the
+// segment's driver holds for the segment's life — the paper's one
+// half-core per segment (§3.2). All modelled quantities it computes depend
+// only on (plan, segment, input) — never on which engine, how many other
+// drivers, or how far the golden run has got — which is what makes the
 // serial and parallel schedulers bit-identical in ap.Cycles metrics.
 //
-// Cancellation (and fault injection) is checked once per round, at the
-// flow context-switch boundary the paper's §3.2 TDM model already pays
-// for — the per-symbol inner loop stays check-free. On cancellation the
-// segment records ctx's error and its progress and returns; no flow task
-// is left in flight (every round joins its pool work before returning).
-func (p *Plan) runSegmentRounds(ctx context.Context, seg *segmentResult, input []byte, pool *flowPool, sched segScheduler) {
-	cfg := p.Cfg
+// A sole live flow is not switched. Only flow 0 can be the last one alive
+// (it never dies, and dead flows never revive), so from then on no sweep,
+// convergence check or kill can change anything at a round boundary, and
+// the loop takes a stretch of whole rounds per trip — Rounds, FlowRounds,
+// Cycles and the round counter advance by the stretch — capped at the
+// distance at which the sequential run loop polls its context, so that a
+// segment is cancelled as promptly as a sequential match. A run with a
+// fault hook takes one round per trip, which keeps RoundStep coordinates
+// exact and is the reference the stretch is tested against.
+//
+// Cancellation (and fault injection) is checked once per trip, at the flow
+// context-switch boundary the paper's §3.2 TDM model already pays for — the
+// per-symbol inner loop stays check-free. On cancellation the segment
+// records ctx's error and its progress and returns.
+func (p *Plan) runSegmentRounds(ctx context.Context, seg *segmentResult, input []byte, e engine.Engine, g *goldenRun, sched segScheduler) {
+	cfg := &p.Cfg
 	asgFlow := seg.flows[0]
+	if !p.seedScores(seg, g) {
+		return
+	}
+	stretch := max(1, engine.CtxCheckEvery/cfg.TDMQuantum) * cfg.TDMQuantum
+	switches := e.Stats().Switches
 
 	pos := seg.Start
 	round := 0
 	fivApplied := !p.fivEnabled()
+	var live []*flowRun
 	for pos < seg.End {
 		seg.pos = pos
 		if err := cfg.fire(faultinject.RoundStep, seg.Index, round); err != nil {
@@ -249,11 +239,7 @@ func (p *Plan) runSegmentRounds(ctx context.Context, seg *segmentResult, input [
 			seg.err = err
 			return
 		}
-		k := cfg.TDMQuantum
-		if seg.End-pos < k {
-			k = seg.End - pos
-		}
-		var live []*flowRun
+		live = live[:0]
 		var symsBefore int64
 		for _, f := range seg.flows {
 			if f.alive {
@@ -261,48 +247,33 @@ func (p *Plan) runSegmentRounds(ctx context.Context, seg *segmentResult, input [
 				symsBefore += f.symbols
 			}
 		}
-		seg.Rounds++
-		seg.FlowRounds += int64(len(live))
-		if len(live) > 1 {
+		sole := len(live) == 1
+		k := min(cfg.TDMQuantum, seg.End-pos)
+		if sole && cfg.Fault == nil {
+			k = min(stretch, seg.End-pos)
+		}
+		rounds := (k + cfg.TDMQuantum - 1) / cfg.TDMQuantum
+		seg.Rounds += rounds
+		seg.FlowRounds += int64(rounds * len(live))
+		if !sole {
 			seg.SwitchCycles += ap.Cycles(cfg.SwitchCycles * len(live))
 			seg.Cycles += ap.Cycles(cfg.SwitchCycles * len(live))
 		}
 
-		// Dispatch the round's flows to the shared pool. The ASG/golden
-		// flow records the probe snapshots the other flows are compared
-		// against in round 0, so there it must finish first; later rounds
-		// have no cross-flow dependency and dispatch everything at once.
-		first := round == 0
-		var wg sync.WaitGroup
-		var asgTrace []snapshot
-		runFlow := func(f *flowRun, trace []snapshot, out *[]snapshot) {
-			wg.Add(1)
-			pool.work <- func(e engine.Engine) {
-				defer wg.Done()
-				sw := e.Stats().Switches
-				tr := p.runFlowRound(seg, f, input, e, pos, k, first, trace)
-				if d := e.Stats().Switches - sw; d != 0 {
-					seg.mu.Lock()
-					seg.EngSwitches += d
-					seg.mu.Unlock()
-				}
-				if out != nil {
-					*out = tr
-				}
-			}
-		}
-		if first {
-			runFlow(asgFlow, nil, &asgTrace)
-			wg.Wait()
+		// Round 0 of a segment with enumeration flows carries the early
+		// deactivation probes: the ASG/golden flow goes first and records
+		// the snapshots the other flows are compared against. A sole flow
+		// has no one to be compared with, in round 0 or later.
+		if round == 0 && !sole {
+			asgTrace := p.runFlowRound(seg, asgFlow, input, e, pos, k, true, nil)
 			for _, f := range live[1:] {
-				runFlow(f, asgTrace, nil)
+				p.runFlowRound(seg, f, input, e, pos, k, true, asgTrace)
 			}
 		} else {
 			for _, f := range live {
-				runFlow(f, nil, nil)
+				p.runFlowRound(seg, f, input, e, pos, k, false, nil)
 			}
 		}
-		wg.Wait()
 
 		pos += k
 		// TDM: the half-core processes each alive flow's k symbols in
@@ -322,7 +293,7 @@ func (p *Plan) runSegmentRounds(ctx context.Context, seg *segmentResult, input [
 		// reports. With AbsorbDeactivation, activity absorbed *into* the
 		// baseline also kills the flow: its full vector then equals the
 		// ASG flow's and the two evolve identically forever.
-		if !cfg.DisableDeactivation && asgFlow.asg {
+		if !sole && !cfg.DisableDeactivation {
 			asgCtx, asgFP := seg.svc.Load(asgFlow.svcID)
 			for _, f := range seg.flows[1:] {
 				if !f.alive {
@@ -357,14 +328,13 @@ func (p *Plan) runSegmentRounds(ctx context.Context, seg *segmentResult, input [
 		// Convergence checks every ConvergenceEvery TDM steps (§3.3.3);
 		// compares run on the SVC comparator, overlapped with symbol
 		// processing, so they cost no cycles but are counted.
-		round++
-		if !cfg.DisableConvergence && round%cfg.ConvergenceEvery == 0 {
+		round += rounds
+		if !sole && !cfg.DisableConvergence && round%cfg.ConvergenceEvery == 0 {
 			p.convergeFlows(seg, int64(pos))
 		}
 
-		// Release the SVC entries of flows that died this round (round-0
-		// probe kills happen on worker goroutines, which must not touch
-		// the allocator; the bookkeeping lands here).
+		// Release the SVC entries of flows that died since the last trip:
+		// in this round's probes or sweep, or to the previous trip's FIV.
 		for _, f := range seg.flows {
 			if !f.alive && seg.svc.Valid(f.svcID) {
 				seg.svc.Invalidate(f.svcID)
@@ -379,10 +349,13 @@ func (p *Plan) runSegmentRounds(ctx context.Context, seg *segmentResult, input [
 				return
 			}
 			fivApplied = true
-			applyFIV(seg)
+			if p.applyFIV(seg, g); seg.err != nil {
+				return
+			}
 		}
 	}
 	seg.pos = pos
+	seg.EngSwitches += e.Stats().Switches - switches
 	// Hardware-faithful totals: on the AP every alive flow re-fires the
 	// always-enabled baseline each cycle, so the baseline's transitions and
 	// report events are duplicated across flows (the simulator computes
@@ -407,50 +380,55 @@ func (p *Plan) runSegmentRounds(ctx context.Context, seg *segmentResult, input [
 	seg.EventsEmitted = enumEvents + int64(float64(len(asgFlow.reports))*dup)
 }
 
-// runFlowRound advances one flow by up to k symbols starting at pos, using
-// (and then saving back to the flow's context) the given engine — exactly
-// an SVC context switch. For the ASG flow in round 0 it records and returns
-// probe snapshots; for other flows in round 0 it compares against the
-// provided snapshots and kills the flow at the first probe where it has
-// fully converged onto the baseline.
+// runFlowRound advances one flow by up to k symbols starting at pos on the
+// segment's engine and saves its context back to the State Vector Cache; a
+// flow other than the one that ran last is loaded from there first —
+// exactly an SVC context switch. In a probing round (round 0 of a segment
+// with enumeration flows) it records and returns probe snapshots for the
+// ASG flow; any other flow is compared against the provided snapshots and
+// killed at the first probe where it has fully converged onto the
+// baseline.
 func (p *Plan) runFlowRound(seg *segmentResult, f *flowRun, input []byte, e engine.Engine,
-	pos, k int, firstRound bool, asgTrace []snapshot) []snapshot {
+	pos, k int, probing bool, asgTrace []snapshot) []snapshot {
 
-	// The ASG/golden flow simulates the shared baseline (all-input states
-	// firing every cycle); enumeration flows track only their seed-derived
-	// activity — the union of the two is the flow's hardware state vector
-	// (see engine.SetBaseline). Contexts live in the segment's State
-	// Vector Cache; this load/run/save is exactly an AP flow switch.
-	ctx, _ := seg.svc.Load(f.svcID)
-	e.SetBaseline(f.asg)
-	// The scheduler-parity contract requires every modelled count to be a
-	// function of (plan, segment, input) alone, but under Auto engines the
-	// live representation depends on pool scheduling history — so skipping
-	// happens here, above the engine, representation-independently, and the
-	// engine's own baseline-skip fast path stays off. (It could never fire
-	// anyway: this loop checks Dead() before every step.)
-	e.SetBaselineSkip(false)
-	if p.Cfg.Scored {
-		engine.ResetScoredOf(e, ctx, f.scoreBuf)
-	} else {
-		e.Reset(ctx)
+	if seg.resident != f {
+		// The ASG/golden flow simulates the shared baseline (all-input
+		// states firing every cycle); enumeration flows track only their
+		// seed-derived activity — the union of the two is the flow's
+		// hardware state vector (see engine.SetBaseline).
+		ctx, _ := seg.svc.Load(f.svcID)
+		e.SetBaseline(f.asg)
+		// The scheduler-parity contract requires every modelled count to be a
+		// function of (plan, segment, input) alone, but under Auto engines the
+		// live representation depends on what the engine ran before — so
+		// skipping happens here, above the engine, representation-
+		// independently, and the engine's own baseline-skip fast path stays
+		// off. (It could never fire anyway: this loop checks Dead() before
+		// every step.)
+		e.SetBaselineSkip(false)
+		if p.Cfg.Scored {
+			engine.ResetScoredOf(e, ctx, f.scoreBuf)
+		} else {
+			e.Reset(ctx)
+		}
+		seg.resident = f
 	}
 	t0 := e.Stats().Transitions
-	emit := func(r engine.Report) { f.reports = append(f.reports, r) }
 	var trace []snapshot
 	isASG := f.asg && f.id == 0
 	probe := 0
 	scan := p.baselineSkip()
-	deadSkipOK := !firstRound && !p.Cfg.DisablePrefilter
-	baseSkipOK := !firstRound && !p.Cfg.DisableBaselineSkip
+	deadSkipOK := !probing && !p.Cfg.DisablePrefilter
+	baseSkipOK := !probing && !p.Cfg.DisableBaselineSkip
 	for i := 0; i < k; {
 		// Dead-frontier fast paths, both bit-identical to stepping: an
 		// enumeration flow (baseline off) can never revive, so the round's
 		// remainder is inert; a baseline flow can only revive on a
 		// start-class byte, which the exact class scanner finds. Every
 		// covered symbol is still charged to f.symbols, so modelled
-		// ap.Cycles are unchanged. Round 0 is excluded so the deactivation
-		// probe schedule (and its Deactivations counts) stays identical.
+		// ap.Cycles are unchanged. A probing round is excluded so the
+		// deactivation probe schedule (and its Deactivations counts) stays
+		// identical.
 		if e.Dead() {
 			if !f.asg {
 				if deadSkipOK {
@@ -467,19 +445,17 @@ func (p *Plan) runFlowRound(seg *segmentResult, f *flowRun, input []byte, e engi
 				}
 			}
 		}
-		// Rounds past the first have no probe schedule, so the whole
-		// remaining quantum can go through the engine's vectorized batch
-		// kernel in one call (identical observables; see engine.Engine).
-		if !firstRound {
-			c, _, _ := e.StepBatch(input[pos+i:pos+k], int64(pos+i), emit)
-			f.symbols += int64(c)
-			i += c
-			continue
+		// Everything goes through the engine's vectorized batch kernel
+		// (identical observables; see engine.Engine): the whole remainder
+		// without a probe schedule, up to the next probe point with one.
+		stop := k
+		if probing {
+			stop = min(k, (i/deactivationProbe+1)*deactivationProbe)
 		}
-		e.Step(input[pos+i], int64(pos+i), emit)
-		f.symbols++
-		i++
-		if i%deactivationProbe != 0 {
+		c, _, _ := e.StepBatch(input[pos+i:pos+stop], int64(pos+i), f.emit)
+		f.symbols += int64(c)
+		i += c
+		if !probing || i%deactivationProbe != 0 {
 			continue
 		}
 		if isASG {
@@ -504,9 +480,7 @@ func (p *Plan) runFlowRound(seg *segmentResult, f *flowRun, input []byte, e engi
 			}
 			if dead {
 				f.alive = false
-				seg.mu.Lock()
 				seg.Deactivations++
-				seg.mu.Unlock()
 				break
 			}
 		} else {

@@ -64,12 +64,15 @@ type execMode interface {
 	usesFIV() bool
 	// seedSegment populates the enumeration flows (seg.flows[1:]) of one
 	// segment with Index > 0; the ASG flow and the golden flow of segment 0
-	// are seeded by the mode-independent buildSegments shell.
-	seedSegment(p *Plan, seg *segmentResult, bounds []engine.Boundary)
-	// finalize runs once after every segment's round loop has joined and
-	// before report composition, on the caller's goroutine. Errors (and
-	// recovered panics) land on the offending segment's err field.
-	finalize(p *Plan, segs []*segmentResult, bounds []engine.Boundary)
+	// are seeded by the mode-independent buildSegments shell. It runs before
+	// the golden execution has necessarily started, so it reads no boundary.
+	seedSegment(p *Plan, seg *segmentResult)
+	// finalize runs once after every segment's round loop — and the golden
+	// run — has joined and before report composition, on the caller's
+	// goroutine: every segment's unit truth is established when it returns.
+	// Errors (and recovered panics) land on the offending segment's err
+	// field.
+	finalize(p *Plan, segs []*segmentResult, g *goldenRun)
 }
 
 // execMode returns the strategy implementation for the configured Mode.
@@ -87,25 +90,18 @@ func (p *Plan) fivEnabled() bool {
 }
 
 // flowMode is the paper's enumeration strategy (§3.3): one flow per packed
-// FlowSpec, truth decoded from the golden boundary before execution, false
-// flows killed in-loop by the FIV.
+// FlowSpec, false flows killed in-loop by the FIV, truth decoded from the
+// golden boundary where it is first needed — an FIV that finds a flow to
+// judge, or else finalize.
 type flowMode struct{}
 
 func (flowMode) usesFIV() bool { return true }
 
-func (flowMode) seedSegment(p *Plan, seg *segmentResult, bounds []engine.Boundary) {
+func (flowMode) seedSegment(p *Plan, seg *segmentResult) {
 	sp := p.SymbolPlanFor(seg.Sym)
-	seg.unitTrue = unitTruth(sp, bounds[seg.Index-1])
 	for fi, spec := range sp.Flows {
-		f := &flowRun{
-			id:    fi + 1,
-			alive: true,
-		}
-		seed := dropAllInput(sortedIDs(spec.Seed), p.NFA)
-		f.svcID = seg.svc.AllocOverflow(seed, fingerprintOf(seed, p.NFA))
-		if p.Cfg.Scored {
-			f.scoreBuf = entryScores(bounds[seg.Index-1], seed)
-		}
+		f := newFlowRun(fi+1, false)
+		f.svcID = seg.svc.AllocOverflow(spec.Seed, spec.fp)
 		for _, ui := range spec.Units {
 			f.attrib = append(f.attrib, attribEntry{
 				CC:   sp.Units[ui].CC,
@@ -117,8 +113,33 @@ func (flowMode) seedSegment(p *Plan, seg *segmentResult, bounds []engine.Boundar
 	}
 }
 
-// Flow mode needs no post-pass: truth was decoded before execution.
-func (flowMode) finalize(*Plan, []*segmentResult, []engine.Boundary) {}
+// finalize decodes the truth of every segment whose enumeration flows no
+// FIV judged, for compose to filter their reports by. Speculation has no
+// enumeration flows: its re-run's reports are true by construction.
+func (flowMode) finalize(p *Plan, segs []*segmentResult, g *goldenRun) {
+	if p.Cfg.Speculate {
+		return
+	}
+	for _, seg := range segs[1:] {
+		if len(seg.flows) > 1 && !p.decodeTruth(seg, g) {
+			return
+		}
+	}
+}
+
+// decodeTruth evaluates the segment's units against the golden boundary at
+// its start (unitTruth), once. It returns false when that boundary never
+// arrives (segmentResult.entry).
+func (p *Plan) decodeTruth(seg *segmentResult, g *goldenRun) bool {
+	if seg.unitTrue != nil {
+		return true
+	}
+	b, ok := seg.entry(g)
+	if ok {
+		seg.unitTrue = unitTruth(p.SymbolPlanFor(seg.Sym), b)
+	}
+	return ok
+}
 
 // sfaMode is the SFA composition strategy. Seeding groups the segment's
 // enumeration units into frontier-equivalence classes — units whose
@@ -136,7 +157,7 @@ type sfaMode struct{}
 
 func (sfaMode) usesFIV() bool { return false }
 
-func (sfaMode) seedSegment(p *Plan, seg *segmentResult, bounds []engine.Boundary) {
+func (sfaMode) seedSegment(p *Plan, seg *segmentResult) {
 	sp := p.SymbolPlanFor(seg.Sym)
 	// Truth is unknown until finalize composes the boundary mappings.
 	seg.unitTrue = make([]bool, len(sp.Units))
@@ -175,17 +196,11 @@ func (sfaMode) seedSegment(p *Plan, seg *segmentResult, bounds []engine.Boundary
 	}
 
 	for ci, c := range classes {
-		f := &flowRun{
-			id:        ci + 1,
-			alive:     true,
-			classUnit: c.units[0],
-		}
-		// Copy the seed: the SVC owns its context and the plan's unit
-		// seeds are shared across executions of the same Plan.
-		f.svcID = seg.svc.AllocOverflow(slices.Clone(c.seed), c.fp)
-		if p.Cfg.Scored {
-			f.scoreBuf = entryScores(bounds[seg.Index-1], c.seed)
-		}
+		f := newFlowRun(ci+1, false)
+		f.classUnit = c.units[0]
+		// The SVC copies the seed on allocation: the plan's unit seeds are
+		// shared across executions of the same Plan.
+		f.svcID = seg.svc.AllocOverflow(c.seed, c.fp)
 		for _, ui := range c.units {
 			f.attrib = append(f.attrib, attribEntry{
 				CC:   sp.Units[ui].CC,
@@ -205,7 +220,7 @@ func (sfaMode) seedSegment(p *Plan, seg *segmentResult, bounds []engine.Boundary
 // unitTruth applies to the golden boundary, so composition reproduces flow
 // mode's truth (and therefore its reports) exactly. Each boundary is
 // cross-checked against the golden run by fingerprint.
-func (sfaMode) finalize(p *Plan, segs []*segmentResult, bounds []engine.Boundary) {
+func (sfaMode) finalize(p *Plan, segs []*segmentResult, g *goldenRun) {
 	entry := map[nfa.StateID]struct{}{}
 	var entryIDs []nfa.StateID // sorted materialisation for the cross-check
 	for j := 1; j < len(segs); j++ {
@@ -245,8 +260,11 @@ func (sfaMode) finalize(p *Plan, segs []*segmentResult, bounds []engine.Boundary
 				entryIDs = append(entryIDs, q)
 			}
 			slices.Sort(entryIDs)
-			want := bounds[j-1].Enabled
-			if fingerprintOf(entryIDs, p.NFA) == fingerprintOf(want, p.NFA) &&
+			golden, ok := seg.entry(g)
+			if !ok {
+				return
+			}
+			if want := golden.Enabled; fingerprintOf(entryIDs, p.NFA) == fingerprintOf(want, p.NFA) &&
 				!equalContexts(entryIDs, want) {
 				seg.FPCollisions++
 			}
@@ -255,6 +273,26 @@ func (sfaMode) finalize(p *Plan, segs []*segmentResult, bounds []engine.Boundary
 			return
 		}
 	}
+}
+
+// seedScores gives every enumeration flow of a scored run its entry scores
+// from the golden boundary at the segment's start, before the segment's
+// first round. This is the one place a segment needs the golden run before
+// it can step at all, so a scored run pipelines behind the golden run. It
+// returns false when that boundary never arrives (segmentResult.entry).
+func (p *Plan) seedScores(seg *segmentResult, g *goldenRun) bool {
+	if !p.Cfg.Scored || len(seg.flows) == 1 {
+		return true
+	}
+	b, ok := seg.entry(g)
+	if !ok {
+		return false
+	}
+	for _, f := range seg.flows[1:] {
+		seed, _ := seg.svc.Load(f.svcID)
+		f.scoreBuf = entryScores(b, seed)
+	}
+	return true
 }
 
 // entryScores returns the entry-score vector for a flow seed (sorted, no

@@ -30,8 +30,13 @@ type Unit struct {
 // (§3.3.1, Figure 4), so per-CC masking attributes every report of the flow
 // to exactly one unit.
 type FlowSpec struct {
-	Units []int         // indices into SymbolPlan.Units
-	Seed  []nfa.StateID // union of unit seeds
+	Units []int // indices into SymbolPlan.Units
+	// Seed is the flow's start context: the union of its units' seeds,
+	// sorted, without the all-input states (implicit in every flow's
+	// vector). fp is its Zobrist fingerprint. Both are functions of the
+	// plan, so seeding a flow at run time is one SVC allocation.
+	Seed []nfa.StateID
+	fp   uint64
 }
 
 // SymbolPlan is the enumeration plan for one boundary symbol: the flow
@@ -66,7 +71,7 @@ type Plan struct {
 	// symMu guards symPlans: NewPlan prebuilds the plan for every boundary
 	// symbol in use, but SymbolPlanFor lazily builds plans for other symbols
 	// on demand, and a Plan is driven from many goroutines (the segment
-	// drivers and the flow pool).
+	// drivers).
 	symMu    sync.RWMutex
 	symPlans map[byte]*SymbolPlan
 
@@ -317,14 +322,10 @@ func buildSymbolPlan(n *nfa.NFA, sym byte, cfg Config) *SymbolPlan {
 	}
 
 	// Enumeration units: common-parent groups, or raw states when ablated.
-	isAll := map[nfa.StateID]bool{}
-	for _, q := range n.AllInputStates() {
-		isAll[q] = true
-	}
 	if cfg.DisableParentMerge {
 		for _, q := range rangeStates {
 			u := Unit{Seed: []nfa.StateID{q}, CC: n.CCOf(q)}
-			if !isAll[q] {
+			if !isAllInput(n, q) {
 				u.seedCheck = u.Seed
 			}
 			sp.Units = append(sp.Units, u)
@@ -333,7 +334,7 @@ func buildSymbolPlan(n *nfa.NFA, sym byte, cfg Config) *SymbolPlan {
 		for _, g := range n.ParentGroups(sym) {
 			u := Unit{Parents: g.Parents, Seed: g.Seed, CC: g.CC}
 			for _, q := range g.Seed {
-				if !isAll[q] {
+				if !isAllInput(n, q) {
 					u.seedCheck = append(u.seedCheck, q)
 				}
 			}
@@ -399,6 +400,16 @@ func buildSymbolPlan(n *nfa.NFA, sym byte, cfg Config) *SymbolPlan {
 			sp.Flows = append(sp.Flows, f)
 		}
 	}
+	for i := range sp.Flows {
+		f := &sp.Flows[i]
+		f.Seed = dropAllInput(sortedIDs(f.Seed), n)
+		f.fp = fingerprintOf(f.Seed, n)
+	}
 	sp.FlowsAfterParent = len(sp.Flows)
 	return sp
+}
+
+// isAllInput reports whether q is an always-enabled state.
+func isAllInput(n *nfa.NFA, q nfa.StateID) bool {
+	return n.State(q).Flags&nfa.AllInput != 0
 }

@@ -141,7 +141,8 @@ func Run(n *nfa.NFA, input []byte, cfg Config) (*Result, error) {
 // *Aborted together with per-segment progress. Configured faults
 // (Config.Fault) abort the same way. The final deferred recover is the
 // backstop for panics outside any segment (plan build); segment panics
-// are converted at the segment-goroutine boundary by guardSegment.
+// are converted at the segment's boundary by guardSegment, the golden
+// run's at its own by runGolden.
 //
 // tab is the caller's shared match tables for n, or nil for tables private
 // to this run. A caller that matches the same automaton repeatedly passes
@@ -176,26 +177,19 @@ func (p *Plan) Execute(input []byte) (*Result, error) {
 // cancellation contract.
 func (p *Plan) ExecuteContext(ctx context.Context, input []byte) (*Result, error) {
 	res := &Result{Plan: p, Mode: p.Cfg.Mode, IdealSpeedup: float64(p.Segments)}
-	golden, bounds, goldenPos, err := engine.RunWithBoundaries(ctx, p.NFA, input, p.Cuts, p.Cfg.Engine, p.tables,
-		engine.RunOpts{DisableBaselineSkip: p.Cfg.DisableBaselineSkip, Scored: p.Cfg.Scored})
-	if err != nil {
-		// Aborted before any segment ran: report the golden execution's
-		// own position as whole-input progress.
-		return nil, &Aborted{
-			Cause: fmt.Errorf("golden execution: %w", err),
-			Segments: []SegmentProgress{
-				{Index: 0, Start: 0, End: len(input), Pos: goldenPos},
-			},
-		}
-	}
-	res.Golden = golden
-	res.BaselineCycles = Baseline(len(input), len(golden.Reports))
 	if err := p.CheckCapacity(); err != nil {
 		res.CapacityNote = err.Error()
 	}
-
 	if p.Segments == 1 {
-		// Nothing to parallelize: PAP degenerates to the baseline.
+		// Nothing to parallelize: PAP degenerates to the baseline, on the
+		// calling goroutine (a goroutine's wake-up costs more than a short
+		// input's whole run).
+		golden, pos, err := p.sequentialRun(ctx, input, nil)
+		if err != nil {
+			return nil, abortedBeforeSegments(err, pos, len(input))
+		}
+		res.Golden = golden
+		res.BaselineCycles = Baseline(len(input), len(golden.Reports))
 		res.Reports = engine.DedupeReports(append([]engine.Report(nil), golden.Reports...))
 		res.Correct = true
 		res.BestScore, _ = engine.BestReportScore(res.Reports)
@@ -207,34 +201,45 @@ func (p *Plan) ExecuteContext(ctx context.Context, input []byte) (*Result, error
 		return res, nil
 	}
 
-	segs := p.buildSegments(input, bounds)
+	// The golden execution (§5.1) runs beside the segments when the
+	// parallel scheduler has a helper to drive them meanwhile
+	// (executeParallel); with one worker, or under the serial scheduler,
+	// there is no one to run beside and it runs first, here.
+	g := newGoldenRun(len(p.Cuts))
+	if p.Cfg.Workers == 1 || !p.Cfg.SegmentParallel {
+		if p.runGolden(ctx, g, input); g.err != nil {
+			return nil, abortedBeforeSegments(g.err, g.pos, len(input))
+		}
+	}
+
+	segs := p.buildSegments(input)
 
 	// Execute the segments, chaining truth through the timeline (§3.4,
 	// Figure 6): each segment's state-vector transfer and event scan start
 	// when it finishes and overlap everything else; only the
 	// truth-propagation step chains serially. The FIV for segment j+1
-	// departs as soon as segment j's truth is known. Both schedulers share
-	// one bounded flow pool and produce bit-identical modelled metrics; the
+	// departs as soon as segment j's truth is known. Both schedulers run
+	// one round loop and produce bit-identical modelled metrics; the
 	// parallel one (sched.go, the default) also overlaps the segments'
 	// wall-clock simulation the way the hardware overlaps its half-cores.
-	pool := p.newFlowPool(p.Cfg.Workers)
-	defer pool.close() // always drained, even on abort: no worker leaks
 	if p.Cfg.SegmentParallel {
-		p.executeParallel(ctx, segs, input, bounds, pool)
+		p.executeParallel(ctx, segs, input, g)
 	} else {
-		p.executeSerial(ctx, segs, input, bounds, pool)
+		p.executeSerial(ctx, segs, input, g)
 	}
-	if err := abortError(segs, ctx.Err()); err != nil {
+	if err := abortError(g.err, segs, ctx.Err()); err != nil {
 		return nil, err
 	}
-	// Mode post-pass: SFA composes the per-segment entry→exit mappings
-	// left-to-right here, establishing every segment's unit truth before
-	// report composition (a no-op in flow mode, where truth was decoded
-	// from the golden boundaries before execution).
-	p.execMode().finalize(p, segs, bounds)
-	if err := abortError(segs, ctx.Err()); err != nil {
+	// Mode post-pass, with every segment and the golden run joined: flow
+	// mode decodes the unit truth no FIV needed earlier, SFA composes the
+	// per-segment entry→exit mappings left-to-right — either way every
+	// segment's unit truth stands before report composition.
+	p.execMode().finalize(p, segs, g)
+	if err := abortError(g.err, segs, ctx.Err()); err != nil {
 		return nil, err
 	}
+	res.Golden = g.res
+	res.BaselineCycles = Baseline(len(input), len(g.res.Reports))
 	res.RawTotalCycles = segs[len(segs)-1].KnownAt
 	res.TotalCycles = res.RawTotalCycles
 	if res.TotalCycles > res.BaselineCycles {
@@ -254,10 +259,11 @@ func (p *Plan) ExecuteContext(ctx context.Context, input []byte) (*Result, error
 // buildSegments constructs the runtime flows of every segment: segment 0
 // gets the golden flow (true start states known); segments j>0 get the ASG
 // flow plus the execution mode's enumeration flows — one per FlowSpec of
-// the boundary symbol's plan in flow mode (with unit truth decoded from
-// the golden boundary), one per frontier-equivalence class in SFA mode
-// (truth left to boundary composition).
-func (p *Plan) buildSegments(input []byte, bounds []engine.Boundary) []*segmentResult {
+// the boundary symbol's plan in flow mode, one per frontier-equivalence
+// class in SFA mode. Nothing here reads the golden run: what a segment
+// takes from its start boundary (unit truth, entry scores) it takes when
+// it first needs it.
+func (p *Plan) buildSegments(input []byte) []*segmentResult {
 	mode := p.execMode()
 	segs := make([]*segmentResult, p.Segments)
 	for j := 0; j < p.Segments; j++ {
@@ -274,38 +280,23 @@ func (p *Plan) buildSegments(input []byte, bounds []engine.Boundary) []*segmentR
 			End:   end,
 			svc:   ap.NewSVC(p.Placement.Devices),
 		}
+		segs[j] = seg
+		base := newFlowRun(0, true) // golden flow of segment 0, ASG flow elsewhere
+		base.attrib = []attribEntry{{CC: -1, Unit: -1, From: int64(start)}}
+		seg.flows = []*flowRun{base}
+		seg.InitFlows = 1
 		if j == 0 {
-			golden := &flowRun{
-				id:     0,
-				asg:    true,
-				alive:  true,
-				attrib: []attribEntry{{CC: -1, Unit: -1, From: 0}},
-			}
 			seed := dropAllInput(sortedIDs(p.NFA.StartStates()), p.NFA)
-			golden.svcID = seg.svc.AllocOverflow(seed, fingerprintOf(seed, p.NFA))
-			seg.flows = []*flowRun{golden}
-			seg.InitFlows = 1
-			segs[j] = seg
+			base.svcID = seg.svc.AllocOverflow(seed, fingerprintOf(seed, p.NFA))
 			continue
 		}
 		seg.Sym = input[start-1]
-		asg := &flowRun{
-			id:     0,
-			asg:    true,
-			alive:  true,
-			attrib: []attribEntry{{CC: -1, Unit: -1, From: int64(start)}},
-		}
-		asg.svcID = seg.svc.AllocOverflow(nil, 0)
-		seg.flows = append(seg.flows, asg)
+		base.svcID = seg.svc.AllocOverflow(nil, 0)
 		if p.Cfg.Speculate {
-			// Speculation: predict an idle boundary; no enumeration flows.
-			seg.InitFlows = 1
-			segs[j] = seg
-			continue
+			continue // predict an idle boundary: no enumeration flows
 		}
-		mode.seedSegment(p, seg, bounds)
+		mode.seedSegment(p, seg)
 		seg.InitFlows = len(seg.flows)
-		segs[j] = seg
 	}
 	return segs
 }
@@ -381,14 +372,10 @@ func fingerprintOf(seed []nfa.StateID, n *nfa.NFA) uint64 {
 // dropAllInput removes always-enabled states (and duplicates) from a
 // sorted seed: they are implicit in every flow's vector.
 func dropAllInput(sorted []nfa.StateID, n *nfa.NFA) []nfa.StateID {
-	isAll := make(map[nfa.StateID]bool, len(n.AllInputStates()))
-	for _, q := range n.AllInputStates() {
-		isAll[q] = true
-	}
 	out := sorted[:0]
 	var prev nfa.StateID = -1
 	for _, q := range sorted {
-		if !isAll[q] && q != prev {
+		if !isAllInput(n, q) && q != prev {
 			out = append(out, q)
 			prev = q
 		}

@@ -1,22 +1,32 @@
 package core
 
 import (
+	"bytes"
+	"context"
 	"fmt"
+	"math"
 	"math/rand"
+	"os"
 	"reflect"
+	"runtime"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"pap/internal/ap"
 	"pap/internal/engine"
+	"pap/internal/faultinject"
 	"pap/internal/nfa"
 	"pap/internal/regex"
 )
 
 // stripEngineSwitches zeroes the only scheduler-dependent metric: adaptive
-// representation switches depend on which pool worker (and thus which
-// engine instance, with its hysteresis state) picks up each flow round —
-// already nondeterministic with Workers > 1 before this scheduler existed.
+// representation switches depend on the hysteresis state of the engine a
+// segment runs on, and the engine is its driver's — fresh, or left behind
+// by whichever earlier segments that driver ran (all of them, under the
+// serial scheduler).
 func stripEngineSwitches(r *Result) {
 	r.EngineSwitches = 0
 	for i := range r.Segments {
@@ -97,17 +107,21 @@ func runBoth(t *testing.T, tag string, n *nfa.NFA, input []byte, cfg Config) {
 	}
 }
 
-func TestSchedulerParityPatterns(t *testing.T) {
+// patternCase is the small ruleset and input shared by the pattern-level
+// parity tests.
+func patternCase(t *testing.T) (*nfa.NFA, []byte) {
 	n := mustCompile(t, "abc", "abd", "a.c", "xyz+")
 	rng := rand.New(rand.NewSource(42))
-	input := genInput(rng, 1<<15, []string{"abc", "abd", "xyz"})
+	return n, genInput(rng, 1<<15, []string{"abc", "abd", "xyz"})
+}
 
-	variants := []struct {
-		name   string
-		mutate func(*Config)
-	}{
+func TestSchedulerParityPatterns(t *testing.T) {
+	n, input := patternCase(t)
+	variants := []configVariant{
 		{"default", func(*Config) {}},
 		{"workers1", func(c *Config) { c.Workers = 1 }},
+		{"workers2", func(c *Config) { c.Workers = 2 }}, // the golden run and one driver
+		{"workers3", func(c *Config) { c.Workers = 3 }},
 		{"workers8", func(c *Config) { c.Workers = 8 }},
 		{"quantum8", func(c *Config) { c.TDMQuantum = 8 }},
 		{"speculate", func(c *Config) { c.Speculate = true }},
@@ -125,6 +139,24 @@ func TestSchedulerParityPatterns(t *testing.T) {
 	}
 }
 
+// randomParityCase draws one random automaton, input and configuration.
+func randomParityCase(rng *rand.Rand) (*nfa.NFA, []byte, Config) {
+	n := randomNFA(rng, 4+rng.Intn(24))
+	input := make([]byte, 512+rng.Intn(1<<14))
+	alpha := []byte("abcd")
+	for i := range input {
+		input[i] = alpha[rng.Intn(len(alpha))]
+	}
+	cfg := testConfig(1 + rng.Intn(4))
+	cfg.Workers = 1 + rng.Intn(4)
+	cfg.TDMQuantum = 8 << rng.Intn(4)
+	cfg.ConvergenceEvery = 1 + rng.Intn(12)
+	cfg.Speculate = rng.Intn(4) == 0
+	cfg.DisableFIV = rng.Intn(5) == 0
+	cfg.AbsorbDeactivation = rng.Intn(4) != 0
+	return n, input, cfg
+}
+
 func TestSchedulerParityRandom(t *testing.T) {
 	trials := 60
 	if testing.Short() {
@@ -132,19 +164,7 @@ func TestSchedulerParityRandom(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < trials; trial++ {
-		n := randomNFA(rng, 4+rng.Intn(24))
-		input := make([]byte, 512+rng.Intn(1<<14))
-		alpha := []byte("abcd")
-		for i := range input {
-			input[i] = alpha[rng.Intn(len(alpha))]
-		}
-		cfg := testConfig(1 + rng.Intn(4))
-		cfg.Workers = 1 + rng.Intn(4)
-		cfg.TDMQuantum = 8 << rng.Intn(4)
-		cfg.ConvergenceEvery = 1 + rng.Intn(12)
-		cfg.Speculate = rng.Intn(4) == 0
-		cfg.DisableFIV = rng.Intn(5) == 0
-		cfg.AbsorbDeactivation = rng.Intn(4) != 0
+		n, input, cfg := randomParityCase(rng)
 		runBoth(t, fmt.Sprintf("trial-%d", trial), n, input, cfg)
 	}
 }
@@ -174,12 +194,15 @@ func wideNFA(rng *rand.Rand) *nfa.NFA {
 	return b.MustBuild()
 }
 
-// TestSchedulerParityWide runs the scheduler-parity check on the automaton
-// shape where the default engine switches representation mid-run (every
-// other automaton in this suite is a word or two wide, where Auto is the
-// bit engine outright), with the cut forced onto the hot symbol so the
-// flows, not only the golden run, cross the thresholds.
-func TestSchedulerParityWide(t *testing.T) {
+// configVariant is one named edit of a test configuration.
+type configVariant struct {
+	name   string
+	mutate func(*Config)
+}
+
+// wideCase is the automaton and input of TestSchedulerParityWide: runs of
+// the hot symbol between longer quiet runs.
+func wideCase() (*nfa.NFA, []byte) {
 	rng := rand.New(rand.NewSource(23))
 	n := wideNFA(rng)
 	input := make([]byte, 1<<13)
@@ -193,15 +216,24 @@ func TestSchedulerParityWide(t *testing.T) {
 			i++
 		}
 	}
-	for _, v := range []struct {
-		name   string
-		mutate func(*Config)
-	}{
-		{"default", func(*Config) {}},
-		{"cut-a", func(c *Config) { c.CutSymbol = 'a' }},
-		{"cut-a-quantum8-speculate", func(c *Config) { c.CutSymbol, c.TDMQuantum, c.Speculate = 'a', 8, true }},
-		{"cut-a-sfa", func(c *Config) { c.CutSymbol, c.Mode = 'a', ModeSFA }},
-	} {
+	return n, input
+}
+
+var wideVariants = []configVariant{
+	{"default", func(*Config) {}},
+	{"cut-a", func(c *Config) { c.CutSymbol = 'a' }},
+	{"cut-a-quantum8-speculate", func(c *Config) { c.CutSymbol, c.TDMQuantum, c.Speculate = 'a', 8, true }},
+	{"cut-a-sfa", func(c *Config) { c.CutSymbol, c.Mode = 'a', ModeSFA }},
+}
+
+// TestSchedulerParityWide runs the scheduler-parity check on the automaton
+// shape where the default engine switches representation mid-run (every
+// other automaton in this suite is a word or two wide, where Auto is the
+// bit engine outright), with the cut forced onto the hot symbol so the
+// flows, not only the golden run, cross the thresholds.
+func TestSchedulerParityWide(t *testing.T) {
+	n, input := wideCase()
+	for _, v := range wideVariants {
 		cfg := testConfig(4)
 		v.mutate(&cfg)
 		res, err := Run(n, input, cfg)
@@ -212,6 +244,110 @@ func TestSchedulerParityWide(t *testing.T) {
 			t.Errorf("%s: no engine switched representation; the wide shape no longer exercises the adaptive engine", v.name)
 		}
 		runBoth(t, v.name, n, input, cfg)
+	}
+}
+
+// stretchBoth is the stretch ≡ single-round check: under either scheduler,
+// the run that takes a sole live flow through stretches of rounds must
+// agree, field for field, with the same run under a fault hook that injects
+// nothing — any hook makes the round loop take one quantum per trip, so
+// the hooked run is the single-round reference. It returns the unhooked
+// parallel result.
+func stretchBoth(t *testing.T, tag string, n *nfa.NFA, input []byte, cfg Config) *Result {
+	t.Helper()
+	var res *Result
+	for _, parallel := range []bool{false, true} {
+		cfg.SegmentParallel = parallel
+		cfg.Fault = nil
+		stretched, err := Run(n, input, cfg)
+		if err != nil {
+			t.Fatalf("%s: parallel=%v: %v", tag, parallel, err)
+		}
+		cfg.Fault = func(faultinject.Point) error { return nil }
+		single, err := Run(n, input, cfg)
+		if err != nil {
+			t.Fatalf("%s: parallel=%v, hooked: %v", tag, parallel, err)
+		}
+		stripEngineSwitches(stretched)
+		stripEngineSwitches(single)
+		if d := diffResults(single, stretched); d != "" {
+			t.Fatalf("%s: parallel=%v: single rounds and stretches diverge: %s", tag, parallel, d)
+		}
+		if err := stretched.CheckCorrect(); err != nil {
+			t.Fatalf("%s: parallel=%v: %v", tag, parallel, err)
+		}
+		res = stretched
+	}
+	return res
+}
+
+// TestStretchParity runs stretchBoth over the generators of the scheduler
+// parity tests, a speculative and a scored configuration, and a segment
+// built to go sole-flow mid-way.
+func TestStretchParity(t *testing.T) {
+	trials := 40
+	if testing.Short() {
+		trials = 10
+	}
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < trials; trial++ {
+		n, input, cfg := randomParityCase(rng)
+		stretchBoth(t, fmt.Sprintf("random-%d", trial), n, input, cfg)
+	}
+
+	n, input := wideCase()
+	for _, v := range wideVariants {
+		cfg := testConfig(4)
+		v.mutate(&cfg)
+		stretchBoth(t, "wide-"+v.name, n, input, cfg)
+	}
+
+	n, input = patternCase(t)
+	for _, v := range sfaVariants {
+		cfg := testConfig(4)
+		cfg.Mode = ModeSFA
+		v.mutate(&cfg)
+		stretchBoth(t, "sfa-"+v.name, n, input, cfg)
+	}
+	for _, v := range []configVariant{
+		{"speculate", func(c *Config) { c.Speculate = true }},
+		{"scored", func(c *Config) { c.Scored = true }},
+		{"scored-sfa", func(c *Config) { c.Scored, c.Mode = true, ModeSFA }},
+		{"scored-speculate", func(c *Config) { c.Scored, c.Speculate = true, true }},
+	} {
+		cfg := testConfig(4)
+		v.mutate(&cfg)
+		stretchBoth(t, v.name, n, input, cfg)
+	}
+
+	// A segment that goes sole-flow only after a deactivation mid-segment,
+	// of a length the quantum does not divide: every cut falls behind an X
+	// that 200 a's follow, so the one enumeration flow ("a+ is live") is
+	// true, survives three sweeps, and dies in round 3 of 17; the rest of
+	// the segment is one stretch of 13 rounds, the last of them 13 symbols.
+	const segLen = 16*64 + 13
+	n = mustCompile(t, "Xa+b", "zzb")
+	input = bytes.Repeat([]byte{'z'}, 4*segLen)
+	for j := 1; j < 4; j++ {
+		copy(input[j*segLen-1:], "X"+strings.Repeat("a", 200)+"b")
+	}
+	for _, v := range []configVariant{
+		{"flows", func(*Config) {}},
+		{"sfa", func(c *Config) { c.Mode = ModeSFA }},
+		{"scored", func(c *Config) { c.Scored = true }},
+	} {
+		cfg := testConfig(1)
+		cfg.MaxSegments, cfg.CutSymbol = 4, 'X'
+		v.mutate(&cfg)
+		res := stretchBoth(t, "mid-deactivation-"+v.name, n, input, cfg)
+		for _, seg := range res.Segments[1:] {
+			// Rounds the enumeration flow was alive at the start of.
+			enumRounds := int(math.Round(seg.AvgFlows*float64(seg.Rounds))) - seg.Rounds
+			if seg.End-seg.Start != segLen || seg.Rounds != 17 || seg.InitFlows != 2 ||
+				seg.Deactivations != 1 || enumRounds != 4 {
+				t.Fatalf("mid-deactivation-%s: segment %d is not the shape this case is for: %+v", v.name, seg.Index, seg)
+			}
+		}
 	}
 }
 
@@ -269,6 +405,13 @@ func TestSymbolPlanForConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
+// runSegment drives one hand-built segment through the round loop on an
+// engine of its own, with an FIV that never arrives and hence no golden
+// run to read.
+func (p *Plan) runSegment(seg *segmentResult, input []byte) {
+	p.runSegmentRounds(context.Background(), seg, input, p.newEngine(), nil, serialFIV{maxCycles})
+}
+
 // TestRunSegmentZeroRounds is the NaN regression: a degenerate segment with
 // Start == End runs zero rounds, and the baseline-duplication factor
 // FlowRounds/Rounds used to be 0/0 = NaN, silently poisoning Transitions
@@ -281,10 +424,10 @@ func TestRunSegmentZeroRounds(t *testing.T) {
 		t.Fatal(err)
 	}
 	seg := &segmentResult{Index: 1, Start: 5, End: 5, svc: ap.NewSVC(1)}
-	asg := &flowRun{id: 0, asg: true, alive: true}
+	asg := newFlowRun(0, true)
 	asg.svcID = seg.svc.AllocOverflow(nil, 0)
 	seg.flows = []*flowRun{asg}
-	p.runSegment(seg, input, maxCycles)
+	p.runSegment(seg, input)
 	if seg.Rounds != 0 {
 		t.Fatalf("Rounds = %d, want 0", seg.Rounds)
 	}
@@ -296,11 +439,76 @@ func TestRunSegmentZeroRounds(t *testing.T) {
 	}
 }
 
+// TestWorkersBoundsGoroutines pins what Config.Workers means under the
+// parallel scheduler: at most that many goroutines simulate a run, the
+// calling one among them — so one worker starts none. The hook fires on
+// whichever goroutine is simulating and counts the goroutines alive then.
+func TestWorkersBoundsGoroutines(t *testing.T) {
+	n := mustCompile(t, "abc", "abd", "xyz")
+	input := genInput(rand.New(rand.NewSource(23)), 1<<14, []string{"abc", "xyz"})
+	for _, workers := range []int{1, 2, 3} {
+		cfg := DefaultConfig(1)
+		cfg.MaxSegments = 8
+		cfg.Workers = workers
+		var peak atomic.Int64
+		cfg.Fault = func(faultinject.Point) error {
+			alive := int64(runtime.NumGoroutine())
+			for old := peak.Load(); alive > old && !peak.CompareAndSwap(old, alive); old = peak.Load() {
+			}
+			return nil
+		}
+		baseline := runtime.NumGoroutine()
+		if _, err := Run(n, input, cfg); err != nil {
+			t.Fatal(err)
+		}
+		if beside := int(peak.Load()) - baseline; beside > workers-1 {
+			t.Errorf("Workers = %d: %d goroutines beside the caller, want at most %d", workers, beside, workers-1)
+		}
+	}
+}
+
+// TestSegmentedExecutionGuard is the regression guard on what segmenting
+// costs the host: on a quiet 1 MiB input a 16-segment Execute must reach
+// 0.3x the throughput of the one-segment Execute, which is the golden run
+// alone. The segments redo the baseline the golden run also steps, so one
+// core can reach 0.5x at best and two about 1x; with a goroutine hand-off
+// per flow-round it is 0.2x. Relative, hence hardware-independent; gated
+// behind PAP_BENCH_GUARD=1 because timing asserts don't belong in the
+// default -race matrix.
+func TestSegmentedExecutionGuard(t *testing.T) {
+	if os.Getenv("PAP_BENCH_GUARD") == "" {
+		t.Skip("set PAP_BENCH_GUARD=1 to run the segmented-execution regression guard")
+	}
+	one, input := quietPlan(t, 1<<20, 1)
+	sixteen, _ := quietPlan(t, 1<<20, 16)
+	// Best of interleaved rounds, after one untimed pass each: the minimum
+	// is the least noisy estimator of the achievable cost.
+	best := [2]time.Duration{}
+	for r := -1; r < 8; r++ {
+		for i, p := range []*Plan{one, sixteen} {
+			start := time.Now()
+			if res, err := p.Execute(input); err != nil || !res.Correct {
+				t.Fatalf("Execute: %v", err)
+			}
+			if d := time.Since(start); r >= 0 && (best[i] == 0 || d < best[i]) {
+				best[i] = d
+			}
+		}
+	}
+	ratio := float64(best[0]) / float64(best[1])
+	t.Logf("quiet 1 MiB: 1 segment %v, 16 segments %v, ratio %.2fx", best[0], best[1], ratio)
+	if ratio < 0.3 {
+		t.Fatalf("16-segment Execute runs at %.2fx the one-segment Execute, below the 0.3x floor (%v vs %v)",
+			ratio, best[1], best[0])
+	}
+}
+
 // BenchmarkExecuteSegments compares the serial and parallel cross-segment
 // schedulers on a multi-segment plan. The parallel win scales with real
-// cores (each segment goroutine feeds the shared pool); on a single-core
-// host the two are expected to tie, since total simulation work is equal by
-// construction (modelled metrics are bit-identical).
+// cores (each segment driver, and the golden run beside them, is a
+// goroutine of its own); on a single-core host the serial scheduler is
+// expected to win by the goroutine hand-offs, since total simulation work
+// is equal by construction (modelled metrics are bit-identical).
 func BenchmarkExecuteSegments(b *testing.B) {
 	n, err := regex.CompilePatterns("bench", []string{"abc", "abd", "a.c", "xyz+"})
 	if err != nil {
@@ -308,7 +516,7 @@ func BenchmarkExecuteSegments(b *testing.B) {
 	}
 	rng := rand.New(rand.NewSource(9))
 	input := genInput(rng, 1<<18, []string{"abc", "abd", "xyz"})
-	for _, segments := range []int{4, 8} {
+	for _, segments := range []int{4, 8, 16} {
 		for _, mode := range []struct {
 			name     string
 			parallel bool

@@ -129,25 +129,24 @@ func TestSFAModeMatchesFlowMode(t *testing.T) {
 // flow mode (the composition pass runs after the scheduler joins, so it
 // cannot observe interleaving).
 func TestSFASchedulerParity(t *testing.T) {
-	n := mustCompile(t, "abc", "abd", "a.c", "xyz+")
-	rng := rand.New(rand.NewSource(42))
-	input := genInput(rng, 1<<15, []string{"abc", "abd", "xyz"})
-	for _, v := range []struct {
-		name   string
-		mutate func(*Config)
-	}{
-		{"default", func(*Config) {}},
-		{"workers1", func(c *Config) { c.Workers = 1 }},
-		{"quantum8", func(c *Config) { c.TDMQuantum = 8 }},
-		{"no-convergence", func(c *Config) { c.DisableConvergence = true }},
-		{"no-absorb", func(c *Config) { c.AbsorbDeactivation = false }},
-		{"bit-engine", func(c *Config) { c.Engine = engine.BitKind }},
-	} {
+	n, input := patternCase(t)
+	for _, v := range sfaVariants {
 		cfg := testConfig(4)
 		cfg.Mode = ModeSFA
 		v.mutate(&cfg)
 		runBoth(t, "sfa-"+v.name, n, input, cfg)
 	}
+}
+
+var sfaVariants = []configVariant{
+	{"default", func(*Config) {}},
+	{"workers1", func(c *Config) { c.Workers = 1 }},
+	{"workers2", func(c *Config) { c.Workers = 2 }}, // the golden run and one driver
+	{"workers3", func(c *Config) { c.Workers = 3 }},
+	{"quantum8", func(c *Config) { c.TDMQuantum = 8 }},
+	{"no-convergence", func(c *Config) { c.DisableConvergence = true }},
+	{"no-absorb", func(c *Config) { c.AbsorbDeactivation = false }},
+	{"bit-engine", func(c *Config) { c.Engine = engine.BitKind }},
 }
 
 // TestSFASingleSegmentIdentity: a single-segment plan never composes —
@@ -219,11 +218,11 @@ func TestSFAZeroLengthSegment(t *testing.T) {
 		t.Fatal(err)
 	}
 	seg := &segmentResult{Index: 1, Start: 5, End: 5, Sym: input[4], svc: ap.NewSVC(1)}
-	asg := &flowRun{id: 0, asg: true, alive: true}
+	asg := newFlowRun(0, true)
 	asg.svcID = seg.svc.AllocOverflow(nil, 0)
 	seg.flows = []*flowRun{asg}
-	p.execMode().seedSegment(p, seg, nil)
-	p.runSegment(seg, input, maxCycles)
+	p.execMode().seedSegment(p, seg)
+	p.runSegment(seg, input)
 	if seg.Rounds != 0 {
 		t.Fatalf("Rounds = %d, want 0", seg.Rounds)
 	}

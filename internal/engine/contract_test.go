@@ -224,7 +224,7 @@ func TestEngineContract(t *testing.T) {
 					cuts := conformance.CutsFor(len(c.Input), k)
 					at := fmt.Sprintf("seed %d, %d cuts", c.Seed, len(cuts))
 					cut, bounds, pos, err := engine.RunWithBoundaries(context.Background(),
-						c.NFA, c.Input, cuts, kind, tab, engine.RunOpts{})
+						c.NFA, c.Input, cuts, kind, tab, engine.RunOpts{}, nil)
 					if err != nil || pos != len(c.Input) || len(bounds) != len(cuts) {
 						t.Fatalf("%s: pos %d of %d, %d boundaries, err %v", at, pos, len(c.Input), len(bounds), err)
 					}

@@ -2,6 +2,8 @@ package engine
 
 import (
 	"context"
+	"errors"
+	"slices"
 	"testing"
 
 	"pap/internal/nfa"
@@ -38,7 +40,7 @@ func TestRunEdgeInputs(t *testing.T) {
 			if len(res.Reports) != 0 || res.Transitions != 0 {
 				t.Errorf("%s/%s: empty input produced %+v", name, kind, res)
 			}
-			res, bounds, _, _ := RunWithBoundaries(context.Background(), n, []byte("a"), nil, kind, nil, RunOpts{})
+			res, bounds, _, _ := RunWithBoundaries(context.Background(), n, []byte("a"), nil, kind, nil, RunOpts{}, nil)
 			if len(bounds) != 0 {
 				t.Errorf("%s/%s: boundaries on cut-free run: %+v", name, kind, bounds)
 			}
@@ -91,9 +93,27 @@ func TestBoundaryAtEveryPosition(t *testing.T) {
 
 	input := []byte("ababa")
 	cuts := []int{1, 2, 3, 4}
-	res, bounds, _, _ := RunWithBoundaries(context.Background(), n, input, cuts, Auto, nil, RunOpts{})
+	// onCut sees every boundary as the run passes it, in cut order.
+	var seen []int
+	res, bounds, _, _ := RunWithBoundaries(context.Background(), n, input, cuts, Auto, nil, RunOpts{},
+		func(b Boundary) error { seen = append(seen, b.Pos); return nil })
 	if len(bounds) != len(cuts) {
 		t.Fatalf("%d boundaries, want %d", len(bounds), len(cuts))
+	}
+	if !slices.Equal(seen, cuts) {
+		t.Fatalf("onCut saw cuts %v, want %v", seen, cuts)
+	}
+	// An error from onCut stops the run at that cut.
+	stop := errors.New("stop")
+	_, short, pos, err := RunWithBoundaries(context.Background(), n, input, cuts, Auto, nil, RunOpts{},
+		func(b Boundary) error {
+			if b.Pos == 2 {
+				return stop
+			}
+			return nil
+		})
+	if err != stop || pos != 2 || len(short) != 2 {
+		t.Fatalf("stopped run: err %v, pos %d, %d boundaries; want the stop error at 2 with 2", err, pos, len(short))
 	}
 	// Resume from each boundary and finish the input; the tail reports must
 	// match the golden run's tail.

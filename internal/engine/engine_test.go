@@ -154,7 +154,7 @@ func TestTransitionsCounted(t *testing.T) {
 func TestRunWithBoundaries(t *testing.T) {
 	n := buildABC()
 	input := []byte("abcabc")
-	res, bounds, _, _ := RunWithBoundaries(context.Background(), n, input, []int{3}, Auto, nil, RunOpts{})
+	res, bounds, _, _ := RunWithBoundaries(context.Background(), n, input, []int{3}, Auto, nil, RunOpts{}, nil)
 	if len(res.Reports) != 2 {
 		t.Fatalf("reports = %+v", res.Reports)
 	}

@@ -9,10 +9,11 @@ import (
 	"pap/internal/prefilter"
 )
 
-// ctxCheckEvery is the symbol interval between context polls in the run
+// CtxCheckEvery is the symbol interval between context polls in the run
 // loop: frequent enough that even slow automata notice a deadline within
 // microseconds, rare enough to keep the poll off the hot per-symbol path.
-const ctxCheckEvery = 4096
+// core's segment drivers go no further than this between their own polls.
+const CtxCheckEvery = 4096
 
 // Result summarises one sequential execution.
 type Result struct {
@@ -102,19 +103,19 @@ func Run(n *nfa.NFA, input []byte) Result {
 // automaton's prefilter instead of stepped; Result.PrefilterSkipped counts
 // the bytes skipped.
 func RunEngineOpts(n *nfa.NFA, input []byte, kind Kind, tab *Tables, opts RunOpts) Result {
-	res, _, _, _ := run(context.Background(), n, input, nil, kind, tab, opts)
+	res, _, _, _ := run(context.Background(), n, input, nil, kind, tab, opts, nil)
 	return res
 }
 
 // RunContext is RunEngineOpts with cooperative cancellation: ctx.Err() is
-// polled every ctxCheckEvery symbols, so the per-symbol inner loop stays
+// polled every CtxCheckEvery symbols, so the per-symbol inner loop stays
 // check-free. On cancellation it returns ctx's error together with the
 // partial result and the number of symbols processed before the poll
 // observed the cancellation. Prefilter skips jump over poll offsets without
 // checking — a skip consumes input at scan speed, so cancellation latency
 // stays bounded by the stepped stretches between candidates.
 func RunContext(ctx context.Context, n *nfa.NFA, input []byte, kind Kind, tab *Tables, opts RunOpts) (Result, int, error) {
-	res, _, pos, err := run(ctx, n, input, nil, kind, tab, opts)
+	res, _, pos, err := run(ctx, n, input, nil, kind, tab, opts, nil)
 	return res, pos, err
 }
 
@@ -136,8 +137,14 @@ type Boundary struct {
 // at each cut position. cuts must be strictly increasing, in
 // (0, len(input)). Boundary runs feed the modelled-cycle metrics, so opts
 // must leave LiteralPrefilter off.
-func RunWithBoundaries(ctx context.Context, n *nfa.NFA, input []byte, cuts []int, kind Kind, tab *Tables, opts RunOpts) (Result, []Boundary, int, error) {
-	return run(ctx, n, input, cuts, kind, tab, opts)
+//
+// onCut, when non-nil, is handed each Boundary as the run passes its cut —
+// on the run's goroutine, before the next symbol — so that a consumer on
+// another goroutine can work behind the run instead of after it. An error
+// from onCut stops the run there and is returned with the position.
+func RunWithBoundaries(ctx context.Context, n *nfa.NFA, input []byte, cuts []int, kind Kind, tab *Tables, opts RunOpts,
+	onCut func(Boundary) error) (Result, []Boundary, int, error) {
+	return run(ctx, n, input, cuts, kind, tab, opts, onCut)
 }
 
 // run is the one sequential loop behind every Run* entry point: skip a
@@ -151,7 +158,8 @@ func RunWithBoundaries(ctx context.Context, n *nfa.NFA, input []byte, cuts []int
 // (in a skipped region both are provably empty). Engine-internal baseline
 // skips stay inside the window — they are clamped by the slice. Without
 // cuts nothing is clamped.
-func run(ctx context.Context, n *nfa.NFA, input []byte, cuts []int, kind Kind, tab *Tables, opts RunOpts) (Result, []Boundary, int, error) {
+func run(ctx context.Context, n *nfa.NFA, input []byte, cuts []int, kind Kind, tab *Tables, opts RunOpts,
+	onCut func(Boundary) error) (Result, []Boundary, int, error) {
 	e, pf := NewWithOpts(kind, n, tab, opts)
 	literal := opts.LiteralPrefilter && !opts.Scored
 	var res Result
@@ -184,7 +192,7 @@ func run(ctx context.Context, n *nfa.NFA, input []byte, cuts []int, kind Kind, t
 			if err = ctx.Err(); err != nil {
 				break
 			}
-			nextPoll = pos + ctxCheckEvery
+			nextPoll = pos + CtxCheckEvery
 		}
 		if pos < hi {
 			c, sum, peak := e.StepBatch(input[pos:hi], int64(pos), emit)
@@ -207,6 +215,11 @@ func run(ctx context.Context, n *nfa.NFA, input []byte, cuts []int, kind Kind, t
 			b.Scores = AppendScoresOf(e, b.Enabled, nil)
 		}
 		bounds = append(bounds, b)
+		if onCut != nil {
+			if err = onCut(b); err != nil {
+				break
+			}
+		}
 	}
 	res.Stats = e.Stats()
 	res.BestScore, _ = BestReportScore(res.Reports)

@@ -1,8 +1,8 @@
 // Package faultinject is the deterministic chaos layer of the execution
 // pipeline: a seedable set of faults — delays, failures, panics — armed at
 // specific pipeline points (plan build, round boundaries, FIV transfers,
-// truth publication, SFA boundary composition) and injected into
-// internal/core via Config.Fault.
+// truth publication, SFA boundary composition, the golden run's cuts) and
+// injected into internal/core via Config.Fault.
 //
 // Everything is deterministic in *modelled* execution: a fault fires at a
 // (stage, segment, round) coordinate, never at a wall-clock time, so the
@@ -40,11 +40,16 @@ const (
 	// composed segment (the segment whose unit truth is being derived),
 	// with Round -1. Flow-mode runs never reach it.
 	SFACompose
+	// GoldenBoundary fires each time the golden execution passes a cut,
+	// before the boundary is published to the segments — on the golden
+	// run's goroutine when it runs beside them. Segment is the segment
+	// starting at the cut (so never 0), Round is -1.
+	GoldenBoundary
 
 	numStages
 )
 
-var stageNames = [...]string{"plan-build", "round-step", "fiv-transfer", "truth-publish", "sfa-compose"}
+var stageNames = [...]string{"plan-build", "round-step", "fiv-transfer", "truth-publish", "sfa-compose", "golden-boundary"}
 
 func (s Stage) String() string {
 	if int(s) < len(stageNames) {
@@ -93,7 +98,8 @@ func (p Point) String() string {
 
 // Hook is the callback internal/core fires at every instrumented point
 // (core.Config.Fault). A nil Hook means no fault injection; a non-nil
-// error aborts the run; panics propagate to the segment recovery boundary.
+// error aborts the run; panics propagate to the recovery boundary of the
+// segment, or of the golden run, that reached the point.
 type Hook func(Point) error
 
 // Fault arms one action at every point matching its coordinates.
@@ -167,7 +173,7 @@ func NewSeeded(seed int64, n int) *Set {
 		} else {
 			f.Stage = Stage(rng.Intn(int(numStages)))
 		}
-		if f.Stage == PlanBuild || f.Stage == TruthPublish || f.Stage == SFACompose {
+		if f.Stage == PlanBuild || f.Stage == TruthPublish || f.Stage == SFACompose || f.Stage == GoldenBoundary {
 			f.Round = -1
 		}
 		if f.Stage == PlanBuild {

@@ -135,8 +135,8 @@ func TestSeededShapes(t *testing.T) {
 			if f.Stage == PlanBuild && (f.Segment != -1 || f.Round != -1) {
 				t.Fatalf("seed %d: plan-build fault with coordinates %+v", seed, f)
 			}
-			if f.Stage == TruthPublish && f.Round != -1 {
-				t.Fatalf("seed %d: truth-publish fault with a round %+v", seed, f)
+			if (f.Stage == TruthPublish || f.Stage == GoldenBoundary) && f.Round != -1 {
+				t.Fatalf("seed %d: %s fault with a round %+v", seed, f.Stage, f)
 			}
 			if f.Sleep <= 0 || f.Sleep >= time.Millisecond {
 				t.Fatalf("seed %d: sleep %v out of the sub-millisecond band", seed, f.Sleep)

@@ -473,8 +473,9 @@ type Config struct {
 	// ForceCutSymbol unset = profile the input).
 	CutSymbol      int
 	ForceCutSymbol bool
-	// Workers bounds simulator goroutines (0 = GOMAXPROCS); it never
-	// affects modelled AP cycles.
+	// Workers bounds simulator goroutines, the caller's among them (0 =
+	// GOMAXPROCS): at most this many segments are simulated at once, the
+	// golden run included. It never affects modelled AP cycles.
 	Workers int
 	// SerialSegments disables the cross-segment parallel scheduler and
 	// simulates segments one after another. Modelled AP cycles, matches and
@@ -659,10 +660,12 @@ func (a *Automaton) MatchParallel(input []byte, cfg Config) (*Report, error) {
 }
 
 // MatchParallelContext is MatchParallel under a context: a cancelled or
-// expired ctx stops every segment at its next TDM round boundary (the
-// per-symbol inner loops stay check-free) and returns ctx's error wrapped
-// in *AbortError with per-segment progress. No goroutine or pooled flow
-// worker outlives the call.
+// expired ctx stops every segment at its next TDM round boundary — within
+// 4096 symbols, like a sequential match — and the golden run beside them
+// at its next poll (the per-symbol inner loops stay check-free), and
+// returns ctx's error wrapped in *AbortError with per-segment progress.
+// Up to Config.Workers segments are simulated at once, the golden run
+// included; no goroutine outlives the call.
 func (a *Automaton) MatchParallelContext(ctx context.Context, input []byte, cfg Config) (*Report, error) {
 	coreCfg := cfg.toCore()
 	if a.n.Scored() {
