@@ -7,7 +7,7 @@
 //
 //	papd [-addr :8461] [-workers N] [-queue N] [-timeout 30s]
 //	     [-max-match-duration 0] [-stream-idle 10m] [-max-body 16777216]
-//	     [-engine auto] [-mode flows] [-preload name=patterns.txt]...
+//	     [-preload name=patterns.txt]...
 //	     [-peers host1:8461,host2:8461] [-advertise host0:8461]
 //	     [-batch-window 0] [-batch-max 64] [-batch-max-bytes 4096]
 //	     [-tenant-rps 0] [-tenant-burst 0]
@@ -20,10 +20,7 @@
 // token-bucket quotas with 429 + Retry-After beyond the budget.
 //
 // Each -preload flag registers a regex ruleset at startup from a file of
-// one pattern per line (blank lines and #-comment lines skipped);
-// -engine sets the default execution backend the preloaded rulesets are
-// served with (see pap.EngineKindNames: auto, sparse, bit, lazydfa,
-// meta — requests may override per call).
+// one pattern per line (blank lines and #-comment lines skipped).
 package main
 
 import (
@@ -38,7 +35,6 @@ import (
 	"syscall"
 	"time"
 
-	"pap"
 	"pap/internal/server"
 )
 
@@ -89,16 +85,15 @@ func splitPeers(list string) []string {
 	return peers
 }
 
-// preload registers every name=file spec into the server's registry,
-// serving them with the given default engine.
-func preload(s *server.Server, specs []string, engine string) error {
+// preload registers every name=file spec into the server's registry.
+func preload(s *server.Server, specs []string) error {
 	for _, spec := range specs {
 		name, file, _ := strings.Cut(spec, "=")
 		patterns, err := readPatterns(file)
 		if err != nil {
 			return fmt.Errorf("preload %s: %w", spec, err)
 		}
-		e, err := s.Registry().Register(name, "regex", patterns, 0, engine)
+		e, err := s.Registry().Register(name, "regex", patterns, 0)
 		if err != nil {
 			return fmt.Errorf("preload %s: %w", spec, err)
 		}
@@ -110,39 +105,28 @@ func preload(s *server.Server, specs []string, engine string) error {
 
 func main() {
 	var (
-		addr       = flag.String("addr", ":8461", "listen address")
-		workers    = flag.Int("workers", 0, "matching workers (0 = GOMAXPROCS)")
-		queue      = flag.Int("queue", 0, "queued matches beyond workers before 429 (0 = 4x workers)")
-		timeout    = flag.Duration("timeout", 30*time.Second, "per-request match timeout")
-		maxMatch   = flag.Duration("max-match-duration", 0, "hard cap on match execution time, overriding longer per-request timeout_ms values (0 = no cap beyond -timeout)")
-		streamIdle = flag.Duration("stream-idle", 10*time.Minute, "expire streaming sessions idle this long (<0 disables)")
-		maxBody    = flag.Int64("max-body", 16<<20, "maximum request payload bytes")
-		drainWait  = flag.Duration("drain", 15*time.Second, "shutdown drain deadline")
-		engine     = flag.String("engine", "auto",
-			"default execution backend for preloaded rulesets: "+
-				strings.Join(pap.EngineKindNames(), ", "))
-		serialSegs = flag.Bool("serial-segments", false, "default parallel-mode matches to the serial cross-segment scheduler")
-		execMode   = flag.String("mode", "flows",
-			"default parallel execution mode (requests may override with mode=sfa): "+
-				strings.Join(pap.ExecModeNames(), ", "))
+		addr        = flag.String("addr", ":8461", "listen address")
+		workers     = flag.Int("workers", 0, "matches running at once (0 = GOMAXPROCS)")
+		queue       = flag.Int("queue", 0, "matches waiting beyond -workers before 429 (0 = 4x workers)")
+		timeout     = flag.Duration("timeout", 30*time.Second, "per-request match timeout")
+		maxMatch    = flag.Duration("max-match-duration", 0, "hard cap on match execution time, overriding longer per-request timeout_ms values (0 = no cap beyond -timeout)")
+		streamIdle  = flag.Duration("stream-idle", 10*time.Minute, "expire streaming sessions idle this long (<0 disables)")
+		maxBody     = flag.Int64("max-body", 16<<20, "maximum request payload bytes")
+		drainWait   = flag.Duration("drain", 15*time.Second, "shutdown drain deadline")
 		peerList    = flag.String("peers", "", "comma-separated advertised addresses of the other replicas (enables the shard router)")
 		advertise   = flag.String("advertise", "", "this replica's address as peers reach it (default -addr)")
 		peerFails   = flag.Int("peer-fail-threshold", 3, "consecutive forward failures before a peer is ejected from routing")
 		peerCool    = flag.Duration("peer-cooldown", 10*time.Second, "how long an ejected peer stays out of routing")
-		batchWindow = flag.Duration("batch-window", 0, "coalesce small match requests arriving within this window into shared worker tasks (0 disables)")
+		batchWindow = flag.Duration("batch-window", 0, "coalesce small match requests arriving within this window into one admission (0 disables)")
 		batchMax    = flag.Int("batch-max", 64, "flush a coalesced batch early at this many requests")
 		batchBytes  = flag.Int("batch-max-bytes", 4096, "largest payload eligible for coalescing")
-		tenantRPS   = flag.Float64("tenant-rps", 0, "per-tenant (X-API-Key) requests/second on the worker pool, 429 beyond (0 disables)")
+		tenantRPS   = flag.Float64("tenant-rps", 0, "per-tenant (X-API-Key) match and stream-write requests/second, 429 beyond (0 disables)")
 		tenantBurst = flag.Float64("tenant-burst", 0, "per-tenant burst allowance (0 = max(tenant-rps, 1))")
 		preloads    preloadFlag
 	)
 	flag.Var(&preloads, "preload", "register a ruleset at startup: name=patterns.txt (repeatable)")
 	flag.Parse()
 
-	mode, err := pap.ParseExecMode(*execMode)
-	if err != nil {
-		log.Fatalf("papd: %v", err)
-	}
 	s := server.New(server.Config{
 		Addr:              *addr,
 		Workers:           *workers,
@@ -151,8 +135,6 @@ func main() {
 		MaxMatchDuration:  *maxMatch,
 		StreamIdleTimeout: *streamIdle,
 		MaxBodyBytes:      *maxBody,
-		SerialSegments:    *serialSegs,
-		DefaultExecMode:   mode,
 		Peers:             splitPeers(*peerList),
 		AdvertiseAddr:     *advertise,
 		PeerFailThreshold: *peerFails,
@@ -163,7 +145,7 @@ func main() {
 		TenantRPS:         *tenantRPS,
 		TenantBurst:       *tenantBurst,
 	})
-	if err := preload(s, preloads.specs, *engine); err != nil {
+	if err := preload(s, preloads.specs); err != nil {
 		log.Fatal(err)
 	}
 

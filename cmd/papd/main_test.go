@@ -37,7 +37,7 @@ func TestPreloadRegisters(t *testing.T) {
 	}
 	s := server.New(server.Config{})
 	defer s.Shutdown(context.Background())
-	if err := preload(s, []string{"ids=" + path}, "auto"); err != nil {
+	if err := preload(s, []string{"ids=" + path}); err != nil {
 		t.Fatal(err)
 	}
 	e, err := s.Registry().Get("ids")
@@ -52,7 +52,7 @@ func TestPreloadRegisters(t *testing.T) {
 func TestPreloadErrors(t *testing.T) {
 	s := server.New(server.Config{})
 	defer s.Shutdown(context.Background())
-	if err := preload(s, []string{"ids=/nonexistent/file"}, "auto"); err == nil {
+	if err := preload(s, []string{"ids=/nonexistent/file"}); err == nil {
 		t.Fatal("missing file must error")
 	}
 	var pf preloadFlag

@@ -9,12 +9,12 @@ import (
 )
 
 // Coalescer batches small sequential match requests that share a ruleset
-// version and execution backend. Requests arriving within one batch
-// window are grouped and served by a single worker-pool task that steps
-// the shared automaton over each payload in turn, then demuxes the
-// per-request results — so a burst of N small payloads costs one queue
-// slot and one worker wakeup instead of N, which is what keeps the pool
-// available for large payloads when millions of small probes arrive.
+// version. Requests arriving within one batch window are grouped and
+// served by a single admission through the limiter that steps the shared
+// automaton over each payload in turn, then demuxes the per-request
+// results — so a burst of N small payloads costs one slot instead of N,
+// which is what keeps slots available for large payloads when millions of
+// small probes arrive.
 //
 // Batches key on the *Entry pointer, not the name: a hot reload installs
 // a new entry, so requests pinned to different ruleset versions can
@@ -22,22 +22,17 @@ import (
 type Coalescer struct {
 	window       time.Duration
 	maxBatch     int
-	pool         *Pool
+	limiter      *Limiter
 	queueTimeout time.Duration
 
 	mu      sync.Mutex
-	batches map[batchKey]*batch
+	batches map[*Entry]*batch
 
 	// Metrics, optional (nil-safe): flushed batches, requests served
 	// through batches, and the batch-size distribution.
 	batchesTotal  *Counter
 	requestsTotal *Counter
 	sizeHist      *Histogram
-}
-
-type batchKey struct {
-	e   *Entry
-	eng pap.EngineKind
 }
 
 type batch struct {
@@ -64,10 +59,10 @@ func (it *batchItem) deliver(ms []pap.Match, info pap.EngineInfo, err error) {
 }
 
 // NewCoalescer returns a coalescer flushing batches after window (or
-// earlier, at maxBatch requests), submitting each batch as one task to
-// pool with queueTimeout bounding the queue wait. window <= 0 disables
-// coalescing and returns nil.
-func NewCoalescer(pool *Pool, window time.Duration, maxBatch int, queueTimeout time.Duration) *Coalescer {
+// earlier, at maxBatch requests), admitting each batch through limiter as
+// one unit with queueTimeout bounding the wait for a slot. window <= 0
+// disables coalescing and returns nil.
+func NewCoalescer(limiter *Limiter, window time.Duration, maxBatch int, queueTimeout time.Duration) *Coalescer {
 	if window <= 0 {
 		return nil
 	}
@@ -80,42 +75,41 @@ func NewCoalescer(pool *Pool, window time.Duration, maxBatch int, queueTimeout t
 	return &Coalescer{
 		window:       window,
 		maxBatch:     maxBatch,
-		pool:         pool,
+		limiter:      limiter,
 		queueTimeout: queueTimeout,
-		batches:      make(map[batchKey]*batch),
+		batches:      make(map[*Entry]*batch),
 	}
 }
 
 // Enabled reports whether the coalescer is active (nil-safe).
 func (c *Coalescer) Enabled() bool { return c != nil }
 
-// Match joins (or opens) the batch for (e, eng), waits for the batch
-// task to run its payload, and returns this request's demuxed result.
-// ctx bounds the execution of this request's payload inside the batch
-// task; a request whose ctx expires before its turn is skipped with
-// ctx.Err() and costs the batch nothing.
-func (c *Coalescer) Match(ctx context.Context, e *Entry, eng pap.EngineKind, payload []byte) ([]pap.Match, pap.EngineInfo, error) {
+// Match joins (or opens) the batch for e, waits for the batch to run its
+// payload, and returns this request's demuxed result. ctx bounds the
+// execution of this request's payload inside the batch; a request whose
+// ctx expires before its turn is skipped with ctx.Err() and costs the
+// batch nothing.
+func (c *Coalescer) Match(ctx context.Context, e *Entry, payload []byte) ([]pap.Match, pap.EngineInfo, error) {
 	it := &batchItem{ctx: ctx, payload: payload, done: make(chan struct{})}
-	key := batchKey{e: e, eng: eng}
 
 	c.mu.Lock()
-	b := c.batches[key]
+	b := c.batches[e]
 	if b == nil {
 		b = &batch{}
-		c.batches[key] = b
+		c.batches[e] = b
 		b.timer = time.AfterFunc(c.window, func() {
-			if c.detach(key, b) {
-				c.run(key, b)
+			if c.detach(e, b) {
+				c.run(e, b)
 			}
 		})
 	}
 	b.items = append(b.items, it)
 	if len(b.items) >= c.maxBatch {
 		// Full before the window closed: flush immediately.
-		delete(c.batches, key)
+		delete(c.batches, e)
 		b.timer.Stop()
 		c.mu.Unlock()
-		go c.run(key, b)
+		go c.run(e, b)
 	} else {
 		c.mu.Unlock()
 	}
@@ -125,23 +119,23 @@ func (c *Coalescer) Match(ctx context.Context, e *Entry, eng pap.EngineKind, pay
 }
 
 // detach removes b from the live map if it is still the current batch
-// for key, claiming the right to run it (the size trigger in Match may
+// for e, claiming the right to run it (the size trigger in Match may
 // have claimed it first).
-func (c *Coalescer) detach(key batchKey, b *batch) bool {
+func (c *Coalescer) detach(e *Entry, b *batch) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.batches[key] != b {
+	if c.batches[e] != b {
 		return false
 	}
-	delete(c.batches, key)
+	delete(c.batches, e)
 	return true
 }
 
-// run submits one pool task that serves every item in the batch. Pool
-// errors (queue full, pool closed, queue-wait timeout) fan out to every
-// still-undelivered item so each request answers with the same
-// backpressure signal it would have seen submitting alone.
-func (c *Coalescer) run(key batchKey, b *batch) {
+// run admits the batch through the limiter once and serves every item in
+// it. Limiter errors (queue full, closed, slot-wait timeout, a panic) fan
+// out to every still-undelivered item so each request answers with the
+// same signal it would have seen submitting alone.
+func (c *Coalescer) run(e *Entry, b *batch) {
 	if c.batchesTotal != nil {
 		c.batchesTotal.Inc()
 		c.requestsTotal.Add(int64(len(b.items)))
@@ -149,13 +143,13 @@ func (c *Coalescer) run(key batchKey, b *batch) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), c.queueTimeout)
 	defer cancel()
-	err := c.pool.Do(ctx, func() {
+	err := c.limiter.Do(ctx, func() {
 		for _, it := range b.items {
 			if it.ctx.Err() != nil {
 				it.deliver(nil, pap.EngineInfo{}, it.ctx.Err())
 				continue
 			}
-			ms, info, err := key.e.Automaton.MatchWithInfoContext(it.ctx, it.payload, key.eng)
+			ms, info, err := e.Automaton.MatchWithInfoContext(it.ctx, it.payload, pap.EngineAuto)
 			it.deliver(ms, info, err)
 		}
 	})

@@ -24,7 +24,7 @@ func coalesceEntry(t *testing.T, patterns ...string) *Entry {
 // TestCoalescerDisabled proves window <= 0 disables coalescing and that
 // the nil receiver answers Enabled safely.
 func TestCoalescerDisabled(t *testing.T) {
-	p := NewPool(1, 4)
+	p := NewLimiter(1, 4)
 	defer p.Close()
 	if c := NewCoalescer(p, 0, 8, time.Second); c != nil {
 		t.Fatalf("NewCoalescer(window=0) = %v, want nil", c)
@@ -40,7 +40,7 @@ func TestCoalescerDisabled(t *testing.T) {
 // own correct result and (b) the burst consumed strictly fewer pool
 // tasks than requests.
 func TestCoalescerBatchesAndDemuxes(t *testing.T) {
-	p := NewPool(2, 64)
+	p := NewLimiter(2, 64)
 	defer p.Close()
 	c := NewCoalescer(p, 20*time.Millisecond, 64, time.Second)
 	m := NewMetrics()
@@ -60,7 +60,7 @@ func TestCoalescerBatchesAndDemuxes(t *testing.T) {
 			if i%2 == 0 {
 				payload = []byte("xx needle xx")
 			}
-			ms, _, err := c.Match(context.Background(), e, pap.EngineAuto, payload)
+			ms, _, err := c.Match(context.Background(), e, payload)
 			if err != nil {
 				t.Errorf("request %d: %v", i, err)
 				return
@@ -96,7 +96,7 @@ func TestCoalescerBatchesAndDemuxes(t *testing.T) {
 // TestCoalescerMaxBatchFlushesEarly proves a batch reaching maxBatch is
 // flushed immediately rather than waiting out the window.
 func TestCoalescerMaxBatchFlushesEarly(t *testing.T) {
-	p := NewPool(1, 16)
+	p := NewLimiter(1, 16)
 	defer p.Close()
 	// A window so long the test would time out if the size trigger failed.
 	c := NewCoalescer(p, time.Hour, 4, time.Second)
@@ -108,7 +108,7 @@ func TestCoalescerMaxBatchFlushesEarly(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, _, err := c.Match(context.Background(), e, pap.EngineAuto, []byte("x")); err != nil {
+			if _, _, err := c.Match(context.Background(), e, []byte("x")); err != nil {
 				t.Errorf("Match: %v", err)
 			}
 		}()
@@ -123,7 +123,7 @@ func TestCoalescerMaxBatchFlushesEarly(t *testing.T) {
 // before its turn is answered with its ctx error and costs the batch no
 // matching work, while its batch-mates complete normally.
 func TestCoalescerCancelledItemSkipped(t *testing.T) {
-	p := NewPool(1, 16)
+	p := NewLimiter(1, 16)
 	defer p.Close()
 	c := NewCoalescer(p, 30*time.Millisecond, 64, time.Second)
 	e := coalesceEntry(t, "x")
@@ -135,14 +135,14 @@ func TestCoalescerCancelledItemSkipped(t *testing.T) {
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		_, _, err := c.Match(cancelled, e, pap.EngineAuto, []byte("x"))
+		_, _, err := c.Match(cancelled, e, []byte("x"))
 		if !errors.Is(err, context.Canceled) {
 			t.Errorf("cancelled item err = %v, want context.Canceled", err)
 		}
 	}()
 	go func() {
 		defer wg.Done()
-		ms, _, err := c.Match(context.Background(), e, pap.EngineAuto, []byte("x"))
+		ms, _, err := c.Match(context.Background(), e, []byte("x"))
 		if err != nil || len(ms) != 1 {
 			t.Errorf("live batch-mate = (%d matches, %v), want (1, nil)", len(ms), err)
 		}
@@ -154,7 +154,7 @@ func TestCoalescerCancelledItemSkipped(t *testing.T) {
 // be queued every member of the batch receives the pool's error, exactly
 // as if each had submitted alone.
 func TestCoalescerPoolErrorFansOut(t *testing.T) {
-	p := NewPool(1, 1)
+	p := NewLimiter(1, 1)
 	c := NewCoalescer(p, 10*time.Millisecond, 64, time.Second)
 	e := coalesceEntry(t, "x")
 	p.Close() // every submission now fails with ErrPoolClosed
@@ -164,7 +164,7 @@ func TestCoalescerPoolErrorFansOut(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, _, err := c.Match(context.Background(), e, pap.EngineAuto, []byte("x"))
+			_, _, err := c.Match(context.Background(), e, []byte("x"))
 			if !errors.Is(err, ErrPoolClosed) {
 				t.Errorf("item %d err = %v, want ErrPoolClosed", i, err)
 			}
@@ -177,16 +177,16 @@ func TestCoalescerPoolErrorFansOut(t *testing.T) {
 // pointer: requests pinned to different ruleset versions of the same
 // name run in separate batches against their own automata.
 func TestCoalescerVersionsNeverShareBatches(t *testing.T) {
-	p := NewPool(2, 16)
+	p := NewLimiter(2, 16)
 	defer p.Close()
 	c := NewCoalescer(p, 20*time.Millisecond, 64, time.Second)
 
 	r := NewRegistry(4)
-	v1, err := r.Register("rs", "regex", []string{"alpha"}, 0, "")
+	v1, err := r.Register("rs", "regex", []string{"alpha"}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v2, err := r.Register("rs", "regex", []string{"bravo"}, 0, "")
+	v2, err := r.Register("rs", "regex", []string{"bravo"}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,14 +195,14 @@ func TestCoalescerVersionsNeverShareBatches(t *testing.T) {
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		ms, _, err := c.Match(context.Background(), v1, pap.EngineAuto, []byte("alpha bravo"))
+		ms, _, err := c.Match(context.Background(), v1, []byte("alpha bravo"))
 		if err != nil || len(ms) != 1 {
 			t.Errorf("v1 batch = (%d matches, %v), want 1 alpha match", len(ms), err)
 		}
 	}()
 	go func() {
 		defer wg.Done()
-		ms, _, err := c.Match(context.Background(), v2, pap.EngineAuto, []byte("alpha bravo"))
+		ms, _, err := c.Match(context.Background(), v2, []byte("alpha bravo"))
 		if err != nil || len(ms) != 1 {
 			t.Errorf("v2 batch = (%d matches, %v), want 1 bravo match", len(ms), err)
 		}

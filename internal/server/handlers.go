@@ -8,7 +8,6 @@ import (
 	"io"
 	"net/http"
 	"strconv"
-	"strings"
 	"time"
 
 	"pap"
@@ -44,7 +43,6 @@ type registerRequest struct {
 	Kind     string   `json:"kind,omitempty"` // "regex" (default), "hamming", "levenshtein"
 	Patterns []string `json:"patterns"`
 	Distance int      `json:"distance,omitempty"`
-	Engine   string   `json:"engine,omitempty"` // "auto" (default), "sparse", "bit"
 }
 
 type automatonJSON struct {
@@ -53,7 +51,6 @@ type automatonJSON struct {
 	Kind     string    `json:"kind"`
 	Patterns int       `json:"patterns"`
 	Distance int       `json:"distance,omitempty"`
-	Engine   string    `json:"engine"`
 	Created  time.Time `json:"created"`
 
 	States      int `json:"states"`
@@ -74,47 +71,22 @@ type matchJSON struct {
 	Score *int64 `json:"score,omitempty"`
 }
 
-type apStatsJSON struct {
-	Segments          int     `json:"segments"`
-	Speedup           float64 `json:"speedup"`
-	IdealSpeedup      float64 `json:"ideal_speedup"`
-	BaselineNS        float64 `json:"baseline_ns"`
-	ParallelNS        float64 `json:"parallel_ns"`
-	CutSymbol         byte    `json:"cut_symbol"`
-	CutRange          int     `json:"cut_range"`
-	AvgActiveFlows    float64 `json:"avg_active_flows"`
-	SwitchOverheadPct float64 `json:"switch_overhead_pct"`
-	FalseReportRatio  float64 `json:"false_report_ratio"`
-	EngineSwitches    int64   `json:"engine_switches"`
-	PrefilterSkipped  int64   `json:"prefilter_skipped"`
-	BaselineSkipped   int64   `json:"baseline_skipped"`
-	ExecMode          string  `json:"exec_mode"`
-	SFAMappings       int64   `json:"sfa_mappings,omitempty"`
-	SFAComposeOps     int64   `json:"sfa_compose_ops,omitempty"`
-	FPCollisions      int64   `json:"fingerprint_collisions,omitempty"`
-	Scored            bool    `json:"scored,omitempty"`
-	ScoredReports     int     `json:"scored_reports,omitempty"`
-	Verified          bool    `json:"verified"`
-}
-
 type matchResponse struct {
 	Automaton  string      `json:"automaton"`
 	Mode       string      `json:"mode"`
-	Engine     string      `json:"engine"`
 	InputBytes int         `json:"input_bytes"`
 	Matches    []matchJSON `json:"matches"`
 	// Scored reports that score tracking was on; BestScore is then the
 	// maximum match score, present only when at least one match exists
 	// (scores may be negative, so omission — not 0 — means no matches).
-	Scored    bool         `json:"scored,omitempty"`
-	BestScore *int64       `json:"best_score,omitempty"`
-	ElapsedMS float64      `json:"elapsed_ms"`
-	AP        *apStatsJSON `json:"ap,omitempty"` // parallel mode only
+	Scored    bool          `json:"scored,omitempty"`
+	BestScore *int64        `json:"best_score,omitempty"`
+	ElapsedMS float64       `json:"elapsed_ms"`
+	AP        *pap.RunStats `json:"ap,omitempty"` // parallel mode only
 }
 
 type openStreamRequest struct {
 	Automaton string `json:"automaton"`
-	Engine    string `json:"engine,omitempty"` // overrides the ruleset default
 	Scored    bool   `json:"scored,omitempty"` // track per-transition scores
 }
 
@@ -181,7 +153,7 @@ func tenantOf(r *http.Request) string {
 
 // checkQuota spends one token from the request tenant's bucket. On an
 // empty bucket it writes the 429 with Retry-After and reports false.
-// Quotas guard the worker pool, so they run where the work runs: a
+// Quotas guard the matching slots, so they run where the work runs: a
 // request forwarded to its owning replica is charged there, not here.
 func (s *Server) checkQuota(w http.ResponseWriter, r *http.Request) bool {
 	if s.quotas == nil {
@@ -202,38 +174,46 @@ func (s *Server) checkQuota(w http.ResponseWriter, r *http.Request) bool {
 	return false
 }
 
-// dispatch runs fn on the worker pool under the match timeout, translating
-// pool backpressure into 429 and timeouts into 503. Returns true when fn
-// ran to completion and the caller should write its success response.
-func (s *Server) dispatch(w http.ResponseWriter, r *http.Request, fn func()) bool {
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.MatchTimeout)
-	defer cancel()
-	switch err := s.pool.Do(ctx, fn); {
-	case err == nil:
-		return true
+// dispatch admits fn through the limiter and runs it on this goroutine.
+// ctx is the request's one execution deadline (see execContext): it bounds
+// the wait for a slot here and the run inside fn alike. Returns true when
+// fn ran to completion and the caller should go on to its own outcome;
+// otherwise the failure has been answered.
+func (s *Server) dispatch(ctx context.Context, w http.ResponseWriter, fn func()) bool {
+	err := s.limiter.Do(ctx, fn)
+	if err != nil {
+		s.writeAdmissionError(w, err)
+	}
+	return err == nil
+}
+
+// writeAdmissionError answers a request whose work the limiter did not run
+// to completion: backpressure is 429, a draining server 503, a panic in
+// the matching code 500 (the limiter has logged it), and a wait for a slot
+// that outlived the request's deadline or its client the same abort a
+// cancelled run gets.
+func (s *Server) writeAdmissionError(w http.ResponseWriter, err error) {
+	switch {
 	case errors.Is(err, ErrQueueFull):
 		s.poolRejected.Inc()
 		w.Header().Set("Retry-After", "1")
 		writeErr(w, http.StatusTooManyRequests, "matching queue full, retry later")
 	case errors.Is(err, ErrPoolClosed):
 		writeErr(w, http.StatusServiceUnavailable, "server draining")
-	case errors.Is(err, context.DeadlineExceeded):
-		s.countCancellation("deadline")
-		writeErr(w, http.StatusServiceUnavailable,
-			"match timed out after %s", s.cfg.MatchTimeout)
-	default: // client went away (context canceled) or similar
-		s.countCancellation("client_gone")
-		writeErr(w, http.StatusServiceUnavailable, "request aborted: %v", err)
+	case errors.Is(err, ErrPanicked):
+		writeErr(w, http.StatusInternalServerError, "internal error: matching panicked")
+	default:
+		s.writeAbort(w, err, nil)
 	}
-	return false
 }
 
 // execContext derives the execution deadline for one match or stream
 // write: r.Context() bounded by the tightest of MatchTimeout, the
 // server-wide MaxMatchDuration cap, and the request's own timeout_ms
-// parameter. The returned context is what the matching pipeline polls, so
-// whichever bound fires first stops the run at its next cancellation
-// point. An invalid timeout_ms yields an error for a 400.
+// parameter. The returned context is what the wait for a slot selects on
+// and what the matching pipeline polls, so whichever bound fires first
+// stops the request where it is: still waiting, or at the run's next
+// cancellation point. An invalid timeout_ms yields an error for a 400.
 func (s *Server) execContext(r *http.Request, q map[string][]string) (context.Context, context.CancelFunc, error) {
 	d := s.cfg.MatchTimeout
 	if s.cfg.MaxMatchDuration > 0 && s.cfg.MaxMatchDuration < d {
@@ -309,7 +289,6 @@ func (s *Server) automatonJSON(e *Entry) automatonJSON {
 		Kind:        e.Kind,
 		Patterns:    e.Patterns,
 		Distance:    e.Distance,
-		Engine:      e.Engine.String(),
 		Created:     e.Created,
 		States:      st.States,
 		Transitions: st.Transitions,
@@ -320,35 +299,20 @@ func (s *Server) automatonJSON(e *Entry) automatonJSON {
 	}
 }
 
-func (s *Server) countEngineSteps(k pap.EngineKind, symbols int) {
-	if int(k) < len(s.engineSteps) {
-		s.engineSteps[k].Add(int64(symbols))
-	}
-}
-
 // countEngineInfo feeds one match's (or stream write's delta of) backend
-// observability counters into the engine-switch, prefilter and lazy-DFA
-// cache metrics.
+// observability counters into the engine-switch and skipped-bytes metrics.
 func (s *Server) countEngineInfo(info pap.EngineInfo) {
 	s.engineSwitches.Add(info.EngineSwitches)
 	s.prefilterSkipped.Add(info.PrefilterSkippedBytes)
 	s.baselineSkipped.Add(info.BaselineSkippedBytes)
-	s.lazyCacheHits.Add(info.CacheHits)
-	s.lazyCacheMisses.Add(info.CacheMisses)
-	s.lazyCacheEvicts.Add(info.CacheEvictions)
 }
 
-// engineNames is the valid-kinds list quoted in engine parse errors.
-func engineNames() string {
-	return `"` + strings.Join(pap.EngineKindNames(), `", "`) + `"`
-}
-
-func (s *Server) countMatches(e *Entry, n int) {
+// countMatches credits one served request and its matches to the ruleset
+// version it ran on and to the name's papd_automaton_matches_total series.
+func countMatches(e *Entry, n int) {
 	e.Requests.Add(1)
 	e.Matches.Add(int64(n))
-	s.metrics.Counter("papd_automaton_matches_total",
-		"Matches reported, by automaton.",
-		fmt.Sprintf("automaton=%q", EscapeLabelValue(e.Name))).Add(int64(n))
+	e.matchesTotal.Add(int64(n))
 }
 
 // ---- probes and metrics ----
@@ -385,7 +349,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "bad JSON: %v", err)
 		return
 	}
-	e, err := s.reg.Register(req.Name, req.Kind, req.Patterns, req.Distance, req.Engine)
+	e, err := s.reg.Register(req.Name, req.Kind, req.Patterns, req.Distance)
 	switch {
 	case err == nil:
 		// A fresh name is a 201; re-registering an existing name is a
@@ -433,7 +397,7 @@ func (s *Server) handleDeleteAutomaton(w http.ResponseWriter, r *http.Request) {
 // ---- matching ----
 
 // parseParallelConfig builds a pap.Config from match query parameters.
-func parseParallelConfig(q map[string][]string, serialDefault bool) (pap.Config, error) {
+func parseParallelConfig(q map[string][]string) (pap.Config, error) {
 	get := func(k string) string {
 		if vs := q[k]; len(vs) > 0 {
 			return vs[0]
@@ -441,7 +405,6 @@ func parseParallelConfig(q map[string][]string, serialDefault bool) (pap.Config,
 		return ""
 	}
 	cfg := pap.DefaultConfig(1)
-	cfg.SerialSegments = serialDefault
 	if v := get("ranks"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 1 || n > 4 {
@@ -463,27 +426,7 @@ func parseParallelConfig(q map[string][]string, serialDefault bool) (pap.Config,
 		}
 		cfg.Speculate = b
 	}
-	if v := get("serial_segments"); v != "" {
-		b, err := strconv.ParseBool(v)
-		if err != nil {
-			return cfg, fmt.Errorf("serial_segments must be a bool, got %q", v)
-		}
-		cfg.SerialSegments = b
-	}
 	return cfg, nil
-}
-
-// resolveEngine picks the execution backend for a request: the "engine"
-// query parameter when present, the ruleset's registered default otherwise.
-func resolveEngine(q map[string][]string, e *Entry) (pap.EngineKind, error) {
-	if vs := q["engine"]; len(vs) > 0 && vs[0] != "" {
-		k, err := pap.ParseEngineKind(vs[0])
-		if err != nil {
-			return pap.EngineAuto, fmt.Errorf("engine must be one of %s, got %q", engineNames(), vs[0])
-		}
-		return k, nil
-	}
-	return e.Engine, nil
 }
 
 func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
@@ -514,16 +457,11 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 		mode = "sequential"
 	}
 	// mode=sfa is parallel matching under the SFA function-composition
-	// strategy; mode=parallel serves the operator's configured default.
-	execMode := s.cfg.DefaultExecMode
+	// strategy; mode=parallel is the paper's flow enumeration.
+	execMode := pap.ExecFlows
 	if mode == "sfa" {
 		mode = "parallel"
 		execMode = pap.ExecSFA
-	}
-	eng, err := resolveEngine(q, e)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
-		return
 	}
 	// scored=true tracks per-transition scores; scored automata always do.
 	scored := e.Automaton.Scored()
@@ -554,27 +492,16 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 			info pap.EngineInfo
 		)
 		if s.coalescer.Enabled() && len(payload) <= s.cfg.BatchMaxBytes {
-			// Small payload: join the batch for this ruleset version and
-			// engine. Pool-level errors surface exactly as they would on
-			// the solo dispatch path.
-			ms, info, matchErr = s.coalescer.Match(execCtx, e, eng, payload)
-			switch {
-			case matchErr == nil || isAbort(matchErr):
-			case errors.Is(matchErr, ErrQueueFull):
-				s.poolRejected.Inc()
-				w.Header().Set("Retry-After", "1")
-				writeErr(w, http.StatusTooManyRequests, "matching queue full, retry later")
-				return
-			case errors.Is(matchErr, ErrPoolClosed):
-				writeErr(w, http.StatusServiceUnavailable, "server draining")
-				return
-			default:
-				s.countCancellation("client_gone")
-				writeErr(w, http.StatusServiceUnavailable, "request aborted: %v", matchErr)
+			// Small payload: join the batch for this ruleset version.
+			// Admission failures of the batch surface exactly as they
+			// would on the solo dispatch path.
+			ms, info, matchErr = s.coalescer.Match(execCtx, e, payload)
+			if matchErr != nil && !isAbort(matchErr) {
+				s.writeAdmissionError(w, matchErr)
 				return
 			}
-		} else if !s.dispatch(w, r, func() {
-			ms, info, matchErr = e.Automaton.MatchWithInfoContext(execCtx, payload, eng)
+		} else if !s.dispatch(execCtx, w, func() {
+			ms, info, matchErr = e.Automaton.MatchWithInfoContext(execCtx, payload, pap.EngineAuto)
 		}) {
 			return
 		}
@@ -584,18 +511,16 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		resp.Matches = toMatchJSON(ms, scored)
-		s.countEngineSteps(eng, len(payload))
 	case "parallel":
-		cfg, err := parseParallelConfig(q, s.cfg.SerialSegments)
+		cfg, err := parseParallelConfig(q)
 		if err != nil {
 			writeErr(w, http.StatusBadRequest, "%v", err)
 			return
 		}
-		cfg.Engine = eng
 		cfg.Mode = execMode
 		cfg.Scoring = scored
 		var rep *pap.Report
-		if !s.dispatch(w, r, func() {
+		if !s.dispatch(execCtx, w, func() {
 			rep, matchErr = e.Automaton.MatchParallelContext(execCtx, payload, cfg)
 		}) {
 			return
@@ -609,34 +534,14 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		resp.Matches = toMatchJSON(rep.Matches, rep.Stats.Scored)
-		st := rep.Stats
-		resp.AP = &apStatsJSON{
-			Segments:          st.Segments,
-			Speedup:           st.Speedup,
-			IdealSpeedup:      st.IdealSpeedup,
-			BaselineNS:        st.BaselineNS,
-			ParallelNS:        st.ParallelNS,
-			CutSymbol:         st.CutSymbol,
-			CutRange:          st.CutRange,
-			AvgActiveFlows:    st.AvgActiveFlows,
-			SwitchOverheadPct: st.SwitchOverheadPct,
-			FalseReportRatio:  st.FalseReportRatio,
-			EngineSwitches:    st.EngineSwitches,
-			PrefilterSkipped:  st.PrefilterSkippedBytes,
-			BaselineSkipped:   st.BaselineSkippedBytes,
-			ExecMode:          st.Mode,
-			SFAMappings:       st.SFAMappings,
-			SFAComposeOps:     st.SFAComposeOps,
-			FPCollisions:      st.FingerprintCollisions,
-			Scored:            st.Scored,
-			ScoredReports:     st.ScoredReports,
-			Verified:          st.Verified,
-		}
+		st := &rep.Stats
+		resp.AP = st
 		s.speedupHist.Observe(st.Speedup)
-		s.countEngineSteps(eng, len(payload))
-		s.engineSwitches.Add(st.EngineSwitches)
-		s.prefilterSkipped.Add(st.PrefilterSkippedBytes)
-		s.baselineSkipped.Add(st.BaselineSkippedBytes)
+		s.countEngineInfo(pap.EngineInfo{
+			EngineSwitches:        st.EngineSwitches,
+			PrefilterSkippedBytes: st.PrefilterSkippedBytes,
+			BaselineSkippedBytes:  st.BaselineSkippedBytes,
+		})
 		s.sfaMappings.Add(st.SFAMappings)
 		s.sfaCompositions.Add(st.SFAComposeOps)
 	default:
@@ -647,7 +552,6 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 
 	resp.Automaton = e.Name
 	resp.Mode = mode
-	resp.Engine = eng.String()
 	resp.InputBytes = len(payload)
 	resp.ElapsedMS = float64(time.Since(start).Microseconds()) / 1000
 	if scored {
@@ -659,7 +563,8 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 		}
 		s.scoredMatches.Add(int64(len(resp.Matches)))
 	}
-	s.countMatches(e, len(resp.Matches))
+	s.engineSteps.Add(int64(len(payload)))
+	countMatches(e, len(resp.Matches))
 	if resp.Matches == nil {
 		resp.Matches = []matchJSON{}
 	}
@@ -696,20 +601,7 @@ func (s *Server) handleOpenStream(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, "%v", err)
 		return
 	}
-	eng := e.Engine
-	if req.Engine != "" {
-		if eng, err = pap.ParseEngineKind(req.Engine); err != nil {
-			writeErr(w, http.StatusBadRequest,
-				"engine must be one of %s, got %q", engineNames(), req.Engine)
-			return
-		}
-	}
-	var sess *Session
-	if req.Scored {
-		sess, err = s.sessions.CreateScored(e, eng)
-	} else {
-		sess, err = s.sessions.Create(e, eng)
-	}
+	sess, err := s.sessions.Create(e, req.Scored)
 	if err != nil {
 		if errors.Is(err, ErrTooManySessions) {
 			writeErr(w, http.StatusTooManyRequests, "%v", err)
@@ -787,47 +679,34 @@ func (s *Server) handleStreamWrite(w http.ResponseWriter, r *http.Request) {
 	var (
 		ms        []pap.Match
 		offset    int64
-		ws        WriteStats
+		delta     pap.EngineInfo
 		writeErr2 error
 	)
-	if !s.dispatch(w, r, func() {
-		ms, offset, ws, writeErr2 = sess.WriteContext(execCtx, chunk)
+	if !s.dispatch(execCtx, w, func() {
+		ms, offset, delta, writeErr2 = sess.WriteContext(execCtx, chunk)
 	}) {
 		return
 	}
-	countWrite := func() {
-		s.countEngineInfo(pap.EngineInfo{
-			EngineSwitches:        ws.Switches,
-			PrefilterSkippedBytes: ws.PrefilterSkipped,
-			BaselineSkippedBytes:  ws.BaselineSkipped,
-			CacheHits:             ws.CacheHits,
-			CacheMisses:           ws.CacheMisses,
-			CacheEvictions:        ws.CacheEvictions,
-		})
-	}
-	if writeErr2 != nil {
-		if isAbort(writeErr2) {
-			// The symbols before the stop were consumed: account for them
-			// and hand back their matches with the resume offset.
-			if e, err := s.reg.Get(sess.Automaton); err == nil {
-				s.countMatches(e, len(ms))
-			}
-			countWrite()
-			s.writeAbort(w, writeErr2, func(resp *abortResponse) {
-				resp.Matches = toMatchJSON(ms, sess.Scored)
-				resp.Offset = offset
-			})
-			return
-		}
+	if writeErr2 != nil && !isAbort(writeErr2) {
 		writeErr(w, http.StatusNotFound, "%v", writeErr2)
 		return
 	}
-	if e, err := s.reg.Get(sess.Automaton); err == nil {
-		s.countMatches(e, len(ms))
+	// The session is pinned to the ruleset version it was opened on, and so
+	// is its accounting: a hot reload or a delete of the name moves neither.
+	countMatches(sess.Entry, len(ms))
+	s.countEngineInfo(delta)
+	if writeErr2 != nil {
+		// Aborted mid-chunk: the symbols before the stop were consumed and
+		// are accounted for above; hand back their matches with the
+		// resume offset.
+		s.writeAbort(w, writeErr2, func(resp *abortResponse) {
+			resp.Matches = toMatchJSON(ms, sess.Scored)
+			resp.Offset = offset
+		})
+		return
 	}
 	s.streamBytes.Add(int64(len(chunk)))
-	s.countEngineSteps(sess.Engine, len(chunk))
-	countWrite()
+	s.engineSteps.Add(int64(len(chunk)))
 	resp := streamWriteResponse{Matches: toMatchJSON(ms, sess.Scored), Offset: offset}
 	if sess.Scored {
 		if best, ok := sess.BestScore(); ok {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"regexp"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -33,9 +32,10 @@ type Registry struct {
 	lastVer map[string]int  // highest version ever installed per name
 	max     int
 
-	// onInstall, when set, runs after each successful install (outside
-	// r.mu) — the server uses it to register the per-ruleset version
-	// gauge for preloaded and API-registered rulesets alike.
+	// onInstall, when set, runs on each compiled entry just before it is
+	// installed (outside r.mu, the entry not yet visible to any reader) —
+	// the server uses it to register the per-ruleset metrics for preloaded
+	// and API-registered rulesets alike.
 	onInstall func(*Entry)
 }
 
@@ -45,14 +45,18 @@ type Entry struct {
 	Version   int    // 1 for a fresh name, v+1 on each hot reload
 	Kind      string // "regex", "hamming" or "levenshtein"
 	Patterns  int
-	Distance  int            // for hamming/levenshtein
-	Engine    pap.EngineKind // default execution backend for this ruleset
+	Distance  int // for hamming/levenshtein
 	Created   time.Time
 	Automaton *pap.Automaton
 
 	// Serving counters, updated atomically by handlers.
 	Requests atomic.Int64 // match + stream-write requests served
 	Matches  atomic.Int64 // total matches reported
+
+	// matchesTotal is the name's papd_automaton_matches_total series,
+	// shared by every version of the name; the server's install hook sets
+	// it.
+	matchesTotal *Counter
 }
 
 // Registration errors.
@@ -63,8 +67,6 @@ var (
 	ErrBadName     = errors.New(`server: name must match [A-Za-z0-9_.:-]{1,64}`)
 	ErrNoPatterns  = errors.New("server: at least one pattern required")
 	ErrUnknownKind = errors.New(`server: kind must be "regex", "hamming" or "levenshtein"`)
-	ErrBadEngine   = errors.New("server: engine must be one of " +
-		`"` + strings.Join(pap.EngineKindNames(), `", "`) + `"`)
 )
 
 var nameRE = regexp.MustCompile(`^[A-Za-z0-9_.:-]{1,64}$`)
@@ -87,8 +89,9 @@ func NewRegistry(max int) *Registry {
 	}
 }
 
-// SetInstallHook wires a callback invoked after every successful install
-// (registration or hot reload), outside the registry lock.
+// SetInstallHook wires a callback invoked on every compiled entry
+// (registration or hot reload) just before it is installed, outside the
+// registry lock.
 func (r *Registry) SetInstallHook(fn func(*Entry)) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -113,29 +116,26 @@ func (r *Registry) reserve(name string) (func(e *Entry), error) {
 		}
 	}
 	r.pending[name] = true
+	hook := r.onInstall
 	return func(e *Entry) {
+		if e != nil && hook != nil {
+			hook(e)
+		}
 		r.mu.Lock()
 		delete(r.pending, name)
-		var hook func(*Entry)
 		if e != nil {
 			e.Version = r.lastVer[name] + 1
 			r.lastVer[name] = e.Version
 			r.autos[name] = e
-			hook = r.onInstall
 		}
 		r.mu.Unlock()
-		if hook != nil {
-			hook(e)
-		}
 	}, nil
 }
 
 // Register compiles patterns under the given kind and installs the
 // result. kind "" defaults to "regex"; distance is only meaningful for
-// "hamming" and "levenshtein". engineName sets the ruleset's default
-// execution backend ("" means "auto"); individual requests may override
-// it. Names are restricted so they can be embedded in metric labels
-// without escaping surprises.
+// "hamming" and "levenshtein". Names are restricted so they can be
+// embedded in metric labels without escaping surprises.
 //
 // Registering an existing name is a hot reload: the entry is replaced
 // with version v+1 once compilation succeeds, while everything pinned to
@@ -143,16 +143,12 @@ func (r *Registry) reserve(name string) (func(e *Entry), error) {
 // compile starts, so of several concurrent registrations for one name
 // exactly one compiles and installs; the rest fail immediately with
 // ErrExists.
-func (r *Registry) Register(name, kind string, patterns []string, distance int, engineName string) (*Entry, error) {
+func (r *Registry) Register(name, kind string, patterns []string, distance int) (*Entry, error) {
 	if !nameRE.MatchString(name) {
 		return nil, ErrBadName
 	}
 	if len(patterns) == 0 {
 		return nil, ErrNoPatterns
-	}
-	eng, engErr := pap.ParseEngineKind(engineName)
-	if engErr != nil {
-		return nil, ErrBadEngine
 	}
 	if kind == "" {
 		kind = "regex"
@@ -191,7 +187,6 @@ func (r *Registry) Register(name, kind string, patterns []string, distance int, 
 		Kind:      kind,
 		Patterns:  len(patterns),
 		Distance:  distance,
-		Engine:    eng,
 		Created:   time.Now().UTC(),
 		Automaton: a,
 	}

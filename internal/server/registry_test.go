@@ -34,7 +34,7 @@ func TestRegistryConcurrentSameName(t *testing.T) {
 
 	winnerErr := make(chan error, 1)
 	go func() {
-		_, err := r.Register("shared", "regex", []string{"abc"}, 0, "")
+		_, err := r.Register("shared", "regex", []string{"abc"}, 0)
 		winnerErr <- err
 	}()
 	<-entered // the name is now reserved and the compile is in flight
@@ -46,7 +46,7 @@ func TestRegistryConcurrentSameName(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, errs[i] = r.Register("shared", "regex", []string{"abc"}, 0, "")
+			_, errs[i] = r.Register("shared", "regex", []string{"abc"}, 0)
 		}(i)
 	}
 	wg.Wait() // losers return while the winner still holds the reservation
@@ -74,7 +74,7 @@ func TestRegistryConcurrentSameName(t *testing.T) {
 // enforced against installed + reserved names before any compile work.
 func TestRegistryLimitCountsPendingWithoutCompile(t *testing.T) {
 	r := NewRegistry(2)
-	if _, err := r.Register("a", "regex", []string{"x"}, 0, ""); err != nil {
+	if _, err := r.Register("a", "regex", []string{"x"}, 0); err != nil {
 		t.Fatal(err)
 	}
 
@@ -91,13 +91,13 @@ func TestRegistryLimitCountsPendingWithoutCompile(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		_, err := r.Register("b", "regex", []string{"y"}, 0, "")
+		_, err := r.Register("b", "regex", []string{"y"}, 0)
 		done <- err
 	}()
 	<-entered // "b" is reserved but not yet installed: registry is full
 
 	before := compiles.Load()
-	if _, err := r.Register("c", "regex", []string{"z"}, 0, ""); !errors.Is(err, ErrTooMany) {
+	if _, err := r.Register("c", "regex", []string{"z"}, 0); !errors.Is(err, ErrTooMany) {
 		t.Fatalf("Register over limit: err = %v, want ErrTooMany", err)
 	}
 	if got := compiles.Load(); got != before {
@@ -110,7 +110,7 @@ func TestRegistryLimitCountsPendingWithoutCompile(t *testing.T) {
 	}
 	// A hot reload of an installed name must still work at the limit: it
 	// replaces rather than consuming a slot.
-	if e, err := r.Register("a", "regex", []string{"xx"}, 0, ""); err != nil || e.Version != 2 {
+	if e, err := r.Register("a", "regex", []string{"xx"}, 0); err != nil || e.Version != 2 {
 		t.Fatalf("reload at limit: entry=%+v err=%v, want version 2", e, err)
 	}
 }
@@ -119,7 +119,7 @@ func TestRegistryLimitCountsPendingWithoutCompile(t *testing.T) {
 // work holding the old *Entry keeps its compiled automaton.
 func TestRegistryHotReloadPinsOldEntry(t *testing.T) {
 	r := NewRegistry(4)
-	v1, err := r.Register("rs", "regex", []string{"alpha"}, 0, "")
+	v1, err := r.Register("rs", "regex", []string{"alpha"}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestRegistryHotReloadPinsOldEntry(t *testing.T) {
 		t.Fatalf("fresh version = %d, want 1", v1.Version)
 	}
 
-	v2, err := r.Register("rs", "regex", []string{"bravo"}, 0, "")
+	v2, err := r.Register("rs", "regex", []string{"bravo"}, 0)
 	if err != nil {
 		t.Fatalf("hot reload: %v", err)
 	}
@@ -160,10 +160,10 @@ func TestRegistryHotReloadPinsOldEntry(t *testing.T) {
 // regresses across a delete + re-register.
 func TestRegistryVersionsSurviveDelete(t *testing.T) {
 	r := NewRegistry(4)
-	if _, err := r.Register("rs", "regex", []string{"a"}, 0, ""); err != nil {
+	if _, err := r.Register("rs", "regex", []string{"a"}, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Register("rs", "regex", []string{"b"}, 0, ""); err != nil {
+	if _, err := r.Register("rs", "regex", []string{"b"}, 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := r.Delete("rs"); err != nil {
@@ -172,7 +172,7 @@ func TestRegistryVersionsSurviveDelete(t *testing.T) {
 	if got := r.Version("rs"); got != 0 {
 		t.Fatalf("Version after delete = %d, want 0", got)
 	}
-	e, err := r.Register("rs", "regex", []string{"c"}, 0, "")
+	e, err := r.Register("rs", "regex", []string{"c"}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,14 +185,14 @@ func TestRegistryVersionsSurviveDelete(t *testing.T) {
 // frees the name and its slot for the next caller.
 func TestRegistryFailedCompileReleasesReservation(t *testing.T) {
 	r := NewRegistry(1)
-	if _, err := r.Register("bad", "regex", []string{"("}, 0, ""); err == nil {
+	if _, err := r.Register("bad", "regex", []string{"("}, 0); err == nil {
 		t.Fatal("Register with invalid pattern succeeded")
 	}
 	if got := r.Len(); got != 0 {
 		t.Fatalf("Len after failed compile = %d, want 0", got)
 	}
 	// The slot and the name are both free again.
-	e, err := r.Register("bad", "regex", []string{"ok"}, 0, "")
+	e, err := r.Register("bad", "regex", []string{"ok"}, 0)
 	if err != nil {
 		t.Fatalf("Register after failed compile: %v", err)
 	}

@@ -14,8 +14,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"pap"
 )
 
 // TestSessionExpiryRacesInFlightWrite hammers a session with concurrent
@@ -26,7 +24,7 @@ import (
 func TestSessionExpiryRacesInFlightWrite(t *testing.T) {
 	for round := 0; round < 20; round++ {
 		m := NewSessionManager(0, 10*time.Millisecond)
-		s, err := m.Create(testEntry(t), pap.EngineAuto)
+		s, err := m.Create(testEntry(t), false)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,9 +6,10 @@
 // sessions (pap.Stream).
 //
 // Automata are compiled once at registration and shared immutably by
-// every request. Matching work runs on a bounded worker pool sized to
-// GOMAXPROCS with per-request timeouts; when the queue is full the
-// server sheds load with 429 instead of queueing unboundedly. The
+// every request. A match runs on the goroutine net/http gave its request,
+// behind an admission limiter sized to GOMAXPROCS and under a per-request
+// deadline; when as many requests as the queue depth are already waiting
+// the server sheds load with 429 instead of queueing unboundedly. The
 // service exposes Prometheus text-format metrics on /metrics,
 // liveness/readiness probes on /healthz and /readyz, and drains
 // in-flight matches on shutdown.
@@ -22,8 +23,6 @@ import (
 	"runtime"
 	"sync/atomic"
 	"time"
-
-	"pap"
 )
 
 // Config controls a papd server. Zero values select sensible defaults.
@@ -32,8 +31,8 @@ type Config struct {
 	Addr string
 	// Workers bounds concurrent matching work (default GOMAXPROCS).
 	Workers int
-	// QueueDepth bounds queued matching work beyond the workers; a full
-	// queue returns 429 (default 4×Workers).
+	// QueueDepth bounds the requests waiting for one of the Workers slots;
+	// beyond it a request gets 429 (default 4×Workers).
 	QueueDepth int
 	// MatchTimeout bounds one match or stream write, queueing included
 	// (default 30s).
@@ -41,7 +40,7 @@ type Config struct {
 	// MaxMatchDuration, when > 0, caps the execution deadline of every
 	// match and stream write — including ones that ask for a longer
 	// per-request timeout_ms — so a single adversarial request (a
-	// pathological enumeration input, say) can never hold a worker
+	// pathological enumeration input, say) can never hold a slot
 	// longer than the operator allows. 0 leaves MatchTimeout as the only
 	// bound.
 	MaxMatchDuration time.Duration
@@ -54,16 +53,6 @@ type Config struct {
 	MaxAutomata int
 	// MaxStreams bounds live streaming sessions (default 4096).
 	MaxStreams int
-	// SerialSegments makes /match?mode=parallel requests default to the
-	// serial cross-segment scheduler (requests may override per call with
-	// serial_segments=). Results and modelled stats are identical either
-	// way; serial mode only changes simulator wall-clock behaviour.
-	SerialSegments bool
-	// DefaultExecMode is the parallel execution strategy served when a
-	// request does not pick one (mode=parallel uses it; mode=sfa forces
-	// pap.ExecSFA per call). Matches are identical across strategies;
-	// modelled stats differ.
-	DefaultExecMode pap.ExecMode
 
 	// Peers lists the advertised addresses of the other replicas in a
 	// sharded deployment; empty disables the shard router. Each ruleset
@@ -83,9 +72,8 @@ type Config struct {
 	PeerCooldown time.Duration
 
 	// BatchWindow coalesces small sequential match requests sharing a
-	// ruleset version and engine into single worker-pool tasks: requests
-	// arriving within the window are served by one task and demuxed.
-	// 0 disables coalescing.
+	// ruleset version: requests arriving within the window are admitted as
+	// one unit, served in turn and demuxed. 0 disables coalescing.
 	BatchWindow time.Duration
 	// BatchMaxSize flushes a batch early when it reaches this many
 	// requests (default 64).
@@ -95,8 +83,8 @@ type Config struct {
 	BatchMaxBytes int
 
 	// TenantRPS grants each tenant (X-API-Key header, or "anonymous")
-	// this many match/stream-write requests per second on the worker
-	// pool, answering 429 with Retry-After beyond it. 0 disables quotas.
+	// this many match/stream-write requests per second, answering 429
+	// with Retry-After beyond it. 0 disables quotas.
 	TenantRPS float64
 	// TenantBurst is the per-tenant burst allowance (default
 	// max(TenantRPS, 1)).
@@ -141,7 +129,7 @@ func (c Config) withDefaults() Config {
 type Server struct {
 	cfg       Config
 	reg       *Registry
-	pool      *Pool
+	limiter   *Limiter
 	sessions  *SessionManager
 	metrics   *Metrics
 	router    *Router    // nil unless Peers configured
@@ -158,13 +146,10 @@ type Server struct {
 	streamBytes      *Counter
 	cancellations    map[string]*Counter
 	speedupHist      *Histogram
-	engineSteps      []*Counter // indexed by pap.EngineKind
+	engineSteps      *Counter
 	engineSwitches   *Counter
 	prefilterSkipped *Counter
 	baselineSkipped  *Counter
-	lazyCacheHits    *Counter
-	lazyCacheMisses  *Counter
-	lazyCacheEvicts  *Counter
 	sfaMappings      *Counter
 	sfaCompositions  *Counter
 	scoredMatches    *Counter
@@ -176,7 +161,7 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:      cfg,
 		reg:      NewRegistry(cfg.MaxAutomata),
-		pool:     NewPool(cfg.Workers, cfg.QueueDepth),
+		limiter:  NewLimiter(cfg.Workers, cfg.QueueDepth),
 		sessions: NewSessionManager(cfg.MaxStreams, cfg.StreamIdleTimeout),
 		metrics:  NewMetrics(),
 		router:   NewRouter(cfg.AdvertiseAddr, cfg.Peers, cfg.PeerFailThreshold, cfg.PeerCooldown),
@@ -185,7 +170,7 @@ func New(cfg Config) *Server {
 		latency:  make(map[string]*Histogram),
 		started:  time.Now(),
 	}
-	s.coalescer = NewCoalescer(s.pool, cfg.BatchWindow, cfg.BatchMaxSize, cfg.MatchTimeout)
+	s.coalescer = NewCoalescer(s.limiter, cfg.BatchWindow, cfg.BatchMaxSize, cfg.MatchTimeout)
 
 	m := s.metrics
 	s.poolRejected = m.Counter("papd_worker_pool_rejected_total",
@@ -195,25 +180,14 @@ func New(cfg Config) *Server {
 	s.speedupHist = m.Histogram("papd_parallel_speedup",
 		"Modelled AP speedup of parallel matches over the sequential AP baseline.",
 		"", []float64{1, 2, 4, 8, 16, 32, 64, 128, 256})
-	names := pap.EngineKindNames()
-	s.engineSteps = make([]*Counter, len(names))
-	for k := range names {
-		s.engineSteps[k] = m.Counter("papd_engine_steps_total",
-			"Input symbols stepped through execution engines, by configured engine.",
-			fmt.Sprintf("engine=%q", pap.EngineKind(k)))
-	}
+	s.engineSteps = m.Counter("papd_engine_steps_total",
+		"Input symbols stepped through execution engines.", "")
 	s.engineSwitches = m.Counter("papd_engine_switches_total",
 		"Sparse-dense representation switches made by adaptive engines.", "")
 	s.prefilterSkipped = m.Counter("papd_prefilter_skipped_bytes_total",
 		"Input bytes the literal/class prefilter proved inert and never stepped.", "")
 	s.baselineSkipped = m.Counter("papd_baseline_skipped_bytes_total",
 		"Input bytes the exact baseline-skip fast path scanned past instead of stepping.", "")
-	s.lazyCacheHits = m.Counter("papd_lazydfa_cache_hits_total",
-		"Lazy-DFA state-cache edge hits.", "")
-	s.lazyCacheMisses = m.Counter("papd_lazydfa_cache_misses_total",
-		"Lazy-DFA state-cache edge misses (determinizations).", "")
-	s.lazyCacheEvicts = m.Counter("papd_lazydfa_cache_evictions_total",
-		"Lazy-DFA cached states discarded by cache flushes.", "")
 	s.sfaMappings = m.Counter("papd_sfa_mappings_total",
 		"Entry-to-exit mapping flows run by SFA-mode parallel matches.", "")
 	s.sfaCompositions = m.Counter("papd_sfa_compositions_total",
@@ -226,43 +200,40 @@ func New(cfg Config) *Server {
 			"Matches and stream writes cancelled before completion, by reason.",
 			fmt.Sprintf("reason=%q", reason))
 	}
-	m.GaugeFunc("papd_worker_pool_workers", "Size of the matching worker pool.", "",
-		func() float64 { return float64(s.pool.Workers()) })
+	m.GaugeFunc("papd_worker_pool_workers", "Matching tasks that may execute at once.", "",
+		func() float64 { return float64(s.limiter.Workers()) })
 	m.GaugeFunc("papd_worker_pool_active", "Matching tasks currently executing.", "",
-		func() float64 { return float64(s.pool.Active()) })
+		func() float64 { return float64(s.limiter.Active()) })
 	m.GaugeFunc("papd_worker_pool_queue_depth", "Matching tasks waiting in the queue.", "",
-		func() float64 { return float64(s.pool.QueueDepth()) })
+		func() float64 { return float64(s.limiter.QueueDepth()) })
 	m.GaugeFunc("papd_worker_pool_queue_capacity", "Capacity of the matching queue.", "",
-		func() float64 { return float64(s.pool.QueueCap()) })
+		func() float64 { return float64(s.limiter.QueueCap()) })
 	m.GaugeFunc("papd_streams_active", "Live streaming sessions.", "",
 		func() float64 { return float64(s.sessions.Len()) })
 	m.GaugeFunc("papd_automata_registered", "Automata in the registry.", "",
 		func() float64 { return float64(s.reg.Len()) })
 	m.GaugeFunc("papd_uptime_seconds", "Seconds since the server started.", "",
 		func() float64 { return time.Since(s.started).Seconds() })
-	m.GaugeFunc("papd_segment_parallelism",
-		"1 when parallel-mode matches default to the cross-segment parallel scheduler, 0 when serial.", "",
-		func() float64 {
-			if s.cfg.SerialSegments {
-				return 0
-			}
-			return 1
-		})
 	s.sessions.SetExpiredCounter(m.Counter("papd_streams_expired_total",
 		"Streaming sessions expired for idleness.", ""))
 	m.GaugeFunc("papd_worker_pool_abandoned",
 		"Cumulative tasks abandoned while queued; abandoned tasks never run.", "",
-		func() float64 { return float64(s.pool.Abandoned()) })
+		func() float64 { return float64(s.limiter.Abandoned()) })
 
 	// Every installed ruleset version (registration or hot reload) gets a
 	// papd_ruleset_version gauge; it reads the live registry, so a delete
-	// shows 0 and a reload shows the bumped version immediately.
+	// shows 0 and a reload shows the bumped version immediately. Its
+	// matches are counted on a series the name's versions share, kept on
+	// the entry so the request path neither formats a label nor looks the
+	// series up.
 	s.reg.SetInstallHook(func(e *Entry) {
 		name := e.Name
+		label := fmt.Sprintf("automaton=%q", EscapeLabelValue(name))
 		m.GaugeFunc("papd_ruleset_version",
 			"Currently served version of each registered ruleset (0 = deleted).",
-			fmt.Sprintf("automaton=%q", EscapeLabelValue(name)),
-			func() float64 { return float64(s.reg.Version(name)) })
+			label, func() float64 { return float64(s.reg.Version(name)) })
+		e.matchesTotal = m.Counter("papd_automaton_matches_total",
+			"Matches reported, by automaton.", label)
 	})
 
 	if s.coalescer != nil {
@@ -342,15 +313,15 @@ func (s *Server) Addr() string { return s.cfg.Addr }
 
 // Shutdown drains the server: readiness flips to draining (load balancers
 // stop sending), the HTTP server stops accepting and waits for in-flight
-// requests up to ctx, the worker pool finishes every accepted match, and
-// the session reaper stops.
+// requests — every admitted match among them — up to ctx, the limiter
+// turns away whatever still arrives, and the session reaper stops.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.ready.Store(false)
 	var err error
 	if s.httpSrv != nil {
 		err = s.httpSrv.Shutdown(ctx)
 	}
-	s.pool.Close()
+	s.limiter.Close()
 	s.sessions.Stop()
 	return err
 }

@@ -117,6 +117,53 @@ func TestServerHotReloadPinsSessions(t *testing.T) {
 	}
 }
 
+// TestSessionMatchesCountedOnPinnedVersion: a streaming session's requests
+// and matches are credited to the ruleset version it is pinned to — not to
+// whatever version the name serves by the time of the write, and not to
+// nothing once the name is deleted — while the name's
+// papd_automaton_matches_total series keeps moving throughout.
+func TestSessionMatchesCountedOnPinnedVersion(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	reg := []byte(`{"name": "rs", "patterns": ["alpha"]}`)
+	if code, body := doJSON(t, "POST", ts.URL+"/v1/automata", reg, nil); code != 201 {
+		t.Fatalf("register v1 = %d: %s", code, body)
+	}
+	var si SessionInfo
+	if code, body := doJSON(t, "POST", ts.URL+"/v1/streams", []byte(`{"automaton": "rs"}`), &si); code != 201 {
+		t.Fatalf("open stream = %d: %s", code, body)
+	}
+	if code, body := doJSON(t, "POST", ts.URL+"/v1/automata", reg, nil); code != 200 {
+		t.Fatalf("hot reload = %d: %s", code, body)
+	}
+
+	const series = `papd_automaton_matches_total{automaton="rs"}`
+	write := func(want float64) {
+		t.Helper()
+		var wr streamWriteResponse
+		code, body := doJSON(t, "POST", ts.URL+"/v1/streams/"+si.ID+"/write", []byte("alpha alpha "), &wr)
+		if code != 200 || len(wr.Matches) != 2 {
+			t.Fatalf("stream write = %d: %s, want 2 matches", code, body)
+		}
+		if got := metricValue(t, ts.URL, series); got != want {
+			t.Fatalf("%s = %v after the write, want %v", series, got, want)
+		}
+	}
+
+	write(2)
+	var v2 automatonJSON
+	if code, body := doJSON(t, "GET", ts.URL+"/v1/automata/rs", nil, &v2); code != 200 || v2.Version != 2 {
+		t.Fatalf("get v2 = %d: %s", code, body)
+	}
+	if v2.Requests != 0 || v2.Matches != 0 {
+		t.Fatalf("v2 shows %d requests, %d matches: a v1 session's write was credited to it", v2.Requests, v2.Matches)
+	}
+
+	if code, _ := doJSON(t, "DELETE", ts.URL+"/v1/automata/rs", nil, nil); code != 204 {
+		t.Fatalf("delete = %d, want 204", code)
+	}
+	write(4)
+}
+
 // TestServerTenantQuota proves per-tenant throttling over HTTP: a tenant
 // over budget gets 429 with a Retry-After header while other tenants are
 // untouched.

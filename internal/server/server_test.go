@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
@@ -146,14 +147,14 @@ func TestServerEndToEnd(t *testing.T) {
 	if code, body := doJSON(t, "POST", ts.URL+"/v1/automata/ids/match?mode=sfa&ranks=2&segments=8", payload, &sfa); code != 200 {
 		t.Fatalf("sfa match = %d %q", code, body)
 	}
-	if sfa.AP == nil || !sfa.AP.Verified || sfa.AP.ExecMode != "sfa" {
+	if sfa.AP == nil || !sfa.AP.Verified || sfa.AP.Mode != "sfa" {
 		t.Fatalf("sfa AP stats = %+v", sfa.AP)
 	}
 	if len(sfa.Matches) != len(seq.Matches) {
 		t.Fatalf("sfa found %d matches, sequential %d", len(sfa.Matches), len(seq.Matches))
 	}
-	if par.AP.ExecMode != "flows" {
-		t.Fatalf("parallel default exec mode = %q, want flows", par.AP.ExecMode)
+	if par.AP.Mode != "flows" {
+		t.Fatalf("parallel default exec mode = %q, want flows", par.AP.Mode)
 	}
 
 	// Bad parallel params.
@@ -226,7 +227,6 @@ func TestServerEndToEnd(t *testing.T) {
 		`papd_automaton_matches_total{automaton="ids"}`,
 		"papd_parallel_speedup_count 2",
 		"papd_stream_bytes_total 32768",
-		"papd_segment_parallelism 1",
 		"papd_sfa_mappings_total",
 		"papd_sfa_compositions_total",
 	} {
@@ -288,7 +288,8 @@ func TestServerConcurrentMatches(t *testing.T) {
 	wg.Wait()
 }
 
-// TestServerBackpressure forces the tiny pool to reject with 429.
+// TestServerBackpressure forces the tiny limiter to time a waiter out and
+// to reject with 429.
 func TestServerBackpressure(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 1, MatchTimeout: 5 * time.Second})
 	reg, _ := json.Marshal(registerRequest{Name: "b", Patterns: []string{"x"}})
@@ -296,28 +297,27 @@ func TestServerBackpressure(t *testing.T) {
 		t.Fatal("register failed")
 	}
 
-	// Occupy the single worker.
-	block := make(chan struct{})
-	running := make(chan struct{})
-	go s.pool.Do(context.Background(), func() { close(running); <-block }) //nolint:errcheck
-	<-running
-	// Fill the single queue slot.
-	go s.pool.Do(context.Background(), func() {}) //nolint:errcheck
-	deadline := time.After(2 * time.Second)
-	for s.pool.QueueDepth() == 0 {
-		select {
-		case <-deadline:
-			t.Fatal("queue never filled")
-		default:
-			time.Sleep(time.Millisecond)
-		}
+	// Occupy the single slot: a request whose deadline ends while it waits
+	// for it is answered like any cancelled match, and counted abandoned.
+	release := occupy(t, s.limiter, 1)
+	var ab abortResponse
+	code, body := doJSON(t, "POST", ts.URL+"/v1/automata/b/match?timeout_ms=20", []byte("xxx"), nil)
+	if code != http.StatusServiceUnavailable || json.Unmarshal(body, &ab) != nil || ab.Reason != "deadline" {
+		t.Fatalf("match that waited past its deadline = %d %q, want 503 with reason deadline", code, body)
+	}
+	if got := s.limiter.Abandoned(); got != 1 {
+		t.Fatalf("abandoned = %d, want 1", got)
 	}
 
-	code, body := doJSON(t, "POST", ts.URL+"/v1/automata/b/match", []byte("xxx"), nil)
+	// Now fill the single place in the queue as well.
+	go s.limiter.Do(context.Background(), func() {}) //nolint:errcheck
+	waitFor(t, "queue depth", s.limiter.QueueDepth, 1)
+
+	code, body = doJSON(t, "POST", ts.URL+"/v1/automata/b/match", []byte("xxx"), nil)
 	if code != http.StatusTooManyRequests {
 		t.Fatalf("match under full queue = %d %q, want 429", code, body)
 	}
-	close(block)
+	release()
 
 	_, metrics := doJSON(t, "GET", ts.URL+"/metrics", nil, nil)
 	if !strings.Contains(string(metrics), "papd_worker_pool_rejected_total 1") {
@@ -325,27 +325,83 @@ func TestServerBackpressure(t *testing.T) {
 	}
 }
 
-// TestServerGracefulShutdown verifies readiness flips and the pool drains.
+// TestServerGracefulShutdown verifies the drain: readiness flips, a match
+// in flight when Shutdown is called still completes with 200, and one that
+// arrives afterwards is turned away with 503.
 func TestServerGracefulShutdown(t *testing.T) {
 	s := New(Config{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
+	reg, _ := json.Marshal(registerRequest{Name: "g", Patterns: []string{"x"}})
+	if code, body := doJSON(t, "POST", ts.URL+"/v1/automata", reg, nil); code != 201 {
+		t.Fatalf("register = %d %q", code, body)
+	}
+
+	// Hold every slot but one, so the match below is admitted and then
+	// waits — in flight — on a session lock this test holds.
+	open, _ := json.Marshal(openStreamRequest{Automaton: "g"})
+	var si SessionInfo
+	if code, body := doJSON(t, "POST", ts.URL+"/v1/streams", open, &si); code != 201 {
+		t.Fatalf("open stream = %d %q", code, body)
+	}
+	sess, err := s.sessions.Get(si.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess.mu.Lock()
+	inFlight := make(chan int, 1)
+	go func() {
+		code, _ := doJSON(t, "POST", ts.URL+"/v1/streams/"+si.ID+"/write", []byte("xx"), nil)
+		inFlight <- code
+	}()
+	waitFor(t, "active", s.limiter.Active, 1)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	if err := s.Shutdown(ctx); err != nil {
 		t.Fatalf("shutdown: %v", err)
 	}
-	resp, err := http.Get(ts.URL + "/readyz")
-	if err != nil {
-		t.Fatal(err)
+	if code, _ := doJSON(t, "GET", ts.URL+"/readyz", nil, nil); code != http.StatusServiceUnavailable {
+		t.Fatalf("readyz after shutdown = %d, want 503", code)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("readyz after shutdown = %d, want 503", resp.StatusCode)
+	if code, body := doJSON(t, "POST", ts.URL+"/v1/automata/g/match", []byte("x"), nil); code != http.StatusServiceUnavailable {
+		t.Fatalf("match arriving after shutdown = %d %q, want 503", code, body)
 	}
-	if err := s.pool.Do(context.Background(), func() {}); err != ErrPoolClosed {
-		t.Fatalf("pool after shutdown: %v, want ErrPoolClosed", err)
+	sess.mu.Unlock()
+	if code := <-inFlight; code != 200 {
+		t.Fatalf("stream write in flight across shutdown = %d, want 200", code)
+	}
+}
+
+// TestServerSurvivesPanickingMatch: a panic in the matching code costs the
+// one request a 500 and nothing else — the slot comes back and the next
+// request is served. With the worker pool this replaced, the match ran on a
+// pool goroutine with no recover and the panic took the process down (here,
+// the test binary) with every tenant's sessions.
+func TestServerSurvivesPanickingMatch(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1})
+	quietLog(t)
+	reg, _ := json.Marshal(registerRequest{Name: "p", Patterns: []string{"x"}})
+	if code, body := doJSON(t, "POST", ts.URL+"/v1/automata", reg, nil); code != 201 {
+		t.Fatalf("register = %d %q", code, body)
+	}
+	// A session with no stream: its write dereferences nil inside the
+	// function the limiter runs, as an engine bug would.
+	e, _ := s.reg.Get("p")
+	s.sessions.sessions["broken"] = &Session{ID: "broken", Entry: e}
+
+	code, body := doJSON(t, "POST", ts.URL+"/v1/streams/broken/write", []byte("x"), nil)
+	if code != http.StatusInternalServerError {
+		t.Fatalf("panicking write = %d %q, want 500", code, body)
+	}
+	if strings.Contains(string(body), "goroutine") {
+		t.Errorf("500 body leaks the stack: %s", body)
+	}
+	if got := s.limiter.Active(); got != 0 {
+		t.Fatalf("active = %d after the panic, want 0: the slot leaked", got)
+	}
+	if code, body := doJSON(t, "POST", ts.URL+"/v1/automata/p/match", []byte("x"), nil); code != 200 {
+		t.Fatalf("match after the panic = %d %q, want 200", code, body)
 	}
 }
 
@@ -390,76 +446,121 @@ func TestRegisterValidation(t *testing.T) {
 	}
 }
 
-// TestServerEngineSelection covers the engine plumbing: ruleset defaults
-// set at registration, per-request overrides on match and stream open,
-// rejection of unknown engine names, and the per-engine metrics.
-func TestServerEngineSelection(t *testing.T) {
+// scrub zeroes the fields of a decoded JSON response that legitimately
+// differ between two identical requests: timings, ids and timestamps.
+func scrub(v any) any {
+	switch v := v.(type) {
+	case map[string]any:
+		for k, x := range v {
+			switch k {
+			case "elapsed_ms", "id", "created", "last_used":
+				v[k] = nil
+			default:
+				v[k] = scrub(x)
+			}
+		}
+	case []any:
+		for i := range v {
+			v[i] = scrub(v[i])
+		}
+	}
+	return v
+}
+
+// scrubbed returns body re-encoded with scrub applied, and fails the test if
+// the response carries an "engine" key at any depth.
+func scrubbed(t *testing.T, what string, body []byte) string {
+	t.Helper()
+	var v any
+	if err := json.Unmarshal(body, &v); err != nil {
+		t.Fatalf("%s: decoding %q: %v", what, body, err)
+	}
+	out, _ := json.Marshal(scrub(v))
+	if strings.Contains(string(out), `"engine"`) {
+		t.Errorf("%s: response still names an engine: %s", what, body)
+	}
+	return string(out)
+}
+
+// TestWireSelectsNothing pins the rule docs/SERVER.md states: nothing on
+// the wire selects how an answer is computed. A request that still sends
+// the removed engine= / serial_segments= parameters (query and body
+// spellings, valid and invalid values alike) gets, timings and ids aside,
+// byte for byte the response of one that does not; no response names an
+// engine; and the metrics carry one engine-steps series and none of the
+// per-kind ones.
+func TestWireSelectsNothing(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
+	const removed = "engine=sparse&serial_segments=true"
 
-	// Register with a sparse default; bad engine names are rejected.
-	reg, _ := json.Marshal(registerRequest{Name: "e", Patterns: []string{"attack"}, Engine: "sparse"})
-	var auto automatonJSON
-	if code, body := doJSON(t, "POST", ts.URL+"/v1/automata", reg, &auto); code != 201 || auto.Engine != "sparse" {
-		t.Fatalf("register = %d %q engine=%q", code, body, auto.Engine)
-	}
-	bad, _ := json.Marshal(registerRequest{Name: "b", Patterns: []string{"x"}, Engine: "quantum"})
-	if code, _ := doJSON(t, "POST", ts.URL+"/v1/automata", bad, nil); code != 400 {
-		t.Fatalf("bad engine register = %d, want 400", code)
-	}
-
-	// Every backend returns the same matches; the response echoes the
-	// engine, defaulting to the ruleset's.
-	payload := testInput(4096, 3, "attack")
-	var want matchResponse
-	if code, _ := doJSON(t, "POST", ts.URL+"/v1/automata/e/match", payload, &want); code != 200 || want.Engine != "sparse" {
-		t.Fatalf("default match engine = %q", want.Engine)
-	}
-	for _, eng := range []string{"auto", "bit"} {
-		var m matchResponse
-		if code, body := doJSON(t, "POST", ts.URL+"/v1/automata/e/match?engine="+eng, payload, &m); code != 200 {
-			t.Fatalf("%s match = %d %q", eng, code, body)
+	register := func(name string, extra map[string]any) string {
+		req := map[string]any{"name": name, "patterns": []string{"attack", "ne+dle"}}
+		for k, v := range extra {
+			req[k] = v
 		}
-		if m.Engine != eng || len(m.Matches) != len(want.Matches) {
-			t.Fatalf("%s: engine=%q matches=%d, want %d", eng, m.Engine, len(m.Matches), len(want.Matches))
+		body, _ := json.Marshal(req)
+		code, resp := doJSON(t, "POST", ts.URL+"/v1/automata?"+removed, body, nil)
+		if code != 201 {
+			t.Fatalf("register %s = %d %q", name, code, resp)
+		}
+		// Names differ by construction; everything else must not.
+		return strings.ReplaceAll(scrubbed(t, "register "+name, resp), name, "NAME")
+	}
+	if plain, with := register("w1", nil), register("w2", map[string]any{"engine": "quantum", "serial_segments": true}); plain != with {
+		t.Errorf("register body with removed fields differs:\n%s\n%s", plain, with)
+	}
+
+	payload := testInput(1<<14, 5, "attack", "needle")
+	for _, q := range []string{"", "mode=parallel&segments=4", "mode=sfa&segments=4"} {
+		var got [2]string
+		for i, query := range []string{q, q + "&" + removed} {
+			code, body := doJSON(t, "POST", ts.URL+"/v1/automata/w1/match?"+query, payload, nil)
+			if code != 200 {
+				t.Fatalf("match ?%s = %d %q", query, code, body)
+			}
+			got[i] = scrubbed(t, "match ?"+query, body)
+		}
+		if got[0] != got[1] {
+			t.Errorf("match ?%s differs with the removed parameters:\n%s\n%s", q, got[0], got[1])
 		}
 	}
-	var par matchResponse
-	if code, body := doJSON(t, "POST", ts.URL+"/v1/automata/e/match?mode=parallel&engine=bit", payload, &par); code != 200 || par.AP == nil {
-		t.Fatalf("parallel bit match = %d %q", code, body)
-	}
-	if code, _ := doJSON(t, "POST", ts.URL+"/v1/automata/e/match?engine=quantum", payload, nil); code != 400 {
-		t.Fatal("unknown engine accepted on match")
+	if code, body := doJSON(t, "POST", ts.URL+"/v1/automata/w1/match?engine=quantum&serial_segments=zzz", payload, nil); code != 200 {
+		t.Errorf("match with unparseable removed parameters = %d %q, want 200: they are ignored, not validated", code, body)
 	}
 
-	// Streams: ruleset default, request override, bad name rejected.
-	open, _ := json.Marshal(openStreamRequest{Automaton: "e"})
-	var sess SessionInfo
-	if code, _ := doJSON(t, "POST", ts.URL+"/v1/streams", open, &sess); code != 201 || sess.Engine != "sparse" {
-		t.Fatalf("stream default engine = %q", sess.Engine)
+	var got [2]string
+	for i, open := range []string{`{"automaton":"w1"}`, `{"automaton":"w1","engine":"sparse","serial_segments":true}`} {
+		var si SessionInfo
+		code, body := doJSON(t, "POST", ts.URL+"/v1/streams?"+removed, []byte(open), &si)
+		if code != 201 {
+			t.Fatalf("open %s = %d %q", open, code, body)
+		}
+		got[i] = scrubbed(t, "open "+open, body)
+		code, body = doJSON(t, "POST", ts.URL+"/v1/streams/"+si.ID+"/write?"+removed, payload, nil)
+		if code != 200 {
+			t.Fatalf("write = %d %q", code, body)
+		}
+		got[i] += scrubbed(t, "write", body)
+		_, body = doJSON(t, "GET", ts.URL+"/v1/streams/"+si.ID, nil, nil)
+		got[i] += scrubbed(t, "stream info", body)
 	}
-	open, _ = json.Marshal(openStreamRequest{Automaton: "e", Engine: "bit"})
-	if code, _ := doJSON(t, "POST", ts.URL+"/v1/streams", open, &sess); code != 201 || sess.Engine != "bit" {
-		t.Fatalf("stream override engine = %q", sess.Engine)
-	}
-	var wr streamWriteResponse
-	if code, _ := doJSON(t, "POST", ts.URL+"/v1/streams/"+sess.ID+"/write", payload, &wr); code != 200 {
-		t.Fatal("stream write failed")
-	}
-	open, _ = json.Marshal(openStreamRequest{Automaton: "e", Engine: "quantum"})
-	if code, _ := doJSON(t, "POST", ts.URL+"/v1/streams", open, nil); code != 400 {
-		t.Fatal("unknown engine accepted on stream open")
+	if got[0] != got[1] {
+		t.Errorf("stream open+write+info differs with the removed fields:\n%s\n%s", got[0], got[1])
 	}
 
-	// Metrics report per-engine step counts.
 	_, metrics := doJSON(t, "GET", ts.URL+"/metrics", nil, nil)
-	for _, want := range []string{
-		`papd_engine_steps_total{engine="sparse"}`,
-		`papd_engine_steps_total{engine="bit"}`,
-		"papd_engine_switches_total",
-	} {
-		if !strings.Contains(string(metrics), want) {
-			t.Errorf("metrics missing %q", want)
+	var steps []string
+	for _, line := range strings.Split(string(metrics), "\n") {
+		if strings.HasPrefix(line, "papd_engine_steps_total") {
+			steps = append(steps, line)
 		}
+		if strings.Contains(line, "papd_lazydfa_") || strings.Contains(line, "papd_segment_parallelism") {
+			t.Errorf("metrics still carry %q", line)
+		}
+	}
+	// Seven matches and two stream writes answered 200, one payload each.
+	if want := fmt.Sprintf("papd_engine_steps_total %d", 9*len(payload)); len(steps) != 1 || steps[0] != want {
+		t.Errorf("papd_engine_steps_total samples = %q, want exactly [%q]", steps, want)
 	}
 }
 
@@ -484,66 +585,85 @@ func TestSequentialMatchCountsEngineSwitches(t *testing.T) {
 	before := metricValue(t, ts.URL, "papd_engine_switches_total")
 	payload := append(bytes.Repeat([]byte("a"), 40), bytes.Repeat([]byte("q"), 256)...)
 	var m matchResponse
-	if code, body := doJSON(t, "POST", ts.URL+"/v1/automata/wide/match", payload, &m); code != 200 || m.Engine != "auto" {
-		t.Fatalf("match = %d %q engine=%q", code, body, m.Engine)
+	if code, body := doJSON(t, "POST", ts.URL+"/v1/automata/wide/match", payload, &m); code != 200 {
+		t.Fatalf("match = %d %q", code, body)
 	}
 	if after := metricValue(t, ts.URL, "papd_engine_switches_total"); after <= before {
 		t.Fatalf("papd_engine_switches_total = %v after a sequential match that went dense, %v before", after, before)
 	}
 }
 
-// TestSerialSegmentsScheduler covers the cross-segment scheduler plumbing:
-// a server configured with SerialSegments defaults parallel-mode matches to
-// the serial scheduler (gauge at 0), a request can override it per call,
-// and both schedulers return identical matches and modelled AP stats.
-func TestSerialSegmentsScheduler(t *testing.T) {
-	_, ts := newTestServer(t, Config{SerialSegments: true})
-
-	reg, _ := json.Marshal(registerRequest{Name: "r", Patterns: []string{"attack", "needle"}})
+// TestAPStatsWireKeys pins the "ap" object of a parallel match response —
+// its key set, key order and JSON value types — for a flows, an sfa and a
+// scored request. The lists are literal, taken from the responses of the
+// commit before pap.RunStats itself became the wire record, so the struct
+// and its tags cannot drift from what clients already parse.
+func TestAPStatsWireKeys(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	reg, _ := json.Marshal(registerRequest{
+		Name:     "ids",
+		Patterns: []string{"a[a-z ]*k", "GET /admin", `[0-9][0-9]:[0-9][0-9]`},
+	})
 	if code, body := doJSON(t, "POST", ts.URL+"/v1/automata", reg, nil); code != 201 {
 		t.Fatalf("register = %d %q", code, body)
 	}
-	payload := testInput(1<<15, 7, "attack", "needle")
+	payload := testInput(1<<15, 42, "attack", "GET /admin", "13:37")
 
-	var serial, parallel matchResponse
-	if code, body := doJSON(t, "POST", ts.URL+"/v1/automata/r/match?mode=parallel&segments=8", payload, &serial); code != 200 {
-		t.Fatalf("serial-default match = %d %q", code, body)
+	common := []string{
+		"segments:number", "speedup:number", "ideal_speedup:number",
+		"baseline_ns:number", "parallel_ns:number", "cut_symbol:number",
+		"cut_range:number", "avg_active_flows:number",
+		"switch_overhead_pct:number", "false_report_ratio:number",
+		"engine_switches:number", "prefilter_skipped:number",
+		"baseline_skipped:number", "exec_mode:string",
 	}
-	if code, body := doJSON(t, "POST", ts.URL+"/v1/automata/r/match?mode=parallel&segments=8&serial_segments=false", payload, &parallel); code != 200 {
-		t.Fatalf("parallel-override match = %d %q", code, body)
+	with := func(extra ...string) []string {
+		return append(append(append([]string{}, common...), extra...), "verified:bool")
 	}
-	if serial.AP == nil || parallel.AP == nil {
-		t.Fatalf("missing AP stats: %+v vs %+v", serial.AP, parallel.AP)
+	cases := []struct {
+		query string
+		want  []string
+	}{
+		{"mode=parallel&ranks=2&segments=8", with()},
+		{"mode=sfa&ranks=2&segments=8", with("sfa_mappings:number", "sfa_compose_ops:number")},
+		{"mode=parallel&ranks=2&segments=8&scored=true", with("scored:bool", "scored_reports:number")},
 	}
-	if !serial.AP.Verified || !parallel.AP.Verified {
-		t.Fatalf("unverified results: %+v vs %+v", serial.AP, parallel.AP)
-	}
-	if len(serial.Matches) != len(parallel.Matches) {
-		t.Fatalf("match counts differ: %d vs %d", len(serial.Matches), len(parallel.Matches))
-	}
-	for i := range serial.Matches {
-		if serial.Matches[i] != parallel.Matches[i] {
-			t.Fatalf("match %d differs: %+v vs %+v", i, serial.Matches[i], parallel.Matches[i])
+	for _, c := range cases {
+		code, body := doJSON(t, "POST", ts.URL+"/v1/automata/ids/match?"+c.query, payload, nil)
+		if code != 200 {
+			t.Fatalf("?%s = %d %q", c.query, code, body)
 		}
-	}
-	// Modelled stats are scheduler-independent (engine_switches excepted,
-	// which is worker-scheduling-dependent by design).
-	if serial.AP.Segments != parallel.AP.Segments ||
-		serial.AP.Speedup != parallel.AP.Speedup ||
-		serial.AP.BaselineNS != parallel.AP.BaselineNS ||
-		serial.AP.ParallelNS != parallel.AP.ParallelNS ||
-		serial.AP.AvgActiveFlows != parallel.AP.AvgActiveFlows ||
-		serial.AP.SwitchOverheadPct != parallel.AP.SwitchOverheadPct ||
-		serial.AP.FalseReportRatio != parallel.AP.FalseReportRatio {
-		t.Fatalf("modelled stats differ:\nserial:   %+v\nparallel: %+v", serial.AP, parallel.AP)
-	}
-
-	if code, _ := doJSON(t, "POST", ts.URL+"/v1/automata/r/match?mode=parallel&serial_segments=zzz", payload, nil); code != 400 {
-		t.Fatalf("bad serial_segments = %d, want 400", code)
-	}
-
-	_, metrics := doJSON(t, "GET", ts.URL+"/metrics", nil, nil)
-	if !strings.Contains(string(metrics), "papd_segment_parallelism 0") {
-		t.Errorf("metrics missing papd_segment_parallelism 0:\n%s", metrics)
+		var resp struct {
+			AP json.RawMessage `json:"ap"`
+		}
+		if err := json.Unmarshal(body, &resp); err != nil {
+			t.Fatal(err)
+		}
+		// Walk the object with a token decoder: a map would lose the order.
+		dec := json.NewDecoder(bytes.NewReader(resp.AP))
+		if tok, err := dec.Token(); err != nil || tok != json.Delim('{') {
+			t.Fatalf("?%s: ap = %q, not an object", c.query, resp.AP)
+		}
+		var got []string
+		for dec.More() {
+			key, _ := dec.Token()
+			val, err := dec.Token()
+			if err != nil {
+				t.Fatalf("?%s: ap = %q: %v", c.query, resp.AP, err)
+			}
+			typ := "other"
+			switch val.(type) {
+			case float64:
+				typ = "number"
+			case string:
+				typ = "string"
+			case bool:
+				typ = "bool"
+			}
+			got = append(got, fmt.Sprintf("%v:%s", key, typ))
+		}
+		if strings.Join(got, " ") != strings.Join(c.want, " ") {
+			t.Errorf("?%s: ap keys\n got %v\nwant %v", c.query, got, c.want)
+		}
 	}
 }

@@ -20,12 +20,10 @@ import (
 // immutable, and the session stays pinned to the version it was opened
 // against); they die on explicit close, server shutdown, or idle expiry.
 type Session struct {
-	ID        string
-	Automaton string
-	Version   int // registry version the session is pinned to
-	Engine    pap.EngineKind
-	Scored    bool // the stream tracks per-transition scores
-	Created   time.Time
+	ID      string
+	Entry   *Entry // the ruleset version the session is pinned to
+	Scored  bool   // the stream tracks per-transition scores
+	Created time.Time
 
 	mu       sync.Mutex
 	stream   *pap.Stream
@@ -36,29 +34,16 @@ type Session struct {
 	closed   bool
 }
 
-// WriteStats is the per-write delta of backend counters, for metrics:
-// how many adaptive representation switches, prefilter-skipped bytes and
-// lazy-DFA cache events this one write caused.
-type WriteStats struct {
-	Switches         int64
-	PrefilterSkipped int64
-	BaselineSkipped  int64
-	CacheHits        int64
-	CacheMisses      int64
-	CacheEvictions   int64
-}
-
-// delta computes the counter movement since the previous write and
-// advances the high-water marks. Callers hold s.mu.
-func (s *Session) delta() WriteStats {
+// delta returns how far the stream's backend counters moved since the
+// previous write — the representation switches and skipped bytes this one
+// write caused, for metrics — and advances the high-water marks. Callers
+// hold s.mu.
+func (s *Session) delta() pap.EngineInfo {
 	info := s.stream.EngineInfo()
-	d := WriteStats{
-		Switches:         info.EngineSwitches - s.lastInfo.EngineSwitches,
-		PrefilterSkipped: info.PrefilterSkippedBytes - s.lastInfo.PrefilterSkippedBytes,
-		BaselineSkipped:  info.BaselineSkippedBytes - s.lastInfo.BaselineSkippedBytes,
-		CacheHits:        info.CacheHits - s.lastInfo.CacheHits,
-		CacheMisses:      info.CacheMisses - s.lastInfo.CacheMisses,
-		CacheEvictions:   info.CacheEvictions - s.lastInfo.CacheEvictions,
+	d := pap.EngineInfo{
+		EngineSwitches:        info.EngineSwitches - s.lastInfo.EngineSwitches,
+		PrefilterSkippedBytes: info.PrefilterSkippedBytes - s.lastInfo.PrefilterSkippedBytes,
+		BaselineSkippedBytes:  info.BaselineSkippedBytes - s.lastInfo.BaselineSkippedBytes,
 	}
 	s.lastInfo = info
 	return d
@@ -75,7 +60,6 @@ type SessionInfo struct {
 	ID             string    `json:"id"`
 	Automaton      string    `json:"automaton"`
 	RulesetVersion int       `json:"ruleset_version"`
-	Engine         string    `json:"engine"`
 	Created        time.Time `json:"created"`
 	LastUsed       time.Time `json:"last_used"`
 	Offset         int64     `json:"offset"`
@@ -90,62 +74,19 @@ type SessionInfo struct {
 	// only on scored sessions that have matched at least once (scores may
 	// be negative, so omission — not 0 — is the no-matches signal).
 	BestScore *int64 `json:"best_score,omitempty"`
-
-	// The backend counters below are pointers so that omission means
-	// exactly "this engine doesn't support the counter": a session on a
-	// supporting engine always carries the field, including a legitimate
-	// zero, where `omitempty` on a plain integer used to erase it.
-
-	// PrefilterSkipped counts input bytes the stream's prefilter proved
-	// inert and never stepped (EngineMeta only).
-	PrefilterSkipped *int64 `json:"prefilter_skipped,omitempty"`
-	// BaselineSkipped counts input bytes the backend's exact baseline-skip
-	// fast path scanned past instead of stepping (every engine except the
-	// pure sparse frontier list).
-	BaselineSkipped *int64 `json:"baseline_skipped,omitempty"`
-	// CacheHits/CacheMisses/CacheEvictions are lazy-DFA state-cache
-	// counters (EngineLazyDFA and EngineMeta only).
-	CacheHits      *int64 `json:"cache_hits,omitempty"`
-	CacheMisses    *int64 `json:"cache_misses,omitempty"`
-	CacheEvictions *int64 `json:"cache_evictions,omitempty"`
+	// BaselineSkipped counts input bytes the engine's exact baseline-skip
+	// fast path scanned past instead of stepping.
+	BaselineSkipped int64 `json:"baseline_skipped"`
 }
 
-// supportsPrefilter reports whether the engine runs a literal/class
-// prefilter (see docs/ENGINES.md).
-func supportsPrefilter(k pap.EngineKind) bool { return k == pap.EngineMeta }
-
-// supportsBaselineSkip reports whether the engine has the exact
-// baseline-skip fast path: every backend except the pure sparse frontier
-// list (bit natively, adaptive and lazydfa/meta through their inner
-// engines).
-func supportsBaselineSkip(k pap.EngineKind) bool { return k != pap.EngineSparse }
-
-// supportsLazyCache reports whether the engine keeps a lazy-DFA state
-// cache.
-func supportsLazyCache(k pap.EngineKind) bool {
-	return k == pap.EngineLazyDFA || k == pap.EngineMeta
+// Write is WriteContext without a deadline.
+func (s *Session) Write(chunk []byte) ([]pap.Match, int64, pap.EngineInfo, error) {
+	return s.WriteContext(context.Background(), chunk)
 }
 
-// Write feeds one chunk to the session's stream and returns a copy of the
-// completed matches, the stream offset after the write, and the backend
-// counter deltas this write caused.
-func (s *Session) Write(chunk []byte) ([]pap.Match, int64, WriteStats, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil, 0, WriteStats{}, ErrSessionNotFound
-	}
-	ms := s.stream.Write(chunk)
-	out := make([]pap.Match, len(ms))
-	copy(out, ms) // the stream reuses its slice; callers get a stable copy
-	s.matches += int64(len(ms))
-	s.writes++
-	d := s.delta()
-	s.lastUsed = time.Now().UTC()
-	return out, s.stream.Offset(), d, nil
-}
-
-// WriteContext is Write under a context: a cancelled or expired ctx stops
+// WriteContext feeds one chunk to the session's stream and returns a copy
+// of the completed matches, the stream offset after the write, and the
+// backend counter deltas this write caused. A cancelled or expired ctx stops
 // the write mid-chunk at the stream's next cancellation point. Symbols
 // consumed before the stop are committed — the session offset advances and
 // their matches are returned alongside the error — so a caller that
@@ -153,11 +94,11 @@ func (s *Session) Write(chunk []byte) ([]pap.Match, int64, WriteStats, error) {
 // mutex is held for the duration, so an expiry racing an in-flight write
 // either waits for it or closes the session before it starts; a write
 // never lands on a closed stream.
-func (s *Session) WriteContext(ctx context.Context, chunk []byte) ([]pap.Match, int64, WriteStats, error) {
+func (s *Session) WriteContext(ctx context.Context, chunk []byte) ([]pap.Match, int64, pap.EngineInfo, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return nil, 0, WriteStats{}, ErrSessionNotFound
+		return nil, 0, pap.EngineInfo{}, ErrSessionNotFound
 	}
 	ms, err := s.stream.WriteContext(ctx, chunk)
 	out := make([]pap.Match, len(ms))
@@ -183,35 +124,23 @@ func (s *Session) Info() SessionInfo {
 	defer s.mu.Unlock()
 	info := s.stream.EngineInfo()
 	si := SessionInfo{
-		ID:             s.ID,
-		Automaton:      s.Automaton,
-		RulesetVersion: s.Version,
-		Engine:         s.Engine.String(),
-		Created:        s.Created,
-		LastUsed:       s.lastUsed,
-		Offset:         s.stream.Offset(),
-		Writes:         s.writes,
-		Matches:        s.matches,
-		ActiveStates:   s.stream.ActiveStates(),
-		EngineSwitches: s.stream.EngineSwitches(),
-		Scored:         s.Scored,
+		ID:              s.ID,
+		Automaton:       s.Entry.Name,
+		RulesetVersion:  s.Entry.Version,
+		Created:         s.Created,
+		LastUsed:        s.lastUsed,
+		Offset:          s.stream.Offset(),
+		Writes:          s.writes,
+		Matches:         s.matches,
+		ActiveStates:    s.stream.ActiveStates(),
+		EngineSwitches:  info.EngineSwitches,
+		BaselineSkipped: info.BaselineSkippedBytes,
+		Scored:          s.Scored,
 	}
 	if s.Scored {
 		if best, ok := s.stream.BestScore(); ok {
 			si.BestScore = &best
 		}
-	}
-	if supportsPrefilter(s.Engine) {
-		v := info.PrefilterSkippedBytes
-		si.PrefilterSkipped = &v
-	}
-	if supportsBaselineSkip(s.Engine) {
-		v := info.BaselineSkippedBytes
-		si.BaselineSkipped = &v
-	}
-	if supportsLazyCache(s.Engine) {
-		h, m, e := info.CacheHits, info.CacheMisses, info.CacheEvictions
-		si.CacheHits, si.CacheMisses, si.CacheEvictions = &h, &m, &e
 	}
 	return si
 }
@@ -311,23 +240,14 @@ func (m *SessionManager) reapOnce(cutoff time.Time) {
 // never builds a stream.
 var streamBuildHook func()
 
-// Create opens a session over the given registry entry, streaming on the
-// given execution backend. The slot is reserved under the lock before
-// the stream is built, so a Create doomed to ErrTooManySessions fails
-// before paying the stream construction, and concurrent Creates racing
-// for the last slots can never overshoot the limit.
-func (m *SessionManager) Create(e *Entry, eng pap.EngineKind) (*Session, error) {
-	return m.create(e, eng, false)
-}
-
-// CreateScored is Create with per-transition score tracking forced on the
-// session's stream (pap.WithScoring); matches and session snapshots then
-// carry scores. Sessions over scored automata track regardless.
-func (m *SessionManager) CreateScored(e *Entry, eng pap.EngineKind) (*Session, error) {
-	return m.create(e, eng, true)
-}
-
-func (m *SessionManager) create(e *Entry, eng pap.EngineKind, scored bool) (*Session, error) {
+// Create opens a session over the given registry entry. scored forces
+// per-transition score tracking on the session's stream (pap.WithScoring);
+// matches and session snapshots then carry scores, as they always do over
+// a scored automaton. The slot is reserved under the lock before the
+// stream is built, so a Create doomed to ErrTooManySessions fails before
+// paying the stream construction, and concurrent Creates racing for the
+// last slots can never overshoot the limit.
+func (m *SessionManager) Create(e *Entry, scored bool) (*Session, error) {
 	id, err := newSessionID()
 	if err != nil {
 		return nil, err
@@ -346,19 +266,17 @@ func (m *SessionManager) create(e *Entry, eng pap.EngineKind, scored bool) (*Ses
 	if streamBuildHook != nil {
 		streamBuildHook()
 	}
-	opts := []pap.StreamOption{pap.WithEngine(eng)}
+	var opts []pap.StreamOption
 	if scored {
 		opts = append(opts, pap.WithScoring())
 	}
 	s := &Session{
-		ID:        id,
-		Automaton: e.Name,
-		Version:   e.Version,
-		Engine:    eng,
-		Scored:    scored || e.Automaton.Scored(),
-		Created:   now,
-		stream:    e.Automaton.NewStream(opts...),
-		lastUsed:  now,
+		ID:       id,
+		Entry:    e,
+		Scored:   scored || e.Automaton.Scored(),
+		Created:  now,
+		stream:   e.Automaton.NewStream(opts...),
+		lastUsed: now,
 	}
 	m.mu.Lock()
 	m.reserved--

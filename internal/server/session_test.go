@@ -8,14 +8,12 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"pap"
 )
 
 func testEntry(t *testing.T) *Entry {
 	t.Helper()
 	r := NewRegistry(0)
-	e, err := r.Register("t", "regex", []string{"needle"}, 0, "")
+	e, err := r.Register("t", "regex", []string{"needle"}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,7 +23,7 @@ func testEntry(t *testing.T) *Entry {
 func TestSessionWriteAcrossChunks(t *testing.T) {
 	m := NewSessionManager(0, 0)
 	defer m.Stop()
-	s, err := m.Create(testEntry(t), pap.EngineAuto)
+	s, err := m.Create(testEntry(t), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +50,7 @@ func TestSessionWriteAcrossChunks(t *testing.T) {
 func TestSessionTimestampsUTC(t *testing.T) {
 	m := NewSessionManager(0, 0)
 	defer m.Stop()
-	s, err := m.Create(testEntry(t), pap.EngineAuto)
+	s, err := m.Create(testEntry(t), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,13 +77,13 @@ func TestSessionLimit(t *testing.T) {
 	m := NewSessionManager(2, 0)
 	defer m.Stop()
 	e := testEntry(t)
-	if _, err := m.Create(e, pap.EngineAuto); err != nil {
+	if _, err := m.Create(e, false); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Create(e, pap.EngineAuto); err != nil {
+	if _, err := m.Create(e, false); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Create(e, pap.EngineAuto); err != ErrTooManySessions {
+	if _, err := m.Create(e, false); err != ErrTooManySessions {
 		t.Fatalf("expected ErrTooManySessions, got %v", err)
 	}
 }
@@ -93,7 +91,7 @@ func TestSessionLimit(t *testing.T) {
 func TestSessionCloseAndGet(t *testing.T) {
 	m := NewSessionManager(0, 0)
 	defer m.Stop()
-	s, _ := m.Create(testEntry(t), pap.EngineAuto)
+	s, _ := m.Create(testEntry(t), false)
 	if _, err := m.Get(s.ID); err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +114,7 @@ func TestSessionIdleExpiry(t *testing.T) {
 	defer m.Stop()
 	c := &Counter{}
 	m.SetExpiredCounter(c)
-	s, _ := m.Create(testEntry(t), pap.EngineAuto)
+	s, _ := m.Create(testEntry(t), false)
 	deadline := time.After(2 * time.Second)
 	for {
 		if _, err := m.Get(s.ID); err == ErrSessionNotFound {
@@ -149,11 +147,11 @@ func TestReapDoesNotBlockManager(t *testing.T) {
 	m := NewSessionManager(0, 0) // no background reaper; we drive reapOnce
 	defer m.Stop()
 	e := testEntry(t)
-	slow, err := m.Create(e, pap.EngineAuto)
+	slow, err := m.Create(e, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	other, err := m.Create(e, pap.EngineAuto)
+	other, err := m.Create(e, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +189,7 @@ func TestReapDoesNotBlockManager(t *testing.T) {
 	// Creates must be just as unaffected. (List would block here — not on
 	// the manager lock, but on snapshotting the write-locked session
 	// itself, which is inherent to Info and not head-of-line blocking.)
-	if _, err := m.Create(e, pap.EngineAuto); err != nil {
+	if _, err := m.Create(e, false); err != nil {
 		t.Fatalf("Create during stuck reap: %v", err)
 	}
 
@@ -221,7 +219,7 @@ func TestReapDuringLongWrite(t *testing.T) {
 	const sessions = 8
 	ss := make([]*Session, sessions)
 	for i := range ss {
-		s, err := m.Create(e, pap.EngineAuto)
+		s, err := m.Create(e, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -279,14 +277,14 @@ func TestSessionCreateReservesSlot(t *testing.T) {
 	m := NewSessionManager(2, 0)
 	defer m.Stop()
 	for i := 0; i < 2; i++ {
-		if _, err := m.Create(e, pap.EngineAuto); err != nil {
+		if _, err := m.Create(e, false); err != nil {
 			t.Fatal(err)
 		}
 	}
 	builds := 0
 	streamBuildHook = func() { builds++ }
 	defer func() { streamBuildHook = nil }()
-	if _, err := m.Create(e, pap.EngineAuto); err != ErrTooManySessions {
+	if _, err := m.Create(e, false); err != ErrTooManySessions {
 		t.Fatalf("over-limit Create = %v, want ErrTooManySessions", err)
 	}
 	if builds != 0 {
@@ -303,7 +301,7 @@ func TestSessionCreateReservesSlot(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			switch _, err := m2.Create(e, pap.EngineAuto); err {
+			switch _, err := m2.Create(e, false); err {
 			case nil:
 				ok.Add(1)
 			case ErrTooManySessions:
@@ -322,56 +320,31 @@ func TestSessionCreateReservesSlot(t *testing.T) {
 	}
 }
 
-// TestSessionInfoCounterScoping pins the SessionInfo JSON contract: a
-// backend counter is present — including legitimate zeros — exactly when
-// the session's engine supports it, and absent otherwise, so a zero is
-// never confused with "engine doesn't track this". It is also the
-// regression for CacheEvictions, which WriteStats and the Prometheus
-// metrics tracked but SessionInfo never exposed.
+// TestSessionInfoCounterScoping pins the SessionInfo JSON contract for the
+// one backend counter a session reports: baseline_skipped is a plain
+// integer that is always present, so a session that has skipped nothing
+// says 0 and never drops the key.
 func TestSessionInfoCounterScoping(t *testing.T) {
 	m := NewSessionManager(0, 0)
 	defer m.Stop()
-	e := testEntry(t)
-
-	sparse, _ := m.Create(e, pap.EngineSparse)
-	meta, _ := m.Create(e, pap.EngineMeta)
-	lazy, _ := m.Create(e, pap.EngineLazyDFA)
-	for _, s := range []*Session{sparse, meta, lazy} {
-		if _, _, _, err := s.Write([]byte("quiet input, no matches")); err != nil {
-			t.Fatal(err)
-		}
+	s, err := m.Create(testEntry(t), false)
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	si := sparse.Info()
-	if si.PrefilterSkipped != nil || si.BaselineSkipped != nil ||
-		si.CacheHits != nil || si.CacheMisses != nil || si.CacheEvictions != nil {
-		t.Fatalf("sparse session leaks unsupported counters: %+v", si)
+	fresh, _ := json.Marshal(s.Info())
+	if !strings.Contains(string(fresh), `"baseline_skipped":0`) {
+		t.Errorf("fresh session JSON lacks a zero baseline_skipped: %s", fresh)
 	}
-	mi := meta.Info()
-	if mi.PrefilterSkipped == nil || mi.BaselineSkipped == nil ||
-		mi.CacheHits == nil || mi.CacheMisses == nil || mi.CacheEvictions == nil {
-		t.Fatalf("meta session missing supported counters: %+v", mi)
+	if _, _, _, err := s.Write([]byte("quiet input, no matches")); err != nil {
+		t.Fatal(err)
 	}
-	li := lazy.Info()
-	if li.PrefilterSkipped != nil {
-		t.Fatalf("lazydfa session claims a prefilter: %+v", li)
+	if got := s.Info().BaselineSkipped; got == 0 {
+		t.Errorf("baseline_skipped = 0 after a quiet write the default engine scans past")
 	}
-	if li.CacheHits == nil || li.CacheMisses == nil || li.CacheEvictions == nil {
-		t.Fatalf("lazydfa session missing cache counters: %+v", li)
-	}
-
-	// A zero survives serialization on a supporting engine; on an
-	// unsupported one the key is absent, not zero.
-	metaJSON, _ := json.Marshal(mi)
-	for _, key := range []string{"cache_evictions", "cache_hits", "prefilter_skipped"} {
-		if !strings.Contains(string(metaJSON), `"`+key+`"`) {
-			t.Errorf("meta session JSON missing %q: %s", key, metaJSON)
-		}
-	}
-	sparseJSON, _ := json.Marshal(si)
-	for _, key := range []string{"cache_evictions", "cache_hits", "prefilter_skipped", "baseline_skipped"} {
-		if strings.Contains(string(sparseJSON), `"`+key+`"`) {
-			t.Errorf("sparse session JSON leaks %q: %s", key, sparseJSON)
+	written, _ := json.Marshal(s.Info())
+	for _, key := range []string{"engine", "prefilter_skipped", "cache_hits", "cache_misses", "cache_evictions"} {
+		if strings.Contains(string(written), `"`+key+`"`) {
+			t.Errorf("session JSON still carries %q: %s", key, written)
 		}
 	}
 }

@@ -477,12 +477,6 @@ type Config struct {
 	// GOMAXPROCS): at most this many segments are simulated at once, the
 	// golden run included. It never affects modelled AP cycles.
 	Workers int
-	// SerialSegments disables the cross-segment parallel scheduler and
-	// simulates segments one after another. Modelled AP cycles, matches and
-	// stats are bit-identical either way (the conformance suite asserts
-	// this); serial mode only trades simulator wall-clock speed for
-	// single-threaded-friendly execution.
-	SerialSegments bool
 	// Speculate replaces start-state enumeration with speculative
 	// execution (idle-boundary prediction + serial re-execution of
 	// mispredicted segments). Exactness is preserved; speedup collapses on
@@ -540,7 +534,6 @@ func (c Config) toCore() core.Config {
 	if c.Workers > 0 {
 		cfg.Workers = c.Workers
 	}
-	cfg.SegmentParallel = !c.SerialSegments
 	cfg.Speculate = c.Speculate
 	cfg.Engine = c.Engine.toKind()
 	cfg.Mode = c.Mode.toMode()
@@ -548,68 +541,72 @@ func (c Config) toCore() core.Config {
 	return cfg
 }
 
-// RunStats reports the modelled AP execution of one parallel match.
+// RunStats reports the modelled AP execution of one parallel match. The
+// JSON tags are papd's wire format for the "ap" object of a match response.
 type RunStats struct {
 	// Segments is the number of input segments processed in parallel.
-	Segments int
+	Segments int `json:"segments"`
 	// Speedup is modelled-baseline cycles / modelled-PAP cycles; Ideal is
 	// the segment count.
-	Speedup, IdealSpeedup float64
+	Speedup      float64 `json:"speedup"`
+	IdealSpeedup float64 `json:"ideal_speedup"`
 	// BaselineNS and ParallelNS are modelled wall times at 7.5 ns/cycle.
-	BaselineNS, ParallelNS float64
+	BaselineNS float64 `json:"baseline_ns"`
+	ParallelNS float64 `json:"parallel_ns"`
 	// CutSymbol is the chosen partition symbol and CutRange its range.
-	CutSymbol byte
-	CutRange  int
+	CutSymbol byte `json:"cut_symbol"`
+	CutRange  int  `json:"cut_range"`
 	// AvgActiveFlows is the time-averaged enumeration flow count.
-	AvgActiveFlows float64
+	AvgActiveFlows float64 `json:"avg_active_flows"`
 	// SwitchOverheadPct is flow-switching cost as % of AP busy cycles.
-	SwitchOverheadPct float64
+	SwitchOverheadPct float64 `json:"switch_overhead_pct"`
 	// FalseReportRatio is emitted report events / true events (≥ 1).
-	FalseReportRatio float64
+	FalseReportRatio float64 `json:"false_report_ratio"`
 	// EngineSwitches counts sparse⇄dense representation switches made by
 	// adaptive engines across all flows (0 for fixed backends).
-	EngineSwitches int64
+	EngineSwitches int64 `json:"engine_switches"`
 	// PrefilterSkippedBytes counts input bytes the simulator's prefilter
 	// proved inert and never stepped, across all flows and the golden
 	// boundary run. Pure simulator observability: skipped symbols are
 	// still charged their modelled AP cycles.
-	PrefilterSkippedBytes int64
+	PrefilterSkippedBytes int64 `json:"prefilter_skipped"`
 	// BaselineSkippedBytes counts input bytes covered by the exact
 	// baseline-skip fast path (start-class scan over regions where only
 	// always-active states were live), across all flows and the golden
 	// boundary run. Exact for every observable and deterministic across
 	// schedulers; skipped symbols still charge their modelled AP cycles.
-	BaselineSkippedBytes int64
+	BaselineSkippedBytes int64 `json:"baseline_skipped"`
 	// Mode is the execution strategy that produced this run ("flows" or
 	// "sfa").
-	Mode string
+	Mode string `json:"exec_mode"`
 	// SFAMappings is the number of entry→exit mapping flows SFA mode ran
 	// (one per frontier-equivalence class per segment; 0 in flow mode).
-	SFAMappings int64
+	SFAMappings int64 `json:"sfa_mappings,omitempty"`
 	// SFAComposeOps counts the elementary operations of the boundary
 	// composition pass: exit states merged plus subset probes performed
 	// (0 in flow mode).
-	SFAComposeOps int64
+	SFAComposeOps int64 `json:"sfa_compose_ops,omitempty"`
 	// FingerprintCollisions counts hash-equal-but-different state-vector
 	// pairs caught by the full compare backing every fingerprint fast
 	// path (convergence, deactivation, SFA class grouping and boundary
 	// cross-checks). Collisions are handled exactly, never merged.
-	FingerprintCollisions int64
+	FingerprintCollisions int64 `json:"fingerprint_collisions,omitempty"`
 	// Scored reports whether per-transition score tracking was enabled for
 	// this run (Config.Scoring, or an automaton with scored transitions).
-	Scored bool
+	Scored bool `json:"scored,omitempty"`
 	// ScoredReports is the number of matches carrying tracked scores:
 	// len(Matches) when Scored, 0 otherwise.
-	ScoredReports int
+	ScoredReports int `json:"scored_reports,omitempty"`
 	// BestScore is the maximum Match.Score of the run. Meaningful only
 	// when Scored and at least one match exists — scores may be negative,
-	// so 0 is not a no-matches sentinel.
-	BestScore int64
+	// so 0 is not a no-matches sentinel. Not part of the JSON record:
+	// papd reports it beside the matches, omitted when there are none.
+	BestScore int64 `json:"-"`
 	// Verified confirms the composed matches equalled sequential matching
 	// (always true; a false value would be a library bug). Under Scored it
 	// additionally confirms every match's score equalled the sequential
 	// run's.
-	Verified bool
+	Verified bool `json:"verified"`
 }
 
 // Report is the outcome of MatchParallel.
