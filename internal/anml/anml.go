@@ -2,10 +2,11 @@
 // Network Markup Language of the Micron AP SDK (the format the ANMLZoo
 // benchmark suite distributes its automata in). Supported: networks of
 // state-transition elements with symbol sets, start kinds (start-of-data /
-// all-input), activate-on-match edges, and report-on-match codes. Counters
-// and boolean elements are parsed structurally but rejected with a clear
-// error, since the engines in this repository execute pure STE networks
-// (the paper's benchmarks are STE-only).
+// all-input), activate-on-match edges, and report-on-match codes. Any other
+// element of the network — counters, boolean gates, or a kind this package
+// has never heard of — is rejected with an error naming it, since the
+// engines in this repository execute pure STE networks (the paper's
+// benchmarks are STE-only).
 package anml
 
 import (
@@ -24,9 +25,7 @@ type xmlNetwork struct {
 	ID      string     `xml:"id,attr"`
 	Name    string     `xml:"name,attr"`
 	STEs    []xmlSTE   `xml:"state-transition-element"`
-	Counter []xmlOther `xml:"counter"`
-	Boolean []xmlOther `xml:"or"`
-	And     []xmlOther `xml:"and"`
+	Other   []xmlOther `xml:",any"` // every non-STE element, to be rejected
 }
 
 type xmlSTE struct {
@@ -46,7 +45,7 @@ type xmlReport struct {
 }
 
 type xmlOther struct {
-	ID string `xml:"id,attr"`
+	XMLName xml.Name
 }
 
 // Decode parses an ANML document into a homogeneous NFA.
@@ -56,8 +55,9 @@ func Decode(r io.Reader) (*nfa.NFA, error) {
 	if err := dec.Decode(&doc); err != nil {
 		return nil, fmt.Errorf("anml: %w", err)
 	}
-	if n := len(doc.Counter) + len(doc.Boolean) + len(doc.And); n > 0 {
-		return nil, fmt.Errorf("anml: network %q uses %d counter/boolean elements, which this engine does not execute", doc.ID, n)
+	if len(doc.Other) > 0 {
+		return nil, fmt.Errorf("anml: network %q uses %s, which this engine does not execute (only state-transition-element networks)",
+			doc.ID, countKinds(doc.Other))
 	}
 	name := doc.Name
 	if name == "" {
@@ -113,6 +113,25 @@ func Decode(r io.Reader) (*nfa.NFA, error) {
 		}
 	}
 	return b.Build()
+}
+
+// countKinds renders element kinds with their counts in order of first
+// appearance, e.g. "2 counter, 1 inverter".
+func countKinds(els []xmlOther) string {
+	counts := map[string]int{}
+	var kinds []string
+	for _, e := range els {
+		k := e.XMLName.Local
+		if counts[k] == 0 {
+			kinds = append(kinds, k)
+		}
+		counts[k]++
+	}
+	parts := make([]string, len(kinds))
+	for i, k := range kinds {
+		parts[i] = fmt.Sprintf("%d %s", counts[k], k)
+	}
+	return strings.Join(parts, ", ")
 }
 
 // Encode writes the automaton as an ANML document.

@@ -75,6 +75,44 @@ func TestDecodeErrors(t *testing.T) {
 	}
 }
 
+// TestDecodeRejectsNonSTE: every element other than a state-transition
+// element is an error naming its kind and count — none is dropped, whether
+// the AP has it (counters, gates) or nobody does.
+func TestDecodeRejectsNonSTE(t *testing.T) {
+	cases := []struct{ kind, el string }{
+		{"inverter", `<inverter id="inv"><activate-on-high element="a"/></inverter>`},
+		{"nor", `<nor id="x"/>`},
+		{"nand", `<nand id="x"><report-on-high reportcode="1"/></nand>`},
+		{"counter", `<counter id="c" at-target="2"/>`},
+		{"or", `<or id="x"/>`},
+		{"and", `<and id="x"/>`},
+		{"widget", `<widget id="w"/>`},
+	}
+	for _, c := range cases {
+		doc := `<automata-network id="x">
+			<state-transition-element id="a" symbol-set="*" start="all-input">
+				<activate-on-match element="a"/>
+			</state-transition-element>
+			` + c.el + c.el + `
+		</automata-network>`
+		n, err := Decode(strings.NewReader(doc))
+		if err == nil {
+			t.Errorf("%s: decoded to %d states with no error", c.kind, n.Len())
+			continue
+		}
+		if want := "2 " + c.kind; !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: error %q does not name %q", c.kind, err, want)
+		}
+	}
+	mixed := `<automata-network id="x">
+		<state-transition-element id="a" symbol-set="[a]" start="all-input"/>
+		<counter id="c1"/><inverter id="i"/><counter id="c2"/>
+	</automata-network>`
+	if _, err := Decode(strings.NewReader(mixed)); err == nil || !strings.Contains(err.Error(), "2 counter, 1 inverter") {
+		t.Errorf("mixed kinds: error %v, want one naming 2 counter, 1 inverter", err)
+	}
+}
+
 func TestParseSymbolSet(t *testing.T) {
 	cases := []struct {
 		in    string

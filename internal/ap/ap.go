@@ -1,10 +1,10 @@
 // Package ap models the Micron Automata Processor D480 board: its physical
 // hierarchy (ranks → devices → half-cores → blocks → rows → STEs), its
-// published timing constants, the flow abstraction backed by the per-device
-// State Vector Cache (SVC), and the report event stream. The model is the
-// substrate the paper evaluates against (via VASim + these constants); no
-// physical routing is simulated, but capacity and reporting limits are
-// enforced so that plans that would not fit real hardware are rejected.
+// published timing constants, and the flow abstraction backed by the
+// per-device State Vector Cache (SVC). The model is the substrate the paper
+// evaluates against (via VASim + these constants); no physical routing is
+// simulated, but placement and SVC capacity are checked so that plans that
+// would not fit real hardware are rejected.
 package ap
 
 import (
@@ -55,15 +55,6 @@ const (
 	// FIVTransferCycles is the cost of sending the 512-bit Flow
 	// Invalidation Vector from the host back to the AP (§4.2).
 	FIVTransferCycles = 15
-
-	// OutputRegionsPerDevice and ReportElementsPerRegion bound reporting
-	// (§2.1): 6 output regions per device, ≤1024 reporting elements each.
-	OutputRegionsPerDevice  = 6
-	ReportElementsPerRegion = 1024
-
-	// CountersPerDevice and BooleansPerDevice augment pattern matching.
-	CountersPerDevice = 768
-	BooleansPerDevice = 2304
 )
 
 // Cycles counts AP symbol cycles (7.5 ns each).
@@ -96,19 +87,15 @@ type Placement struct {
 }
 
 // Place computes the footprint of an automaton with the given number of
-// states. utilization models routing pressure: the fraction of a
-// half-core's STEs usable by a single densely connected automaton (the AP
-// compiler rarely achieves 100% placement density). Use utilization = 1 for
-// the paper's Table 1 footprints, which are post-compilation.
-func Place(states int, utilization float64) (Placement, error) {
+// states at full placement density: one copy occupies ceil(states /
+// STEsPerHalfCore) half-cores. Table 1's footprints are post-compilation,
+// and where the proprietary place&route deviates from this count the
+// planner takes them as given instead (core.Config.HalfCoresOverride).
+func Place(states int) (Placement, error) {
 	if states <= 0 {
 		return Placement{}, fmt.Errorf("ap: cannot place %d states", states)
 	}
-	if utilization <= 0 || utilization > 1 {
-		return Placement{}, fmt.Errorf("ap: utilization %v out of (0,1]", utilization)
-	}
-	per := int(float64(STEsPerHalfCore) * utilization)
-	hc := (states + per - 1) / per
+	hc := (states + STEsPerHalfCore - 1) / STEsPerHalfCore
 	return Placement{
 		States:    states,
 		HalfCores: hc,
@@ -135,16 +122,6 @@ func CheckFlowCapacity(p Placement, maxFlows int) error {
 	cap := SVCEntriesPerDevice * maxInt(1, p.Devices)
 	if maxFlows > cap {
 		return fmt.Errorf("ap: %d flows exceed SVC capacity %d (%d devices)", maxFlows, cap, p.Devices)
-	}
-	return nil
-}
-
-// CheckReportCapacity verifies the number of reporting elements fits the
-// device's output regions.
-func CheckReportCapacity(p Placement, reporting int) error {
-	cap := OutputRegionsPerDevice * ReportElementsPerRegion * maxInt(1, p.Devices)
-	if reporting > cap {
-		return fmt.Errorf("ap: %d reporting elements exceed capacity %d", reporting, cap)
 	}
 	return nil
 }

@@ -16,15 +16,14 @@ type FlowID int
 // bitwise XOR/wired-AND comparator the paper adds to the SVC for
 // convergence checks (§3.3.3).
 //
-// Concurrency: Alloc and Invalidate must be serialized; Save and Load on
-// *distinct* valid entries may run concurrently (each touches only its own
-// entry). PAP needs neither: a segment's SVC belongs to the segment's
-// driver.
+// Concurrency: AllocOverflow and Invalidate must be serialized; Save and
+// Load on *distinct* valid entries may run concurrently (each touches only
+// its own entry). PAP needs neither: a segment's SVC belongs to the
+// segment's driver.
 type SVC struct {
 	capacity int
 	entries  []svcEntry
 	active   int
-	overflow int
 }
 
 type svcEntry struct {
@@ -47,36 +46,19 @@ func (s *SVC) Capacity() int { return s.capacity }
 // Active returns the number of valid entries.
 func (s *SVC) Active() int { return s.active }
 
-// Alloc stores a new flow context and returns its ID. It fails when the
-// cache is full: plans must merge flows below capacity before execution.
-func (s *SVC) Alloc(frontier []nfa.StateID, fp uint64) (FlowID, error) {
-	if s.active >= s.capacity {
-		return 0, fmt.Errorf("ap: state vector cache full (%d entries)", s.capacity)
-	}
-	return s.alloc(frontier, fp), nil
-}
-
-// AllocOverflow is Alloc for analyses that deliberately exceed capacity
-// (e.g. ablations that disable flow merging): allocation always succeeds
-// and the excess is counted in Overflow. Real hardware could not run such
-// a plan; results remain functionally exact.
+// AllocOverflow stores a new flow context and returns its ID. It always
+// succeeds, even beyond Capacity: the planner compares its flow count with
+// the hardware once, up front (CheckFlowCapacity), and notes an excess
+// rather than failing, since ablations that disable flow merging exceed it
+// on purpose. Real hardware could not run such a plan; results remain
+// functionally exact.
 func (s *SVC) AllocOverflow(frontier []nfa.StateID, fp uint64) FlowID {
-	if s.active >= s.capacity {
-		s.overflow++
-	}
-	return s.alloc(frontier, fp)
-}
-
-func (s *SVC) alloc(frontier []nfa.StateID, fp uint64) FlowID {
 	ctx := make([]nfa.StateID, len(frontier))
 	copy(ctx, frontier)
 	s.entries = append(s.entries, svcEntry{frontier: ctx, fp: fp, valid: true})
 	s.active++
 	return FlowID(len(s.entries) - 1)
 }
-
-// Overflow returns how many allocations exceeded the hardware capacity.
-func (s *SVC) Overflow() int { return s.overflow }
 
 // Save overwrites the context of an existing valid entry.
 func (s *SVC) Save(id FlowID, frontier []nfa.StateID, fp uint64) {
@@ -122,34 +104,3 @@ func (s *SVC) Fingerprint(id FlowID) uint64 {
 	}
 	return e.fp
 }
-
-// ValidIDs appends the IDs of all valid entries to dst in ascending order.
-func (s *SVC) ValidIDs(dst []FlowID) []FlowID {
-	for i := range s.entries {
-		if s.entries[i].valid {
-			dst = append(dst, FlowID(i))
-		}
-	}
-	return dst
-}
-
-// Event is one entry of the AP output event buffer: reporting element
-// ReportCode fired at input offset Offset while flow Flow was executing
-// (§2.1, §3.2: match events encapsulate a flow identifier).
-type Event struct {
-	Flow   FlowID
-	Code   int32
-	State  nfa.StateID
-	Offset int64
-}
-
-// EventBuffer collects report events for host post-processing.
-type EventBuffer struct {
-	Events []Event
-}
-
-// Append records one event.
-func (b *EventBuffer) Append(e Event) { b.Events = append(b.Events, e) }
-
-// Len returns the number of buffered events.
-func (b *EventBuffer) Len() int { return len(b.Events) }

@@ -14,7 +14,8 @@ import (
 
 const wordBits = 64
 
-// Set is a fixed-capacity bit set. Bits are indexed from 0 to Cap()-1.
+// Set is a fixed-capacity bit set. Bits are indexed from 0 to n-1, n the
+// capacity given to New.
 type Set struct {
 	n     int
 	words []uint64
@@ -45,9 +46,6 @@ func NewGroup(n, k int) []Set {
 	return sets
 }
 
-// Cap returns the capacity (number of addressable bits) of the set.
-func (s *Set) Cap() int { return s.n }
-
 // check panics if i is out of range.
 func (s *Set) check(i int) {
 	if i < 0 || i >= s.n {
@@ -59,12 +57,6 @@ func (s *Set) check(i int) {
 func (s *Set) Set(i int) {
 	s.check(i)
 	s.words[i/wordBits] |= 1 << uint(i%wordBits)
-}
-
-// Clear sets bit i to 0.
-func (s *Set) Clear(i int) {
-	s.check(i)
-	s.words[i/wordBits] &^= 1 << uint(i%wordBits)
 }
 
 // Test reports whether bit i is 1.
@@ -206,28 +198,6 @@ func (s *Set) Equal(o *Set) bool {
 	return true
 }
 
-// Intersects reports whether s ∩ o is non-empty.
-func (s *Set) Intersects(o *Set) bool {
-	s.sameCap(o)
-	for i, w := range s.words {
-		if w&o.words[i] != 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// SubsetOf reports whether every bit of s is also set in o.
-func (s *Set) SubsetOf(o *Set) bool {
-	s.sameCap(o)
-	for i, w := range s.words {
-		if w&^o.words[i] != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // ForEach calls fn for every set bit in ascending order. It stops early if
 // fn returns false.
 func (s *Set) ForEach(fn func(i int) bool) {
@@ -249,28 +219,6 @@ func (s *Set) Slice(dst []int) []int {
 		return true
 	})
 	return dst
-}
-
-// NextSet returns the index of the first set bit at or after i, or -1 if
-// there is none.
-func (s *Set) NextSet(i int) int {
-	if i < 0 {
-		i = 0
-	}
-	if i >= s.n {
-		return -1
-	}
-	wi := i / wordBits
-	w := s.words[wi] >> uint(i%wordBits)
-	if w != 0 {
-		return i + bits.TrailingZeros64(w)
-	}
-	for wi++; wi < len(s.words); wi++ {
-		if s.words[wi] != 0 {
-			return wi*wordBits + bits.TrailingZeros64(s.words[wi])
-		}
-	}
-	return -1
 }
 
 // String renders the set as a compact list of indices, e.g. "{1 5 9}".

@@ -51,9 +51,6 @@ type Config struct {
 	// (default ap.FlowSwitchCycles = 3; §5.3 studies 2× and 4×).
 	SwitchCycles int
 
-	// Utilization is the STE placement density passed to ap.Place.
-	Utilization float64
-
 	// HalfCoresOverride, when > 0, forces the per-replica footprint instead
 	// of deriving it from the state count (Table 1 footprints reflect the
 	// proprietary place&route, which deviates from pure counting for some
@@ -172,7 +169,6 @@ func DefaultConfig(ranks int) Config {
 		TDMQuantum:         64,
 		ConvergenceEvery:   10,
 		SwitchCycles:       ap.FlowSwitchCycles,
-		Utilization:        1.0,
 		CutSymbol:          -1,
 		Workers:            runtime.GOMAXPROCS(0),
 		SegmentParallel:    true,
@@ -193,9 +189,6 @@ func (c *Config) validate() error {
 	}
 	if c.SwitchCycles < 0 {
 		return fmt.Errorf("core: SwitchCycles = %d must be >= 0", c.SwitchCycles)
-	}
-	if c.Utilization <= 0 || c.Utilization > 1 {
-		return fmt.Errorf("core: Utilization = %v out of (0,1]", c.Utilization)
 	}
 	if c.CutSymbol > 255 {
 		return fmt.Errorf("core: CutSymbol = %d out of [-1,255]", c.CutSymbol)

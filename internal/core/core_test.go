@@ -42,13 +42,12 @@ func genInput(rng *rand.Rand, size int, inject []string) []byte {
 
 func TestConfigValidate(t *testing.T) {
 	bad := []Config{
-		{Ranks: 0, TDMQuantum: 8, ConvergenceEvery: 1, Utilization: 1},
-		{Ranks: 9, TDMQuantum: 8, ConvergenceEvery: 1, Utilization: 1},
-		{Ranks: 1, TDMQuantum: 0, ConvergenceEvery: 1, Utilization: 1},
-		{Ranks: 1, TDMQuantum: 8, ConvergenceEvery: 0, Utilization: 1},
-		{Ranks: 1, TDMQuantum: 8, ConvergenceEvery: 1, Utilization: 0},
-		{Ranks: 1, TDMQuantum: 8, ConvergenceEvery: 1, Utilization: 1, SwitchCycles: -1},
-		{Ranks: 1, TDMQuantum: 8, ConvergenceEvery: 1, Utilization: 1, CutSymbol: 300},
+		{Ranks: 0, TDMQuantum: 8, ConvergenceEvery: 1},
+		{Ranks: 9, TDMQuantum: 8, ConvergenceEvery: 1},
+		{Ranks: 1, TDMQuantum: 0, ConvergenceEvery: 1},
+		{Ranks: 1, TDMQuantum: 8, ConvergenceEvery: 0},
+		{Ranks: 1, TDMQuantum: 8, ConvergenceEvery: 1, SwitchCycles: -1},
+		{Ranks: 1, TDMQuantum: 8, ConvergenceEvery: 1, CutSymbol: 300},
 	}
 	for i, c := range bad {
 		if err := c.validate(); err == nil {

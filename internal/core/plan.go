@@ -130,7 +130,7 @@ func newPlan(n *nfa.NFA, input []byte, cfg Config, tab *engine.Tables) (*Plan, e
 			Devices:   (cfg.HalfCoresOverride + ap.HalfCoresPerDev - 1) / ap.HalfCoresPerDev,
 		}
 	} else {
-		placement, err = ap.Place(n.Len(), cfg.Utilization)
+		placement, err = ap.Place(n.Len())
 		if err != nil {
 			return nil, err
 		}

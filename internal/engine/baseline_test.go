@@ -43,7 +43,7 @@ func TestBaselineDecomposition(t *testing.T) {
 			enum.Step(sym, int64(i), func(r Report) { enumReports = append(enumReports, r) })
 			base.Step(sym, int64(i), func(r Report) { baseReports = append(baseReports, r) })
 
-			union := unionIDs(enum.Frontier(), base.Frontier())
+			union := unionIDs(enum.AppendFrontier(nil), base.AppendFrontier(nil))
 			got := sortedIDs(full.AppendFrontier(nil))
 			if !equalIDs(union, got) {
 				t.Fatalf("trial %d step %d: full=%v, enum∪base=%v", trial, i, got, union)
@@ -75,7 +75,7 @@ func TestNoBaselineSkipsAllInput(t *testing.T) {
 		t.Fatalf("all-input state fired with baseline off: %+v", reports)
 	}
 	if e.FrontierLen() != 0 {
-		t.Fatalf("frontier = %v, want empty (all-input children dropped)", e.Frontier())
+		t.Fatalf("frontier = %v, want empty (all-input children dropped)", e.AppendFrontier(nil))
 	}
 }
 

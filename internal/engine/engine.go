@@ -493,14 +493,6 @@ func (e *Sparse) stepScored(sym byte, off int64, emit EmitFunc) {
 // this engine's behalf: nothing fired on a skipped symbol).
 func (e *Sparse) clearFired() { e.fired = e.fired[:0] }
 
-// Frontier returns the currently enabled states excluding all-input states.
-// The slice is owned by the engine and is invalidated by the next Step.
-func (e *Sparse) Frontier() []nfa.StateID { return e.frontier }
-
-// FiredLast returns the states that fired on the most recent Step. The
-// slice is owned by the engine and is invalidated by the next Step.
-func (e *Sparse) FiredLast() []nfa.StateID { return e.fired }
-
 // FrontierLen returns the number of enabled states (excluding all-input).
 func (e *Sparse) FrontierLen() int { return len(e.frontier) }
 
@@ -520,7 +512,7 @@ func (e *Sparse) Dead() bool { return len(e.frontier) == 0 }
 
 // Fingerprint returns the Zobrist fingerprint of the frontier. Two flows
 // with equal fingerprints are convergence candidates; equality must be
-// confirmed with EqualFrontier.
+// confirmed by comparing the frontiers themselves.
 func (e *Sparse) Fingerprint() uint64 { return e.fp }
 
 // Stats returns the cumulative number of transition-edge traversals
@@ -535,23 +527,4 @@ func (e *Sparse) FrontierSet() *bitset.Set {
 		s.Set(int(q))
 	}
 	return s
-}
-
-// EqualFrontier reports whether two engines over the same automaton have
-// exactly equal frontiers.
-func EqualFrontier(a, b *Sparse) bool {
-	if a.fp != b.fp || len(a.frontier) != len(b.frontier) {
-		return false
-	}
-	// Confirm exactly: mark a's frontier, probe b's.
-	a.epoch++
-	for _, q := range a.frontier {
-		a.mark[q] = a.epoch
-	}
-	for _, q := range b.frontier {
-		if a.mark[q] != a.epoch {
-			return false
-		}
-	}
-	return true
 }

@@ -1,10 +1,6 @@
 package nfa
 
-import (
-	"sort"
-
-	"pap/internal/bitset"
-)
+import "sort"
 
 // ConnectedComponents returns, for each state, the ID of its (undirected)
 // connected component, and the number of components. Components are the
@@ -60,28 +56,6 @@ func (n *NFA) ccLocked() (ids []int32, count int) {
 func (n *NFA) CCOf(q StateID) int32 {
 	ids, _ := n.ConnectedComponents()
 	return ids[q]
-}
-
-// CCMask returns a bitmap of all states in component cc. Masks are the
-// per-component bitmaps used to split a merged flow's results (§3.3.1).
-// Safe for concurrent use; callers must not modify the result.
-func (n *NFA) CCMask(cc int32) *bitset.Set {
-	n.analysisMu.Lock()
-	defer n.analysisMu.Unlock()
-	ids, count := n.ccLocked()
-	if n.ccMasks == nil {
-		n.ccMasks = make([]*bitset.Set, count)
-	}
-	if n.ccMasks[cc] == nil {
-		m := bitset.New(len(n.states))
-		for q, id := range ids {
-			if id == cc {
-				m.Set(q)
-			}
-		}
-		n.ccMasks[cc] = m
-	}
-	return n.ccMasks[cc]
 }
 
 // Range returns the range of symbol σ (§3.1): the sorted union of the
@@ -211,29 +185,4 @@ func (n *NFA) ComputeStats() Stats {
 		AllInput:   len(n.allInput),
 		StartOfDta: len(n.startOfData),
 	}
-}
-
-// ReachableFrom returns the set of states reachable (by any symbols) from
-// the given seed states, including the seeds. Used by validity checks and
-// by the deactivation analysis in tests.
-func (n *NFA) ReachableFrom(seed []StateID) *bitset.Set {
-	r := bitset.New(n.Len())
-	var stack []StateID
-	for _, q := range seed {
-		if !r.Test(int(q)) {
-			r.Set(int(q))
-			stack = append(stack, q)
-		}
-	}
-	for len(stack) > 0 {
-		q := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, c := range n.Succ(q) {
-			if !r.Test(int(c)) {
-				r.Set(int(c))
-				stack = append(stack, c)
-			}
-		}
-	}
-	return r
 }

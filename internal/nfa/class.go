@@ -59,11 +59,6 @@ func (c Class) Union(o Class) Class {
 	return Class{c[0] | o[0], c[1] | o[1], c[2] | o[2], c[3] | o[3]}
 }
 
-// Intersect returns c ∩ o.
-func (c Class) Intersect(o Class) Class {
-	return Class{c[0] & o[0], c[1] & o[1], c[2] & o[2], c[3] & o[3]}
-}
-
 // Count returns the number of symbols in the class.
 func (c Class) Count() int {
 	return bits.OnesCount64(c[0]) + bits.OnesCount64(c[1]) +

@@ -59,9 +59,9 @@ func TestClassUnionIntersect(t *testing.T) {
 	if u.Count() != 26 {
 		t.Errorf("union Count = %d, want 26", u.Count())
 	}
-	i := a.Intersect(b)
-	if i.Count() != 6 { // h..m
-		t.Errorf("intersect Count = %d, want 6", i.Count())
+	i := a.Negate().Union(b.Negate()).Negate() // De Morgan: a ∩ b
+	if i.Count() != 6 || i != ClassRange('h', 'm') {
+		t.Errorf("intersect = %v, want [h-m]", i)
 	}
 }
 

@@ -16,8 +16,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-
-	"pap/internal/bitset"
 )
 
 // StateID identifies a state within one NFA.
@@ -74,7 +72,6 @@ type NFA struct {
 	analysisMu sync.Mutex
 	cc         []int32
 	ccCount    int
-	ccMasks    []*bitset.Set
 	rangeTab   []rangeEntry
 }
 

@@ -159,10 +159,6 @@ func TestConnectedComponents(t *testing.T) {
 	if ids[3] != ids[4] || ids[3] == ids[0] || ids[5] == ids[0] || ids[5] == ids[3] {
 		t.Fatalf("bad component ids: %v", ids)
 	}
-	m := n.CCMask(ids[3])
-	if m.Count() != 2 || !m.Test(3) || !m.Test(4) {
-		t.Fatalf("CCMask = %v", m)
-	}
 	if n.CCOf(4) != ids[3] {
 		t.Fatal("CCOf mismatch")
 	}
@@ -261,18 +257,6 @@ func TestParentGroupSingleCC(t *testing.T) {
 				t.Fatalf("seed %d outside group CC", s)
 			}
 		}
-	}
-}
-
-func TestReachableFrom(t *testing.T) {
-	n := buildLinear(t)
-	r := n.ReachableFrom([]StateID{0})
-	if r.Count() != 3 {
-		t.Fatalf("reachable = %v", r)
-	}
-	r2 := n.ReachableFrom([]StateID{2})
-	if r2.Count() != 1 || !r2.Test(2) {
-		t.Fatalf("reachable from sink = %v", r2)
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"html"
 	"io"
 	"math"
-	"strings"
 
 	"pap/internal/experiments"
 )
@@ -278,13 +277,4 @@ comparison target; see EXPERIMENTS.md.</p>
 
 	fmt.Fprint(w, "</body></html>\n")
 	return nil
-}
-
-// GenerateString is Generate into a string (test helper and API sugar).
-func GenerateString(env *experiments.Env) (string, error) {
-	var sb strings.Builder
-	if err := Generate(&sb, env); err != nil {
-		return "", err
-	}
-	return sb.String(), nil
 }

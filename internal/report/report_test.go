@@ -16,10 +16,11 @@ func TestGenerate(t *testing.T) {
 		Workers:    2,
 		Benchmarks: []string{"ExactMatch", "Bro217"},
 	})
-	out, err := GenerateString(env)
-	if err != nil {
+	var sb strings.Builder
+	if err := Generate(&sb, env); err != nil {
 		t.Fatal(err)
 	}
+	out := sb.String()
 	for _, want := range []string{
 		"<!DOCTYPE html>",
 		"Figure 3",

@@ -20,6 +20,11 @@ type Quotas struct {
 
 	mu      sync.Mutex
 	buckets map[string]*bucket
+	// overflow is the one bucket every untracked tenant shares while the
+	// map is full of buckets still refilling; nextScan is the earliest
+	// instant another eviction scan could free one.
+	overflow bucket
+	nextScan time.Time
 }
 
 type bucket struct {
@@ -29,7 +34,10 @@ type bucket struct {
 
 // maxTenants bounds the bucket map: beyond it, fully-refilled (idle)
 // buckets are discarded — semantically a no-op, since a fresh bucket
-// also starts full.
+// also starts full. When none is idle, new tenants share one overflow
+// bucket until a scan can free a slot, so the map never grows past the
+// cap and a flood of fresh keys costs one scan per refill period, not
+// one per key.
 const maxTenants = 8192
 
 // NewQuotas returns a limiter granting each tenant rps requests per
@@ -63,11 +71,17 @@ func (q *Quotas) Allow(tenant string) (bool, time.Duration) {
 	defer q.mu.Unlock()
 	b, ok := q.buckets[tenant]
 	if !ok {
-		if len(q.buckets) >= maxTenants {
-			q.evictIdleLocked()
+		if len(q.buckets) >= maxTenants && !now.Before(q.nextScan) {
+			q.evictIdleLocked(now)
+			// A bucket spent at the scan is full again burst/rps later.
+			q.nextScan = now.Add(time.Duration(q.burst / q.rps * float64(time.Second)))
 		}
-		b = &bucket{tokens: q.burst, last: now}
-		q.buckets[tenant] = b
+		if len(q.buckets) < maxTenants {
+			b = &bucket{tokens: q.burst, last: now}
+			q.buckets[tenant] = b
+		} else {
+			b = &q.overflow
+		}
 	}
 	// Lazy refill since the last spend.
 	if dt := now.Sub(b.last).Seconds(); dt > 0 {
@@ -85,23 +99,12 @@ func (q *Quotas) Allow(tenant string) (bool, time.Duration) {
 // evictIdleLocked drops buckets that have refilled completely: a tenant
 // idle long enough to be full again is indistinguishable from one we
 // have never seen. Callers hold q.mu.
-func (q *Quotas) evictIdleLocked() {
-	now := q.now()
+func (q *Quotas) evictIdleLocked(now time.Time) {
 	for t, b := range q.buckets {
 		if math.Min(q.burst, b.tokens+now.Sub(b.last).Seconds()*q.rps) >= q.burst {
 			delete(q.buckets, t)
 		}
 	}
-}
-
-// Tenants returns the number of tracked tenant buckets.
-func (q *Quotas) Tenants() int {
-	if q == nil {
-		return 0
-	}
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return len(q.buckets)
 }
 
 // retryAfterSeconds formats a Retry-After header value from a wait

@@ -3,6 +3,7 @@ package server
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -16,9 +17,6 @@ func TestQuotasDisabled(t *testing.T) {
 	}
 	if ok, wait := q.Allow("anyone"); !ok || wait != 0 {
 		t.Fatalf("nil Quotas.Allow = (%v, %v), want (true, 0)", ok, wait)
-	}
-	if n := q.Tenants(); n != 0 {
-		t.Fatalf("nil Quotas.Tenants = %d, want 0", n)
 	}
 }
 
@@ -84,8 +82,8 @@ func TestQuotasTenantIsolation(t *testing.T) {
 			t.Fatalf("quiet tenant throttled by noisy neighbour (request %d)", i)
 		}
 	}
-	if q.Tenants() != 2 {
-		t.Fatalf("Tenants = %d, want 2", q.Tenants())
+	if len(q.buckets) != 2 {
+		t.Fatalf("%d buckets, want 2", len(q.buckets))
 	}
 }
 
@@ -120,15 +118,63 @@ func TestQuotasEvictIdle(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		q.Allow(fmt.Sprintf("tenant-%d", i))
 	}
-	if q.Tenants() != 10 {
-		t.Fatalf("Tenants = %d, want 10", q.Tenants())
+	if len(q.buckets) != 10 {
+		t.Fatalf("%d buckets, want 10", len(q.buckets))
 	}
 	now = now.Add(time.Minute) // everyone refills completely
-	q.mu.Lock()
-	q.evictIdleLocked()
-	q.mu.Unlock()
-	if q.Tenants() != 0 {
-		t.Fatalf("Tenants after idle eviction = %d, want 0", q.Tenants())
+	q.evictIdleLocked(now)
+	if len(q.buckets) != 0 {
+		t.Fatalf("%d buckets after idle eviction, want 0", len(q.buckets))
+	}
+}
+
+// TestQuotasBoundedUnderFlood: fresh tenant keys arriving faster than any
+// bucket refills, from several goroutines, never grow the bucket map past
+// its cap. The excess shares one overflow bucket, which throttles them
+// together, and a slot frees up again once a tracked tenant has refilled.
+func TestQuotasBoundedUnderFlood(t *testing.T) {
+	q := NewQuotas(1, 1)
+	now := time.Unix(1000, 0)
+	q.now = func() time.Time { return now }
+
+	const floods = 4
+	var denied atomic.Int64
+	var wg sync.WaitGroup
+	for g := 0; g < floods; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := g; i < 3*maxTenants; i += floods {
+				if ok, _ := q.Allow(fmt.Sprintf("tenant-%d", i)); !ok {
+					denied.Add(1)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if len(q.buckets) > maxTenants+1 {
+		t.Fatalf("%d buckets after %d tenants, want at most %d", len(q.buckets), 3*maxTenants, maxTenants+1)
+	}
+	// Whichever maxTenants keys arrive first get their own full bucket; of
+	// the rest, the shared overflow bucket admits one burst.
+	if got, want := denied.Load(), int64(2*maxTenants-1); got != want {
+		t.Fatalf("%d requests denied, want %d", got, want)
+	}
+	// Tracked tenants keep their own buckets throughout.
+	var tracked string
+	for tracked = range q.buckets {
+		break
+	}
+	if ok, _ := q.Allow(tracked); ok {
+		t.Fatalf("%s spent its burst yet was allowed", tracked)
+	}
+
+	now = now.Add(time.Second) // every bucket refills; the next new key rescans
+	if ok, _ := q.Allow("late"); !ok {
+		t.Fatal("a new tenant after the refill period was denied")
+	}
+	if _, tracked := q.buckets["late"]; !tracked || len(q.buckets) > maxTenants {
+		t.Fatalf("after refill: late tracked %v, %d buckets", tracked, len(q.buckets))
 	}
 }
 

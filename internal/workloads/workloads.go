@@ -87,15 +87,6 @@ func Get(name string) (*Spec, error) {
 	return nil, fmt.Errorf("workloads: unknown benchmark %q", name)
 }
 
-// Names returns all benchmark names in Table 1 order.
-func Names() []string {
-	var out []string
-	for _, s := range All() {
-		out = append(out, s.Name)
-	}
-	return out
-}
-
 // ---- shared alphabets and trace helpers ----
 
 var (

@@ -32,8 +32,8 @@ func TestRegistry(t *testing.T) {
 	if _, err := Get("NoSuch"); err == nil {
 		t.Fatal("Get(NoSuch) succeeded")
 	}
-	if got := Names(); len(got) != 19 || got[0] != "Dotstar03" {
-		t.Fatalf("Names() = %v", got)
+	if specs[0].Name != "Dotstar03" {
+		t.Fatalf("All() starts with %q, want Dotstar03 (Table 1 order)", specs[0].Name)
 	}
 }
 

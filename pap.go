@@ -287,7 +287,8 @@ func Levenshtein(name string, patterns []string, d int) (*Automaton, error) {
 
 // DecodeANML reads an automaton from ANML XML, the Micron AP SDK's format
 // (the one ANMLZoo distributes benchmarks in). Only pure STE networks are
-// supported; counter and boolean elements are rejected.
+// supported; any other element (counter, boolean gate, or unknown kind) is
+// rejected with an error naming it.
 func DecodeANML(r io.Reader) (*Automaton, error) {
 	n, err := anml.Decode(r)
 	if err != nil {
@@ -456,27 +457,8 @@ func toMatches(reports []engine.Report) []Match {
 type Config struct {
 	// Ranks is the modelled AP board size (1..4).
 	Ranks int
-	// TDMQuantum is the number of symbols each flow processes between
-	// context switches (default 64).
-	TDMQuantum int
-	// ConvergenceEvery is the number of TDM steps between convergence
-	// checks (default 10).
-	ConvergenceEvery int
-	// SwitchCycles is the modelled flow-switch cost (default 3).
-	SwitchCycles int
 	// MaxSegments caps parallelism below the board limit (0 = board limit).
 	MaxSegments int
-	// HalfCores forces the automaton's placement footprint (0 = derive
-	// from the state count).
-	HalfCores int
-	// CutSymbol forces the input partition symbol (-1 or 0 with
-	// ForceCutSymbol unset = profile the input).
-	CutSymbol      int
-	ForceCutSymbol bool
-	// Workers bounds simulator goroutines, the caller's among them (0 =
-	// GOMAXPROCS): at most this many segments are simulated at once, the
-	// golden run included. It never affects modelled AP cycles.
-	Workers int
 	// Speculate replaces start-state enumeration with speculative
 	// execution (idle-boundary prediction + serial re-execution of
 	// mispredicted segments). Exactness is preserved; speedup collapses on
@@ -513,27 +495,7 @@ func (c Config) toCore() core.Config {
 		ranks = 1
 	}
 	cfg := core.DefaultConfig(ranks)
-	if c.TDMQuantum > 0 {
-		cfg.TDMQuantum = c.TDMQuantum
-	}
-	if c.ConvergenceEvery > 0 {
-		cfg.ConvergenceEvery = c.ConvergenceEvery
-	}
-	if c.SwitchCycles > 0 {
-		cfg.SwitchCycles = c.SwitchCycles
-	}
-	if c.MaxSegments > 0 {
-		cfg.MaxSegments = c.MaxSegments
-	}
-	if c.HalfCores > 0 {
-		cfg.HalfCoresOverride = c.HalfCores
-	}
-	if c.ForceCutSymbol {
-		cfg.CutSymbol = c.CutSymbol
-	}
-	if c.Workers > 0 {
-		cfg.Workers = c.Workers
-	}
+	cfg.MaxSegments = c.MaxSegments
 	cfg.Speculate = c.Speculate
 	cfg.Engine = c.Engine.toKind()
 	cfg.Mode = c.Mode.toMode()
@@ -661,7 +623,7 @@ func (a *Automaton) MatchParallel(input []byte, cfg Config) (*Report, error) {
 // 4096 symbols, like a sequential match — and the golden run beside them
 // at its next poll (the per-symbol inner loops stay check-free), and
 // returns ctx's error wrapped in *AbortError with per-segment progress.
-// Up to Config.Workers segments are simulated at once, the golden run
+// Up to GOMAXPROCS segments are simulated at once, the golden run
 // included; no goroutine outlives the call.
 func (a *Automaton) MatchParallelContext(ctx context.Context, input []byte, cfg Config) (*Report, error) {
 	coreCfg := cfg.toCore()

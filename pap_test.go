@@ -3,8 +3,12 @@ package pap
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
+
+	"pap/internal/core"
+	"pap/internal/engine"
 )
 
 func TestCompileAndMatch(t *testing.T) {
@@ -194,31 +198,59 @@ func TestMatchParallelSharesTables(t *testing.T) {
 	}
 }
 
+// TestMatchParallelConfigKnobs: every option Config keeps reaches the core
+// run — Ranks and the MaxSegments cap through the plan, Mode through the
+// strategy that ran, Speculate, Engine and Scoring through the core config.
 func TestMatchParallelConfigKnobs(t *testing.T) {
 	a, err := Compile("t", []string{"abc"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	input := makeInput(1<<14, 9, "abc")
-	cfg := Config{
-		Ranks:            1,
-		TDMQuantum:       32,
-		ConvergenceEvery: 5,
-		MaxSegments:      4,
-		HalfCores:        2,
-		CutSymbol:        '\n',
-		ForceCutSymbol:   true,
-		Workers:          2,
+	want := a.Match(input)
+	for _, c := range []struct {
+		cfg      Config
+		segments int
+		mode     string
+	}{
+		{Config{Ranks: 1}, 16, "flows"}, // a one-half-core automaton: 16 replicas per rank
+		{Config{Ranks: 2}, 32, "flows"},
+		{Config{Ranks: 2, MaxSegments: 4}, 4, "flows"},
+		{Config{Ranks: 1, MaxSegments: 4, Mode: ExecSFA}, 4, "sfa"},
+		{Config{Ranks: 1, MaxSegments: 4, Speculate: true}, 4, "flows"},
+	} {
+		rep, err := a.MatchParallel(input, c.cfg)
+		if err != nil {
+			t.Fatalf("%+v: %v", c.cfg, err)
+		}
+		if rep.Stats.Segments != c.segments || rep.Stats.Mode != c.mode {
+			t.Errorf("%+v: %d segments in mode %q, want %d in %q",
+				c.cfg, rep.Stats.Segments, rep.Stats.Mode, c.segments, c.mode)
+		}
+		if !reflect.DeepEqual(rep.Matches, want) {
+			t.Errorf("%+v: parallel matches differ from Match", c.cfg)
+		}
 	}
-	rep, err := a.MatchParallel(input, cfg)
-	if err != nil {
-		t.Fatal(err)
+	got := Config{Ranks: 3, MaxSegments: 5, Speculate: true, Engine: EngineBit, Mode: ExecSFA, Scoring: true}.toCore()
+	if got.Ranks != 3 || got.MaxSegments != 5 || !got.Speculate ||
+		got.Engine != engine.BitKind || got.Mode != core.ModeSFA || !got.Scored {
+		t.Fatalf("toCore dropped an option: %+v", got)
 	}
-	if rep.Stats.CutSymbol != '\n' {
-		t.Fatalf("cut symbol = %q", rep.Stats.CutSymbol)
+}
+
+// TestConfigFields pins Config's exported fields, so that any growth of the
+// public option surface shows up as a diff here.
+func TestConfigFields(t *testing.T) {
+	want := []string{"Ranks", "MaxSegments", "Speculate", "Engine", "Mode", "Scoring"}
+	var got []string
+	typ := reflect.TypeOf(Config{})
+	for i := 0; i < typ.NumField(); i++ {
+		if f := typ.Field(i); f.IsExported() {
+			got = append(got, f.Name)
+		}
 	}
-	if rep.Stats.Segments > 4 {
-		t.Fatalf("segments = %d, want <= 4", rep.Stats.Segments)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("Config fields = %v, want %v", got, want)
 	}
 }
 
