@@ -10,17 +10,18 @@ import (
 // visits every frontier state and — the part a density rule misses — every
 // all-input state, the paper's Active State Group, which is enabled on
 // every cycle: F+A label tests, with F the frontier length and
-// A = len(AllInputStates()). The vector engine touches W = ⌈states/64⌉
-// words however many states are live. The constants weigh one against the
-// other; they come from the 21-automaton sweep in docs/ENGINES.md
-// (BenchmarkAutoPolicySweep) and are not options. The two thresholds are
-// deliberately apart (hysteresis) and switches are rate-limited, so an
-// oscillating frontier cannot thrash between representations.
+// A = len(AllInputStates()). The vector engine is priced at W = ⌈states/64⌉
+// words, which its batch kernel now passes over once per batch rather than
+// per symbol; the constants, not options, were fitted to that kernel by
+// BenchmarkAutoPolicySweep and BenchmarkAutoPolicyBreakEven (tables in
+// docs/ENGINES.md). The two thresholds are deliberately apart (hysteresis)
+// and switches are rate-limited, so an oscillating frontier cannot thrash
+// between representations.
 const (
 	// adaptiveDenseMul: go dense when adaptiveDenseMul·(F+A) > W.
-	adaptiveDenseMul = 3
+	adaptiveDenseMul = 8
 	// adaptiveSparseMul: go back to sparse when adaptiveSparseMul·(F+A) < W.
-	adaptiveSparseMul = 6
+	adaptiveSparseMul = 16
 	// adaptiveHoldSteps is the minimum number of Steps between two
 	// representation switches.
 	adaptiveHoldSteps = 16
@@ -148,16 +149,22 @@ func (a *Adaptive) SetBaseline(on bool) {
 	a.cur.SetBaseline(on)
 }
 
-// rebalance applies the policy once the hold has elapsed.
+// rebalance applies the policy once the hold has elapsed. The list walks
+// the all-input states only while the baseline is on: an enumeration flow
+// (baseline off) never steps them, so they cost it nothing.
 func (a *Adaptive) rebalance() {
 	if a.since < adaptiveHoldSteps {
 		return
 	}
+	asg := 0
+	if a.baseline {
+		asg = a.asg
+	}
 	if !a.dense {
-		if adaptiveDenseMul*(len(a.sparse.frontier)+a.asg) > a.words {
+		if adaptiveDenseMul*(len(a.sparse.frontier)+asg) > a.words {
 			a.switchTo(true)
 		}
-	} else if adaptiveSparseMul*(a.bit.enabled.Count()+a.asg) < a.words {
+	} else if adaptiveSparseMul*(a.bit.enabled.Count()+asg) < a.words {
 		a.switchTo(false)
 	}
 }

@@ -22,6 +22,12 @@ type Tables struct {
 	n     *nfa.NFA
 	match [256]atomic.Pointer[bitset.Set]
 
+	// bg holds, per symbol, the all-input half of a bit engine's background
+	// (see bgEntry) — what the all-input states the symbol fires contribute
+	// to a step while the baseline is on — built lazily and published
+	// atomically, like match.
+	bg [256]atomic.Pointer[bgEntry]
+
 	// pfOnce/pf lazily build the automaton's prefilter, shared by every
 	// meta engine and run loop over this automaton (see Prefilter).
 	pfOnce sync.Once
@@ -102,10 +108,9 @@ func (t *Tables) BuildAll() *Tables {
 // and is neither all-input nor reporting: the self-loop half of the paper's
 // Active State Group (§3.3.2). Once enabled it fires on every symbol and
 // re-enables itself, so what it contributes to a step never changes again.
-// All-input states already cost the vector nothing (they are one OR of a
-// constant mask) and stop firing when the baseline goes off; a reporting
-// state must keep emitting in state order among the other reports of its
-// symbol, so it stays in the per-symbol walk.
+// All-input states are the other half and stop firing only when the
+// baseline goes off; a reporting state must keep emitting, so it stays in
+// the per-symbol background instead.
 func (t *Tables) static() {
 	t.staticOnce.Do(func() {
 		n := t.n
@@ -144,12 +149,162 @@ func (t *Tables) BaselineSkip() *prefilter.ClassScanner {
 	return t.skip
 }
 
+// bgEntry is one half of a symbol's background: the states a bit engine
+// fires on σ whatever its delta holds, with all a step needs of them,
+// packed into one list cut in four (see the accessors). The all-input half
+// is A ∩ match[σ], fired while the baseline is on and shared through the
+// Tables; the latch half is (K ∖ C ∖ A) ∩ match[σ] — what the latch
+// enables (K = latchNx) less the latched states C, which fire on every
+// symbol, and A — cached per engine and latched set. An entry is immutable
+// once built.
+type bgEntry struct {
+	ids        []nfa.StateID
+	nf, nr, nl int32 // ends of the fired, reporting and latchable parts of ids
+	trans      int64 // Σ out-degree over fired ∖ latch
+}
+
+// fired is the entry's fired states, ascending.
+func (b *bgEntry) fired() []nfa.StateID { return b.ids[:b.nf] }
+
+// rep is the reporting states of fired, ascending.
+func (b *bgEntry) rep() []nfa.StateID { return b.ids[b.nf:b.nr] }
+
+// latch is the latchable states of fired (none latched yet: C is left out).
+func (b *bgEntry) latch() []nfa.StateID { return b.ids[b.nr:b.nl] }
+
+// succ is succ(fired ∖ latch) less what the entry's key already makes
+// enabled or never-enabled (A, and K for the latch half). A state two fired
+// states share is listed twice: the step ORs the list into a vector.
+func (b *bgEntry) succ() []nfa.StateID { return b.ids[b.nl:] }
+
+// noBackground is the empty half: the all-input one with the baseline off,
+// the latch one with nothing latched.
+var noBackground bgEntry
+
+// background returns the all-input half of sym's background, building it on
+// first use. Concurrent first uses may build duplicates; one wins the
+// publication race, as in Match. The entries stay
+// with the automaton, so a symbol whose entry is empty shares noBackground
+// and the others hold exactly their lists.
+func (t *Tables) background(sym byte) *bgEntry {
+	if b := t.bg[sym].Load(); b != nil {
+		return b
+	}
+	b := &noBackground
+	if ent, ids := t.appendBackground(nil, t.Match(sym).Words(), nil, nil, nil); len(ids) > 0 {
+		ent.ids = slices.Clone(ids)
+		b = &ent
+	}
+	if t.bg[sym].CompareAndSwap(nil, b) {
+		return b
+	}
+	return t.bg[sym].Load()
+}
+
+// appendBackground returns the background half of match vector mW — the
+// latch half of latch (kW, cW), whose non-zero words of K ∖ C ∖ A are
+// words, or the all-input half when kW is nil — its list appended to ids,
+// and ids.
+func (t *Tables) appendBackground(ids []nfa.StateID, mW, kW, cW []uint64, words []int32) (bgEntry, []nfa.StateID) {
+	start := len(ids)
+	aW := t.allIn.Words()
+	add := func(wi int, w uint64) {
+		for w &= mW[wi]; w != 0; w &= w - 1 {
+			ids = append(ids, nfa.StateID(wi<<6|bits.TrailingZeros64(w)))
+		}
+	}
+	if kW == nil {
+		for wi, w := range aW {
+			add(wi, w)
+		}
+	} else {
+		for _, wi := range words {
+			add(int(wi), kW[wi]&^cW[wi]&^aW[wi])
+		}
+	}
+	nf := len(ids)
+	for _, q := range ids[start:nf] {
+		if t.repWord[q>>6]&(1<<(uint(q)&63)) != 0 {
+			ids = append(ids, q)
+		}
+	}
+	nr := len(ids)
+	for _, q := range ids[start:nf] {
+		if t.latchable[q>>6]&(1<<(uint(q)&63)) != 0 {
+			ids = append(ids, q)
+		}
+	}
+	nl := len(ids)
+	var trans int64
+	for i := start; i < nf; i++ {
+		q := ids[i]
+		if t.latchable[q>>6]&(1<<(uint(q)&63)) != 0 {
+			continue
+		}
+		succ := t.n.Succ(q)
+		trans += int64(len(succ))
+		for _, c := range succ {
+			wi, bit := c>>6, uint64(1)<<(uint(c)&63)
+			if aW[wi]&bit == 0 && (kW == nil || kW[wi]&bit == 0) {
+				ids = append(ids, c)
+			}
+		}
+	}
+	return bgEntry{
+		ids: ids[start:len(ids):len(ids)],
+		nf:  int32(nf - start), nr: int32(nr - start), nl: int32(nl - start),
+		trans: trans,
+	}, ids
+}
+
+// bgSlotCount is how many latched sets a bit engine keeps the latch halves
+// of. core reloads a flow with Reset, which drops the latch, and the flow
+// relatches the same set on its first symbol: a few slots let the flows of
+// a segment take turns on one engine without rebuilding their entries.
+// Under MatchParallel on the repository benchmark's clamav_enum, a lookup
+// finds its set with 1, 2, 4, 8 and 16 slots 32, 61, 87, 95 and 99 % of the
+// time; on dotstar_dense flows keep forming sets they have not had before,
+// and no count helps.
+const bgSlotCount = 8
+
+// bgSettleSteps is how many symbols a latched set is stepped before its
+// latch halves are built. An entry costs a few steps' worth of work and
+// pays only on the later occurrences of its symbol under the same set, so
+// while the set keeps changing — an automaton whose '.*' states come on one
+// by one over the input — the step walks what the latch enables with the
+// rest of the frontier instead.
+const bgSettleSteps = 256
+
+// bgCache is a bit engine's latch halves, created at its first latch: one
+// slot per latched set.
+type bgCache struct {
+	slots  [bgSlotCount]bgSlot
+	claims int // settled slots evicted so far, round-robin
+}
+
+// bgSlot holds the latch halves of one latched set, built lazily per
+// symbol once the set has been stepped bgSettleSteps symbols.
+type bgSlot struct {
+	fp      uint64   // Key-fingerprint of latched
+	latched []uint64 // the latched set itself: no fingerprint collision can alias two keys
+	words   []int32  // the vector words where K ∖ C ∖ A is non-zero
+	steps   int      // symbols stepped under the set, up to bgSettleSteps
+	ent     [256]int32
+	ents    []bgEntry     // ent[σ] is 1 + the index of σ's entry, 0 before it is built
+	ids     []nfa.StateID // the entries' lists, packed
+}
+
 // Bit is the dense state-vector engine, mirroring the AP's per-STE enable
-// mask and State Vector Cache entries. A step costs a few passes over
-// ⌈states/64⌉ words plus one edge walk per fired state that is neither
-// all-input nor latched (see latch) — the Active State Group costs the
-// vector nothing — so it is the default wherever that group outweighs the
-// vector (see alwaysDense) and the dense side of Adaptive elsewhere.
+// mask and State Vector Cache entries. Its batched step does not pay for
+// what cannot change: the states the latch enables (see latch) and the
+// all-input states fire the same way on every occurrence of a symbol, so
+// what they contribute is one precomputed per-symbol background entry
+// (bgEntry), and a step walks only the live delta beside it — the AP's
+// Active State Group costing nothing per cycle (§3.3.2). A step costs the
+// delta's states and edges plus the entry's lists, not ⌈states/64⌉ words;
+// the vector is materialised once per batch. It is the default wherever
+// the Active State Group outweighs the vector (see alwaysDense) and the
+// dense side of Adaptive elsewhere.
 type Bit struct {
 	n        *nfa.NFA
 	tab      *Tables
@@ -160,22 +315,36 @@ type Bit struct {
 	allIn    *bitset.Set // shared with the Tables, read-only
 	trans    int64
 
-	// Batched hot loop + baseline skip (StepBatch): the reporting and
-	// latchable masks of the shared Tables, the start-class scanner, and
-	// the fast-path switch and counter.
-	repWord   []uint64
-	repCode   []int32
-	latchable []uint64
-	skip      *prefilter.ClassScanner
-	skipOn    bool
-	skipped   int64
+	// The baseline-skip fast path (see skipAhead): switch and counter.
+	skipOn  bool
+	skipped int64
 
 	// The latch (see latch): which latchable states have fired since the
-	// last Reset, the union of their successors, and the sum of their
-	// out-degrees — 0 exactly when nothing is latched.
+	// last Reset (C), the union of their successors (K), the sum of their
+	// out-degrees — 0 exactly when nothing is latched — |K ∖ A|, and the
+	// fingerprint of C that keys the background cache.
 	latched    *bitset.Set
 	latchNx    *bitset.Set
 	latchTrans int64
+	latchLive  int
+	latchFP    uint64
+
+	// The background-plus-delta step (see StepBatch): the second delta
+	// vector beside scratch, the summaries of the delta D = enabled ∖ K and
+	// of the one being built (a bit per non-zero vector word), the delta
+	// words fired on the current symbol and their reporting states (each
+	// first carved from the arrays beside them), and the latch halves of the
+	// background with the slot of the current latched set (nil until looked
+	// up).
+	spare                *bitset.Set
+	deltaSum, deltaNxSum []uint64
+	fired                []firedWord
+	reps                 []nfa.StateID
+	sumBuf               [2]uint64
+	firedBuf             [2]firedWord
+	repsBuf              [2]nfa.StateID
+	bg                   *bgCache
+	bgCur                *bgSlot
 
 	// Score tracking (see Scorer): per-state arrays parallel to the enabled
 	// and scratch bit vectors, swapped alongside them each step. A slot is
@@ -191,23 +360,27 @@ func NewBit(n *nfa.NFA, tab *Tables) *Bit {
 		tab = NewTables(n)
 	}
 	tab.static()
-	vecs := bitset.NewGroup(n.Len(), 5)
+	vecs := bitset.NewGroup(n.Len(), 6)
 	e := &Bit{
-		n:         n,
-		tab:       tab,
-		baseline:  true,
-		enabled:   &vecs[0],
-		firedBs:   &vecs[1],
-		scratch:   &vecs[2],
-		allIn:     tab.allIn,
-		repWord:   tab.repWord,
-		repCode:   tab.repCode,
-		latchable: tab.latchable,
-		skip:      tab.BaselineSkip(),
-		skipOn:    true,
-		latched:   &vecs[3],
-		latchNx:   &vecs[4],
+		n:        n,
+		tab:      tab,
+		baseline: true,
+		enabled:  &vecs[0],
+		firedBs:  &vecs[1],
+		scratch:  &vecs[2],
+		allIn:    tab.allIn,
+		skipOn:   true,
+		latched:  &vecs[3],
+		latchNx:  &vecs[4],
+		spare:    &vecs[5],
 	}
+	sums := e.sumBuf[:]
+	if sw := (stepWords(n) + 63) / 64; sw > 1 {
+		sums = make([]uint64, 2*sw)
+	}
+	half := len(sums) / 2
+	e.deltaSum, e.deltaNxSum = sums[:half:half], sums[half:]
+	e.fired, e.reps = e.firedBuf[:0], e.repsBuf[:0]
 	e.Reset(n.StartStates())
 	return e
 }
@@ -234,7 +407,8 @@ func (e *Bit) ResetScored(seed []nfa.StateID, scores []int64) {
 		// hold latch again on their first batched step.
 		e.latched.Reset()
 		e.latchNx.Reset()
-		e.latchTrans = 0
+		e.latchTrans, e.latchLive, e.latchFP = 0, 0, 0
+		e.bgCur = nil
 	}
 	e.enabled.Reset()
 	for i, q := range seed {
@@ -298,7 +472,7 @@ func (e *Bit) Step(sym byte, off int64, emit EmitFunc) {
 }
 
 // stepScored is Step with score propagation — the scored twin of Step,
-// kept separate so the unscored path (and the vectorized StepBatch kernel)
+// kept separate so the unscored path (and the batched StepBatch kernel)
 // stays score-free. Scores live in per-state arrays keyed by the frontier
 // bitset: scoreCur is valid where enabled is set, scoreNxt is built where
 // next is set, and the arrays swap with the vectors.
@@ -344,9 +518,9 @@ func (e *Bit) stepScored(sym byte, off int64, emit EmitFunc) {
 }
 
 // batchSymbols is the maximum number of symbols one StepBatch kernel
-// invocation consumes: enough to amortise the per-call setup (match-vector
-// resolution, word-slice hoisting) without starving callers that interleave
-// per-batch bookkeeping (context polls, round bounds).
+// invocation consumes: enough to amortise the per-call setup (splitting
+// the frontier, materialising it again) without starving callers that
+// interleave per-batch bookkeeping (context polls, round bounds).
 const batchSymbols = 64
 
 // skipAhead returns the number of leading input symbols a dead frontier
@@ -362,10 +536,11 @@ func (e *Bit) skipAhead(input []byte) int {
 	}
 	var j int
 	if e.baseline {
-		if e.skip == nil {
+		skip := e.tab.BaselineSkip()
+		if skip == nil {
 			return 0
 		}
-		j = e.skip.NextIn(input, 0, len(input))
+		j = skip.NextIn(input, 0, len(input))
 	} else {
 		j = len(input)
 	}
@@ -378,15 +553,37 @@ func (e *Bit) skipAhead(input []byte) int {
 
 // StepBatch consumes between 1 and len(input) symbols starting at absolute
 // offset off, observably identical to calling Step once per consumed
-// symbol. The hot loop processes up to batchSymbols per invocation: the
-// state-match phase runs as fused word-wide bitset ops, latched states
-// contribute one precomputed vector instead of an edge walk each (see
-// latch), and successor expansion of the rest walks the shared CSR edge
-// arrays with the word slices hoisted out of the per-state loop. A dead
-// frontier takes the baseline-skip fast path instead (see skipAhead). It
-// returns the consumed count with the sum and maximum of the frontier
-// length over the consumed symbols, so callers keep per-symbol frontier
-// statistics exact. len(input) must be > 0.
+// symbol. It returns the consumed count with the sum and maximum of the
+// frontier length over the consumed symbols, so callers keep per-symbol
+// frontier statistics exact. len(input) must be > 0. A dead frontier takes
+// the baseline-skip fast path instead (see skipAhead).
+//
+// The unscored kernel splits the frontier into the part only a Reset takes
+// away, K ∖ A with K = latchNx (the latched states C are in it: each is its
+// own successor), and the delta D = enabled ∖ K, held as bits. On symbol σ
+// the fired states are C, the background — ((K ∖ C ∖ A) ∪ A-if-baseline) ∩
+// match[σ], in two halves looked up once per symbol (see bgEntry) — and
+// D ∩ match[σ], so a step
+//
+//  1. ANDs each live delta word with match[σ];
+//  2. latches the fired latchable states (see latch);
+//  3. emits the fired reporting states, merged in ascending state order;
+//  4. ORs the background's successors and the fired delta states' edges
+//     into the next delta, then drops K ∪ A from the words it touched;
+//  5. counts the background's, the walked states' and the latch's
+//     transitions;
+//
+// and the frontier is |K ∖ A| + |D′| states long. While the delta is
+// sparse its live words are found through a summary with one bit per
+// vector word, in ascending order, so its reports come out in state order,
+// and a step costs the delta's live words, the fired states' edges and the
+// background's lists, not the vector's length. While the latched set has
+// not settled (see bgSettleSteps) there is no latch half: the words of
+// K ∖ C ∖ A are scanned with the delta's and their fired states walked like
+// the delta's. Once the delta, or K ∖ C ∖ A while it is walked, fills half
+// the words a step passes over the words instead: it ANDs them all with
+// match[σ] into the fired vector, then walks that. The enabled and fired
+// vectors are materialised once, when the batch ends.
 func (e *Bit) StepBatch(input []byte, off int64, emit EmitFunc) (consumed int, sumFrontier int64, maxFrontier int) {
 	if e.enabled.Empty() {
 		if n := e.skipAhead(input); n > 0 {
@@ -394,14 +591,11 @@ func (e *Bit) StepBatch(input []byte, off int64, emit EmitFunc) (consumed int, s
 		}
 	}
 	if e.scoring {
-		// Score tracking runs through the scalar scored step; the vectorized
+		// Score tracking runs through the scalar scored step; the batched
 		// kernel below stays score-free so the unscored hot path is untouched.
 		// The dead-frontier skip above remains exact: skipped symbols fire
 		// nothing, so no score can change.
-		k := len(input)
-		if k > batchSymbols {
-			k = batchSymbols
-		}
+		k := min(len(input), batchSymbols)
 		for j := 0; j < k; j++ {
 			e.stepScored(input[j], off+int64(j), emit)
 			l := e.enabled.Count()
@@ -416,67 +610,175 @@ func (e *Bit) StepBatch(input []byte, off int64, emit EmitFunc) (consumed int, s
 		}
 		return consumed, sumFrontier, maxFrontier
 	}
-	k := len(input)
-	if k > batchSymbols {
-		k = batchSymbols
-	}
-	fired := e.firedBs
-	en, nx := e.enabled, e.scratch
-	fdW := fired.Words()
+	k := min(len(input), batchSymbols)
 	succOff, succ := e.n.SuccCSR()
-	// The masks the scan reads per fired word, cut to the vector's length so
-	// that their bounds checks leave the loop.
-	repWord, latchable, ldW := e.repWord[:len(fdW)], e.latchable[:len(fdW)], e.latched.Words()[:len(fdW)]
-	repCode := e.repCode
+	fW := e.firedBs.Words()
+	W := len(fW)
+	aW, kW, cW := e.allIn.Words()[:W], e.latchNx.Words()[:W], e.latched.Words()[:W]
+	latchable, repWord := e.tab.latchable[:W], e.tab.repWord[:W]
+	// Inside the batch the delta and the next one live in the scratch and
+	// spare vectors; summed reports that ds summarises dv and ns is zero.
+	dv, nv := e.scratch.Words()[:W], e.spare.Words()[:W]
+	ds, ns := e.deltaSum, e.deltaNxSum
+	clear(ds)
+	clear(ns)
+	live := 0
+	for wi, w := range e.enabled.Words()[:W] {
+		nv[wi] = 0
+		if dv[wi] = w &^ kW[wi]; dv[wi] != 0 {
+			ds[wi>>6] |= 1 << (uint(wi) & 63)
+			live++
+		}
+	}
+	dense, summed := 2*live >= W, true
+	// listed: the last step left its fired delta words in fired, not in fW.
+	fired, reps, listed := e.fired, e.reps, false
+	var all, lat *bgEntry
 	trans := e.trans
 	j := 0
 	for j < k {
-		// State match phase: fired = (enabled ∪ allInput) ∩ match[sym]. The
-		// vector is resolved per consumed symbol: a batch that ends at a dead
-		// frontier builds none for the bytes the skip scan then retires.
-		m := e.tab.Match(input[j])
-		if e.baseline {
-			fired.OrAndOf(en, e.allIn, m)
-		} else {
-			fired.AndOf(en, m)
+		sym := input[j]
+		mW := e.tab.Match(sym).Words()[:W]
+		var inline bool
+		all, lat, inline = e.background(sym)
+		reps = reps[:0]
+		// The entry's latchable states latch first: the word scan below reads
+		// K only when there is no entry.
+		for _, q := range lat.latch() {
+			e.latch(q)
 		}
-		// State transition phase: next = ∪ succ(fired), minus all-input,
-		// starting from what the latched states enable.
-		if e.latchTrans != 0 {
-			nx.Copy(e.latchNx)
-		} else {
-			nx.Reset()
-		}
-		nxW := nx.Words()
-		for wi, w := range fdW {
-			if w == 0 {
-				continue
-			}
-			if l := w & latchable[wi]; l != 0 {
-				// Latchable states leave the walk: the latched ones are in
-				// nx already, the others join the latch here.
-				w &^= l
-				if l &^= ldW[wi]; l != 0 {
-					e.latch(wi, l, nxW)
+		trans += all.trans + lat.trans
+		// fired = (D ∪ K ∖ C ∖ A if inline) ∩ match[σ], all of it before
+		// any latching moves K; word by word once either covers half the
+		// vector.
+		words := dense || inline && 2*len(e.bgCur.words) >= W
+		if words {
+			// Word by word.
+			if inline {
+				for wi := range dv {
+					fW[wi] = (dv[wi] | kW[wi]&^cW[wi]&^aW[wi]) & mW[wi]
+					dv[wi] = 0 // dv becomes the next step's nv
+				}
+			} else {
+				for wi := range dv {
+					fW[wi] = dv[wi] & mW[wi]
+					dv[wi] = 0
 				}
 			}
-			for w != 0 {
-				b := bits.TrailingZeros64(w)
-				w &= w - 1
-				q := wi<<6 | b
-				if repWord[wi]&(1<<uint(b)) != 0 && emit != nil {
-					emit(Report{Offset: off + int64(j), State: nfa.StateID(q), Code: repCode[q]})
+			for wi, f := range fW {
+				if f == 0 {
+					continue
 				}
-				lo, hi := succOff[q], succOff[q+1]
-				trans += int64(hi - lo)
-				for _, c := range succ[lo:hi] {
-					nxW[int(c)>>6] |= 1 << (uint(c) & 63)
+				base := wi << 6
+				if l := f & latchable[wi]; l != 0 {
+					for f &^= l; l != 0; l &= l - 1 {
+						e.latch(nfa.StateID(base | bits.TrailingZeros64(l)))
+					}
+				}
+				if emit != nil {
+					for r := f & repWord[wi]; r != 0; r &= r - 1 {
+						reps = append(reps, nfa.StateID(base|bits.TrailingZeros64(r)))
+					}
+				}
+				for ; f != 0; f &= f - 1 {
+					q := base | bits.TrailingZeros64(f)
+					lo, hi := succOff[q], succOff[q+1]
+					trans += int64(hi - lo)
+					orSucc(nv, nil, succ[lo:hi], false)
+				}
+			}
+		} else {
+			if !summed {
+				clear(ds)
+				clear(ns)
+				for wi, w := range dv {
+					if w != 0 {
+						ds[wi>>6] |= 1 << (uint(wi) & 63)
+					}
+				}
+				summed = true
+			}
+			if inline {
+				// The words of K ∖ C ∖ A join the scan, in order with the
+				// delta's.
+				for _, wi := range e.bgCur.words {
+					ds[wi>>6] |= 1 << (uint(wi) & 63)
+				}
+			}
+			fired = fired[:0]
+			for si, sw := range ds {
+				for ; sw != 0; sw &= sw - 1 {
+					wi := si<<6 | bits.TrailingZeros64(sw)
+					f := dv[wi]
+					if inline {
+						f |= kW[wi] &^ cW[wi] &^ aW[wi]
+					}
+					if f &= mW[wi]; f != 0 {
+						fired = append(fired, firedWord{int32(wi), f})
+					}
+					dv[wi] = 0
+				}
+				ds[si] = 0
+			}
+			for _, fw := range fired {
+				f, base := fw.bits, int(fw.wi)<<6
+				if l := f & latchable[fw.wi]; l != 0 {
+					for f &^= l; l != 0; l &= l - 1 {
+						e.latch(nfa.StateID(base | bits.TrailingZeros64(l)))
+					}
+				}
+				if emit != nil {
+					for r := f & repWord[fw.wi]; r != 0; r &= r - 1 {
+						reps = append(reps, nfa.StateID(base|bits.TrailingZeros64(r)))
+					}
+				}
+				for ; f != 0; f &= f - 1 {
+					q := base | bits.TrailingZeros64(f)
+					lo, hi := succOff[q], succOff[q+1]
+					trans += int64(hi - lo)
+					orSucc(nv, ns, succ[lo:hi], true)
 				}
 			}
 		}
 		trans += e.latchTrans
-		cnt := nx.AndNotCount(e.allIn)
-		en, nx = nx, en
+		if emit != nil && len(all.rep())+len(lat.rep())+len(reps) > 0 {
+			e.emitMerged(all.rep(), lat.rep(), reps, off+int64(j), emit)
+		}
+		orSucc(nv, ns, all.succ(), !words)
+		orSucc(nv, ns, lat.succ(), !words)
+		cnt := e.latchLive
+		live = 0
+		if words {
+			// Drop K (after this step's latching) and A, and count what stays.
+			for wi, w := range nv {
+				w &^= kW[wi] | aW[wi]
+				nv[wi] = w
+				cnt += bits.OnesCount64(w)
+				live += int((w | -w) >> 63) // 1 when w != 0, without a branch
+			}
+			summed, listed = false, false
+		} else {
+			// Drop K and A from the words the step touched and summarise
+			// what stays.
+			for si, sw := range ns {
+				for t := sw; t != 0; t &= t - 1 {
+					wi := si<<6 | bits.TrailingZeros64(t)
+					w := nv[wi] &^ (kW[wi] | aW[wi])
+					nv[wi] = w
+					if w == 0 {
+						sw &^= t & -t
+					} else {
+						live++
+						cnt += bits.OnesCount64(w)
+					}
+				}
+				ns[si] = sw
+			}
+			ds, ns = ns, ds
+			listed = true
+		}
+		dense = 2*live >= W
+		dv, nv = nv, dv
 		j++
 		sumFrontier += int64(cnt)
 		if cnt > maxFrontier {
@@ -489,30 +791,167 @@ func (e *Bit) StepBatch(input []byte, off int64, emit EmitFunc) (consumed int, s
 		}
 	}
 	e.trans = trans
-	e.enabled, e.scratch = en, nx
+	e.deltaSum, e.deltaNxSum, e.fired, e.reps = ds, ns, fired, reps
+	// enabled = (K ∖ A) ∪ D, then fired = C ∪ the background ∪ the fired
+	// delta states.
+	enW := e.enabled.Words()[:W]
+	for i := range enW {
+		enW[i] = kW[i]&^aW[i] | dv[i]
+	}
+	if listed {
+		clear(fW)
+		for _, fw := range fired {
+			fW[fw.wi] = fw.bits
+		}
+	}
+	for i := range fW {
+		fW[i] |= cW[i]
+	}
+	for _, half := range [2]*bgEntry{all, lat} {
+		for _, q := range half.fired() {
+			fW[q>>6] |= 1 << (uint(q) & 63)
+		}
+	}
 	return j, sumFrontier, maxFrontier
 }
 
-// latch adds the states l of vector word wi — latchable (see Tables.static),
-// fired on the current symbol, not latched yet — to the latch, walking
-// their edges for the last time: into latchNx, which every later step
-// starts its next vector from, and into nxW, the current step's. A latched
-// state fires on every symbol and re-enables itself, so its contribution
-// to a step is the constant (latchNx, latchTrans) and latched ⊆ enabled
-// holds whatever runs in between — scalar Steps, scored steps, baseline
-// toggles — until a Reset replaces the frontier and drops the latch. This
-// is the AP not re-evaluating the self-loop half of its Active State
-// Group (§3.3.2), with the membership found at run time.
-func (e *Bit) latch(wi int, l uint64, nxW []uint64) {
-	e.latched.Words()[wi] |= l
-	lnW := e.latchNx.Words()
-	for l != 0 {
-		succ := e.n.Succ(nfa.StateID(wi<<6 | bits.TrailingZeros64(l)))
-		l &= l - 1
-		e.latchTrans += int64(len(succ))
-		for _, c := range succ {
-			lnW[int(c)>>6] |= 1 << (uint(c) & 63)
-			nxW[int(c)>>6] |= 1 << (uint(c) & 63)
+// orSucc ORs the states cs into the delta vector nv and, when summary is
+// set, their words into its summary ns.
+func orSucc(nv, ns []uint64, cs []nfa.StateID, summary bool) {
+	if !summary {
+		for _, c := range cs {
+			nv[c>>6] |= 1 << (uint(c) & 63)
+		}
+		return
+	}
+	for _, c := range cs {
+		nv[c>>6] |= 1 << (uint(c) & 63)
+		ns[c>>12] |= 1 << (uint(c>>6) & 63)
+	}
+}
+
+// firedWord is one word of the delta states fired on a symbol.
+type firedWord struct {
+	wi   int32
+	bits uint64
+}
+
+// emitMerged emits the reports of the states of a, b and c, each
+// ascending and the three disjoint, in ascending state order.
+func (e *Bit) emitMerged(a, b, c []nfa.StateID, off int64, emit EmitFunc) {
+	if len(a)+len(b) == 0 { // the common case: only the delta reports
+		for _, q := range c {
+			emit(Report{Offset: off, State: q, Code: e.tab.repCode[q]})
+		}
+		return
+	}
+	for len(a)+len(b)+len(c) > 0 {
+		next := &a
+		if len(*next) == 0 || len(b) > 0 && b[0] < (*next)[0] {
+			next = &b
+		}
+		if len(*next) == 0 || len(c) > 0 && c[0] < (*next)[0] {
+			next = &c
+		}
+		q := (*next)[0]
+		*next = (*next)[1:]
+		emit(Report{Offset: off, State: q, Code: e.tab.repCode[q]})
+	}
+}
+
+// background returns the two halves of sym's background under the
+// engine's current baseline and latch: the automaton's all-input half
+// while the baseline is on, and the latch half cached for the latched set.
+// inline reports that the latched set has not settled (see bgSettleSteps):
+// the latch half is then empty and the step must walk K ∖ C ∖ A itself
+// (e.bgCur.words lists its words).
+func (e *Bit) background(sym byte) (all, lat *bgEntry, inline bool) {
+	all, lat = &noBackground, &noBackground
+	if e.baseline {
+		if all = e.tab.bg[sym].Load(); all == nil {
+			all = e.tab.background(sym)
+		}
+	}
+	if e.latchTrans == 0 {
+		return all, lat, false
+	}
+	s := e.bgCur
+	if s == nil {
+		s = e.slot()
+		e.bgCur = s
+	}
+	if s.steps < bgSettleSteps {
+		s.steps++
+		return all, lat, true
+	}
+	if i := s.ent[sym]; i != 0 {
+		return all, &s.ents[i-1], false
+	}
+	var ent bgEntry
+	ent, s.ids = e.tab.appendBackground(s.ids, e.tab.Match(sym).Words(), e.latchNx.Words(), e.latched.Words(), s.words)
+	s.ents = append(s.ents, ent)
+	s.ent[sym] = int32(len(s.ents))
+	return all, &s.ents[len(s.ents)-1], false
+}
+
+// slot returns the cache slot of the current latched set. On a miss it
+// claims one — a slot whose set never settled if there is one, so that the
+// passing sets of a latch still forming do not evict the settled ones, and
+// round-robin among the settled ones otherwise — and empties it.
+func (e *Bit) slot() *bgSlot {
+	if e.bg == nil {
+		e.bg = new(bgCache)
+	}
+	c, cw := e.bg, e.latched.Words()
+	var s *bgSlot
+	for i := range c.slots {
+		if t := &c.slots[i]; t.fp == e.latchFP && slices.Equal(t.latched, cw) {
+			return t
+		} else if s == nil && t.steps < bgSettleSteps {
+			s = t
+		}
+	}
+	if s == nil {
+		s = &c.slots[c.claims%bgSlotCount]
+		c.claims++
+	}
+	s.fp, s.steps = e.latchFP, 0
+	s.latched = append(s.latched[:0], cw...)
+	kW, aW := e.latchNx.Words(), e.allIn.Words()
+	s.words = s.words[:0]
+	for wi := range kW {
+		if kW[wi]&^cw[wi]&^aW[wi] != 0 {
+			s.words = append(s.words, int32(wi))
+		}
+	}
+	clear(s.ent[:])
+	s.ents, s.ids = s.ents[:0], s.ids[:0]
+	return s
+}
+
+// latch adds latchable state q — fired on the current symbol, not latched
+// yet — to the latch, walking its edges for the last time: into latchNx
+// (K), which stays enabled from then on, so no delta holds them. A latched
+// state fires on every symbol and re-enables itself, so its contribution to a step is the constant (K, latchTrans) and latched ⊆
+// enabled holds whatever runs in between — scalar Steps, scored steps,
+// baseline toggles — until a Reset replaces the frontier and drops the
+// latch. This is the AP not re-evaluating the self-loop half of its Active
+// State Group (§3.3.2), with the membership found at run time. The latched
+// set changes, so the background entries of the old one no longer apply.
+func (e *Bit) latch(q nfa.StateID) {
+	e.latched.Words()[q>>6] |= 1 << (uint(q) & 63)
+	e.latchFP ^= Key(q)
+	e.bgCur = nil
+	kW, aW := e.latchNx.Words(), e.allIn.Words()
+	succ := e.n.Succ(q)
+	e.latchTrans += int64(len(succ))
+	for _, c := range succ {
+		wi, bit := c>>6, uint64(1)<<(uint(c)&63)
+		if kW[wi]&bit == 0 {
+			kW[wi] |= bit
+			if aW[wi]&bit == 0 {
+				e.latchLive++
+			}
 		}
 	}
 }

@@ -24,29 +24,31 @@ func narrowStartNFA() *nfa.NFA {
 }
 
 // latchNFA is the automaton of the latch lifecycle in TestEngineContract:
-// 4096 states, so a vector of 64 words with the states of interest spread
+// 16384 states, so a vector of 256 words with the states of interest spread
 // over it, and two all-input states, so that Auto builds the Adaptive engine.
 //
 //	go  'G', all-input   -> l1
-//	l1  '.*'             -> l1, t1, b      latchable
-//	t1  't', reports     -> l2
+//	l1  '.*'             -> l1, t1, b, l3  latchable
+//	l3  '.*'             -> l3             latchable, comes on once l1 is latched
+//	t1  't', reports     -> l2             reports right after a '.*'
 //	l2  '.*'             -> l2, t2, r      latchable, far from l1
 //	r   '.*', reports    -> r              stays in the walk: it emits
 //	a2  '.*', all-input  -> a2, q          fires only while the baseline is on
 //	b   'b'              -> c[0..23]
 //	c   '[^z]*'          -> itself         self-loop on a partial class
+//	x   '.*'             -> itself         five of them, entered only by a Reset
 //
-// With everything latched the frontier is {l1, t1, b, l2, t2, r, q}, on the
+// With everything latched the frontier is {l1, l3, t1, b, l2, t2, r, q}, on the
 // list side of the Auto policy; a 'b' adds the 24 c states, which puts it on
 // the vector side until a 'z' clears them.
-func latchNFA() (n *nfa.NFA, l1 nfa.StateID, burst []nfa.StateID) {
+func latchNFA() (n *nfa.NFA, latchable [8]nfa.StateID, burst []nfa.StateID) {
 	const (
-		goID, l1ID, t1ID, rID, a2ID, qID, bID, l2ID, t2ID = 0, 70, 71, 130, 200, 201, 500, 3000, 3001
+		goID, l1ID, t1ID, l3ID, rID, a2ID, qID, bID, l2ID, t2ID = 0, 70, 71, 90, 130, 200, 201, 500, 3000, 3001
 	)
 	notZ := nfa.AnyClass()
 	notZ.Remove('z')
 	labels := map[int]nfa.Class{
-		goID: nfa.ClassOf('G'), l1ID: nfa.AnyClass(), t1ID: nfa.ClassOf('t'), rID: nfa.AnyClass(),
+		goID: nfa.ClassOf('G'), l1ID: nfa.AnyClass(), t1ID: nfa.ClassOf('t'), l3ID: nfa.AnyClass(), rID: nfa.AnyClass(),
 		a2ID: nfa.AnyClass(), qID: nfa.ClassOf('q'), bID: nfa.ClassOf('b'), l2ID: nfa.AnyClass(), t2ID: nfa.ClassOf('u'),
 	}
 	flags := map[int]nfa.Flags{goID: nfa.AllInput, a2ID: nfa.AllInput, t1ID: nfa.Report, t2ID: nfa.Report, rID: nfa.Report, qID: nfa.Report}
@@ -55,8 +57,12 @@ func latchNFA() (n *nfa.NFA, l1 nfa.StateID, burst []nfa.StateID) {
 		labels[c] = notZ
 		burst = append(burst, nfa.StateID(c))
 	}
+	isolated := []nfa.StateID{4000, 5000, 6000, 7000, 8000}
+	for _, x := range isolated {
+		labels[int(x)] = nfa.AnyClass()
+	}
 	b := nfa.NewBuilder("latch")
-	for q := 0; q < 4096; q++ {
+	for q := 0; q < 16384; q++ {
 		label, live := labels[q]
 		if !live {
 			label = nfa.ClassOf('p') // padding, never enabled
@@ -64,29 +70,40 @@ func latchNFA() (n *nfa.NFA, l1 nfa.StateID, burst []nfa.StateID) {
 		b.AddState(label, flags[q])
 	}
 	for _, e := range [][2]nfa.StateID{
-		{goID, l1ID}, {l1ID, l1ID}, {l1ID, t1ID}, {l1ID, bID}, {t1ID, l2ID},
+		{goID, l1ID}, {l1ID, l1ID}, {l1ID, t1ID}, {l1ID, bID}, {l1ID, l3ID}, {l3ID, l3ID}, {t1ID, l2ID},
 		{l2ID, l2ID}, {l2ID, t2ID}, {l2ID, rID}, {rID, rID}, {a2ID, a2ID}, {a2ID, qID},
 	} {
 		b.AddEdge(e[0], e[1])
+	}
+	for _, x := range isolated {
+		b.AddEdge(x, x)
 	}
 	for _, c := range burst {
 		b.AddEdge(bID, c)
 		b.AddEdge(c, c)
 	}
-	return b.MustBuild(), l1ID, burst
+	latchable = [8]nfa.StateID{l1ID, l3ID, l2ID}
+	copy(latchable[3:], isolated)
+	return b.MustBuild(), latchable, burst
 }
 
 // runLatchLifecycle takes one engine of the kind through everything that
-// can happen to a latch (see Bit) — it forms, a scalar Step runs between two
-// batches, the baseline goes off and on, scoring goes on and off, a Reset
-// replaces the frontier with one that lacks the latched states and another
-// with one that holds them, and (under Auto) the frontier moves to the list
-// and back — offering window symbols per StepBatch call, and holds it after
-// every call to a twin of the same kind advanced by scalar Step: reports,
-// fired set, enabled set, fingerprint, frontier length and transitions.
+// can happen to a latch (see Bit) — it forms, one '.*' after another, a
+// scalar Step runs between two batches, the baseline goes off and on
+// mid-run, scoring goes on and off, a Reset replaces the frontier with one
+// that lacks the latched states and another with one that holds them, a
+// Reset to another seed is followed by one that relatches the set of before
+// (whose backgrounds the engine still holds), more latched sets settle than
+// the background cache has slots, a one-step set that enables a latchable
+// state it has not latched yet is relatched until it settles, and (under
+// Auto) the frontier moves to the list and back — offering window symbols
+// per StepBatch call, and holds it after every call to a twin of the same
+// kind advanced by scalar Step: reports, fired set, enabled set,
+// fingerprint, frontier length and transitions.
 func runLatchLifecycle(t *testing.T, kind engine.Kind, window int) {
 	t.Helper()
-	n, l1, burst := latchNFA()
+	n, latchable, burst := latchNFA()
+	l1, l3, l2 := latchable[0], latchable[1], latchable[2]
 	tab := engine.NewTables(n)
 	sub, twin := engine.New(kind, n, tab), engine.New(kind, n, tab)
 	// dense reports whether the engine under test is on the vector right now.
@@ -97,13 +114,19 @@ func runLatchLifecycle(t *testing.T, kind engine.Kind, window int) {
 	quiet := strings.Repeat("x", 70)
 	var toDense, toSparse int
 	off := 0
-	for _, phase := range []struct {
+	// settle is long enough for a latched set to settle (bgSettleSteps).
+	settle := quiet + strings.Repeat("x", 300)
+	reset := func(seed ...nfa.StateID) func(e engine.Engine) {
+		return func(e engine.Engine) { e.Reset(seed) }
+	}
+	type phase struct {
 		name   string
 		do     func(e engine.Engine) // applied to both engines before the input
 		input  string
 		scalar bool
-	}{
-		{name: "latch forms", input: "xxGxxtxxuxq" + quiet},
+	}
+	phases := []phase{
+		{name: "latch forms and settles", input: "xxGxxtxxuxq" + settle},
 		{name: "burst", input: "b" + quiet},
 		{name: "scalar steps between batches", input: "xtxGx", scalar: true},
 		{name: "and on", input: "utq" + quiet},
@@ -116,7 +139,25 @@ func runLatchLifecycle(t *testing.T, kind engine.Kind, window int) {
 		{name: "burst cleared", input: "z" + quiet},
 		{name: "second burst", input: "bxtxuq" + quiet},
 		{name: "cleared again", input: "zzGz" + quiet},
-	} {
+		{name: "reset to another seed", do: func(e engine.Engine) { e.Reset(burst[:3]) }, input: "tq" + quiet},
+		{name: "relatch the set of before", do: func(e engine.Engine) { e.Reset([]nfa.StateID{l1}) }, input: "xtxuq" + quiet},
+		{name: "baseline off after the relatch", do: func(e engine.Engine) { e.SetBaseline(false) }, input: "Gtq"},
+		{name: "and on again", do: func(e engine.Engine) { e.SetBaseline(true) }, input: "Gtuq" + quiet},
+	}
+	// Ten distinct sets settle, more than the cache holds; then {l1}, which
+	// enables l3 for one step before l3 latches, is relatched until its own
+	// slot settles, so l3 latches out of a cached entry.
+	seeds := [][]nfa.StateID{{l2}, {l1}, {l1, l2}, {l3}, {l2, l3}}
+	for _, x := range latchable[3:] {
+		seeds = append(seeds, []nfa.StateID{x})
+	}
+	for _, seed := range seeds {
+		phases = append(phases, phase{name: fmt.Sprintf("settle the set from %v", seed), do: reset(seed...), input: "tuq" + settle})
+	}
+	for i := 0; i < 300; i++ {
+		phases = append(phases, phase{name: "relatch {l1} alone", do: reset(l1), input: "xq"})
+	}
+	for _, phase := range phases {
 		if phase.do != nil {
 			phase.do(sub)
 			phase.do(twin)

@@ -149,6 +149,12 @@ func FuzzEngineEquivalence(f *testing.F) {
 	// Latch profile (seed%8 == 4, see fuzzNFA): four '.*' states come on one
 	// after another from the third symbol and stay on through hits and misses.
 	f.Add(int64(68), bytes.Repeat([]byte{0, 1, 2, 3, 0, 0, 4, 4}, 16))
+	// Wide and latch profiles together (seed%16 == 12), the bit kernel's
+	// background at work on a long vector: the chain of
+	// '.*' states latches one link per symbol (each a latchable successor of
+	// the one before), then long miss runs leave only latched states and
+	// their backgrounds live while hits fire their reporting successors.
+	f.Add(int64(140), append(bytes.Repeat([]byte{0, 1, 2, 3}, 8), bytes.Repeat([]byte{4, 4, 4, 4, 4, 4, 0, 3, 2, 1}, 24)...))
 	f.Fuzz(func(t *testing.T, seed int64, input []byte) {
 		if len(input) > 4096 {
 			input = input[:4096]
@@ -220,6 +226,46 @@ func TestAdaptiveSwitchesRepresentations(t *testing.T) {
 	}
 }
 
+// TestAdaptiveBaselineOffIgnoresASG pins the cost the policy charges the
+// list side: F+A with the baseline on, F alone with it off, since an
+// enumeration flow never steps the all-input states. On 64 words with 8
+// all-input states (Auto builds Adaptive: 8·8 ≤ 64), a one-state frontier
+// walking a chain costs 8·(1+8) = 72 > 64 with the baseline — dense — but
+// 8·1 without it, which must stay on the list.
+func TestAdaptiveBaselineOffIgnoresASG(t *testing.T) {
+	const asg = 8
+	b := nfa.NewBuilder("asg-off")
+	for i := 0; i < 4096; i++ {
+		if i < asg {
+			b.AddState(nfa.ClassOf('b'), nfa.AllInput) // never fires on 'a'
+			continue
+		}
+		b.AddState(nfa.ClassOf('a'), 0)
+	}
+	for i := asg; i < 4096; i++ { // a ring of 'a' states
+		b.AddEdge(nfa.StateID(i), nfa.StateID(asg+(i-asg+1)%(4096-asg)))
+	}
+	n := b.MustBuild()
+	for _, baseline := range []bool{true, false} {
+		e, ok := New(Auto, n, nil).(*Adaptive)
+		if !ok || e.Dense() {
+			t.Fatalf("New(Auto) = %T starting dense, want Adaptive on the list", e)
+		}
+		e.SetBaseline(baseline)
+		e.Reset([]nfa.StateID{100})
+		for i := 0; i < 4*adaptiveHoldSteps; i++ {
+			e.Step('a', int64(i), nil)
+		}
+		if e.FrontierLen() != 1 {
+			t.Fatalf("baseline=%v: frontier %d, want the one chain state", baseline, e.FrontierLen())
+		}
+		if e.Dense() != baseline {
+			t.Errorf("baseline=%v: dense = %v after %d steps of a one-state frontier, want %v",
+				baseline, e.Dense(), 4*adaptiveHoldSteps, baseline)
+		}
+	}
+}
+
 // asgNFA builds a chain of the given length whose first allInput states are
 // all-input and whose next starts states are start-of-data: the two
 // quantities the Auto choice looks at, and nothing else.
@@ -242,7 +288,7 @@ func asgNFA(states, allInput, starts int) *nfa.NFA {
 }
 
 // TestAutoPolicy pins what New(Auto, …) constructs over (A, W) pairs on
-// both sides of 3·A > W, and that the two other routes to the default — the
+// both sides of 8·A > W, and that the two other routes to the default — the
 // lazy DFA's Meta fallback and ScoringKind's remap of a score-less kind —
 // make the same choice.
 func TestAutoPolicy(t *testing.T) {
@@ -255,16 +301,17 @@ func TestAutoPolicy(t *testing.T) {
 		states, allInput, starts int
 		bit, startDense          bool
 	}{
-		{states: 64, allInput: 1, starts: 0, bit: true},                        // W=1: 3 > 1
-		{states: 192, allInput: 1, starts: 0, bit: false},                      // W=3: 3 > 3 fails
-		{states: 192, allInput: 2, starts: 0, bit: true},                       // W=3: 6 > 3
-		{states: 4096, allInput: 21, starts: 0, bit: false},                    // W=64: 63 > 64 fails
-		{states: 4096, allInput: 22, starts: 0, bit: true},                     // W=64: 66 > 64
-		{states: 1781, allInput: 100, starts: 0, bit: true},                    // snort_sparse's shape
-		{states: 32735, allInput: 67, starts: 0, bit: false},                   // Snort at scale 1.0
-		{states: 4096, allInput: 1, starts: 30, bit: false, startDense: true},  // 3·(30+1) > 64
-		{states: 4096, allInput: 1, starts: 20, bit: false, startDense: false}, // 3·(20+1) > 64 fails
-		{states: 40, allInput: 0, starts: 1, bit: false, startDense: true},     // anchored, no ASG
+		{states: 64, allInput: 1, starts: 0, bit: true},                       // W=1: 8 > 1
+		{states: 448, allInput: 1, starts: 0, bit: true},                      // W=7: 8 > 7
+		{states: 512, allInput: 1, starts: 0, bit: false},                     // W=8: 8 > 8 fails
+		{states: 4096, allInput: 8, starts: 0, bit: false},                    // W=64: 64 > 64 fails
+		{states: 4096, allInput: 9, starts: 0, bit: true},                     // W=64: 72 > 64
+		{states: 1781, allInput: 100, starts: 0, bit: true},                   // snort_sparse's shape
+		{states: 32735, allInput: 67, starts: 0, bit: true},                   // Snort at scale 1.0: 536 > 512
+		{states: 32735, allInput: 63, starts: 0, bit: false},                  // W=512: 504 > 512 fails
+		{states: 4096, allInput: 1, starts: 8, bit: false, startDense: true},  // 8·(8+1) > 64
+		{states: 4096, allInput: 1, starts: 7, bit: false, startDense: false}, // 8·(7+1) > 64 fails
+		{states: 40, allInput: 0, starts: 1, bit: false, startDense: true},    // anchored, no ASG
 	} {
 		n := asgNFA(c.states, c.allInput, c.starts)
 		name := fmt.Sprintf("states=%d/A=%d/starts=%d", c.states, c.allInput, c.starts)
@@ -296,23 +343,32 @@ func TestAutoPolicy(t *testing.T) {
 	}
 }
 
-// TestTablesConcurrentSharing exercises the lazy match-vector fills from
-// many goroutines sharing one unbuilt Tables (run under -race in CI): every
-// engine must end with the reference fingerprint.
+// TestTablesConcurrentSharing exercises the lazy fills of one unbuilt
+// Tables — match vectors and the automaton's per-symbol backgrounds — from
+// many goroutines sharing it (run under -race in CI): Bit and Adaptive,
+// each advanced by scalar Step and by the batch kernel, over an automaton
+// with '.*' states, so first uses of the shared entries race each other.
+// Every engine must end with the reference fingerprint and transitions.
 func TestTablesConcurrentSharing(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	n := randomNFA(rng, 200)
+	b := randomBuilder(rng, 200)
+	addLatchStates(b, rng)
+	n := b.MustBuild()
 	input := randomInput(rng, 400)
 
-	ref := NewBit(n, NewTables(n))
+	ref := NewSparse(n)
 	for i, sym := range input {
 		ref.Step(sym, int64(i), nil)
 	}
 
 	shared := NewTables(n) // deliberately not BuildAll: races hit the fills
 	var wg sync.WaitGroup
-	fps := make([]uint64, 16)
-	for g := range fps {
+	type outcome struct {
+		fp    uint64
+		trans int64
+	}
+	got := make([]outcome, 16)
+	for g := range got {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
@@ -322,16 +378,24 @@ func TestTablesConcurrentSharing(t *testing.T) {
 			} else {
 				e = NewAdaptive(n, shared)
 			}
-			for i, sym := range input {
-				e.Step(sym, int64(i), nil)
+			if g%4 < 2 {
+				for i, sym := range input {
+					e.Step(sym, int64(i), nil)
+				}
+			} else {
+				for i := 0; i < len(input); {
+					c, _, _ := e.StepBatch(input[i:], int64(i), nil)
+					i += c
+				}
 			}
-			fps[g] = e.Fingerprint()
+			got[g] = outcome{e.Fingerprint(), e.Stats().Transitions}
 		}(g)
 	}
 	wg.Wait()
-	for g, fp := range fps {
-		if fp != ref.Fingerprint() {
-			t.Fatalf("goroutine %d fingerprint %#x, want %#x", g, fp, ref.Fingerprint())
+	want := outcome{ref.Fingerprint(), ref.Stats().Transitions}
+	for g, o := range got {
+		if o != want {
+			t.Fatalf("goroutine %d ends at %+v, want %+v", g, o, want)
 		}
 	}
 }

@@ -7,12 +7,13 @@ import (
 	"pap/internal/nfa"
 )
 
-// TestStepBatchAllocs pins the vectorized batch kernel at zero allocations
-// per pass: after one warm-up pass has published the lazy match vectors and
-// the CSR successor arrays, batching an input through a live frontier must
-// touch only preallocated engine state — also when the frontier holds '.*'
-// states and every pass forms the latch anew (NewBit carves its vectors
-// from the engine's one group).
+// TestStepBatchAllocs pins the batched kernel at zero allocations per pass:
+// after one warm-up pass has published the lazy match vectors, the
+// automaton's backgrounds and the CSR successor arrays, batching an input
+// through a live frontier must touch only preallocated engine state — also
+// when the frontier holds '.*' states, every pass forms the latch anew, and
+// a Reset to another seed in between drops it: the relatched set finds its
+// background entries in the engine's cache, so no pass builds one.
 func TestStepBatchAllocs(t *testing.T) {
 	b := nfa.NewBuilder("a.*a")
 	head := b.AddState(nfa.ClassOf('a'), nfa.AllInput)
@@ -21,25 +22,65 @@ func TestStepBatchAllocs(t *testing.T) {
 	b.AddEdge(head, gap)
 	b.AddEdge(gap, gap)
 	b.AddEdge(gap, tail)
-	for name, n := range map[string]*nfa.NFA{"fanout": fanoutNFA(256), "latch": b.MustBuild()} {
+	// a.*.*b, with the 'b' right after the second '.*' reporting: a
+	// latchable successor of a latched state, and a reporting background.
+	c := nfa.NewBuilder("a.*.*b")
+	head = c.AddState(nfa.ClassOf('a'), nfa.AllInput)
+	g1, g2 := c.AddState(nfa.AnyClass(), 0), c.AddState(nfa.AnyClass(), 0)
+	tail = c.AddReportState(nfa.ClassOf('b'), 0, 1)
+	c.AddEdge(head, g1)
+	c.AddEdge(g1, g1)
+	c.AddEdge(g1, g2)
+	c.AddEdge(g2, g2)
+	c.AddEdge(g2, tail)
+	for name, n := range map[string]*nfa.NFA{"fanout": fanoutNFA(256), "latch": b.MustBuild(), "cascade": c.MustBuild()} {
 		e := NewBit(n, NewTables(n))
 		// Hits keep the frontier live (every state matches 'a'); interleaved
 		// misses force the frontier-death path inside the kernel too.
-		input := bytes.Repeat([]byte("aaaaaaaz"), 64)
+		input := bytes.Repeat([]byte("aaaaaaazab"), 64)
 		emit := func(Report) {}
-		run := func() {
-			e.Reset(n.StartStates())
+		pass := func() {
 			for i := 0; i < len(input); {
 				c, _, _ := e.StepBatch(input[i:], int64(i), emit)
 				i += c
 			}
 		}
-		run() // warm-up: lazy tables, CSR arrays, skip scanner
-		if name == "latch" && e.latchTrans == 0 {
-			t.Fatal("the '.*' state never latched")
+		run := func() {
+			e.Reset(n.StartStates())
+			pass()
+			e.Reset([]nfa.StateID{nfa.StateID(n.Len() - 1)})
+			pass()
+		}
+		run() // warm-up: lazy tables, CSR arrays, skip scanner, backgrounds
+		if name == "fanout" {
+			if e.bg != nil {
+				t.Fatal("fanout: a background cache without a latch")
+			}
+		} else if e.latchTrans == 0 || e.bg == nil {
+			t.Fatalf("%s: the '.*' states never latched", name)
+		}
+		// A miss claims a slot for another set: no slot may change its set
+		// across the measured runs, and the relatched set's halves are built.
+		var sets [bgSlotCount]uint64
+		if e.bg != nil {
+			settled := false
+			for i, s := range e.bg.slots {
+				sets[i] = s.fp
+				settled = settled || s.steps >= bgSettleSteps && len(s.ents) > 0
+			}
+			if !settled {
+				t.Fatalf("%s: no latched set settled with its background built", name)
+			}
 		}
 		if allocs := testing.AllocsPerRun(100, run); allocs != 0 {
 			t.Fatalf("%s: StepBatch allocates %.1f objects per pass, want 0", name, allocs)
+		}
+		if e.bg != nil {
+			for i, s := range e.bg.slots {
+				if s.fp != sets[i] {
+					t.Fatalf("%s: a relatched set missed its background cache", name)
+				}
+			}
 		}
 	}
 }

@@ -24,6 +24,7 @@ import (
 	"pap/internal/core"
 	"pap/internal/engine"
 	"pap/internal/nfa"
+	"pap/internal/regex"
 )
 
 // allKinds parses engine.KindNames(), so a kind added there is covered by
@@ -198,7 +199,7 @@ func randomFrontier(rng *rand.Rand, n *nfa.NFA) []nfa.StateID {
 // adaptive engine switches several times in each direction. Ordinary cases
 // fit a word or two, where Auto is Bit outright; this one keeps the list
 // side and the switch path in both harnesses below.
-const wideCaseSeed = 896
+const wideCaseSeed = 512
 
 // caseSeeds returns count consecutive conformance seeds from base, then
 // the wide one.
@@ -252,6 +253,75 @@ func TestStepDiffLockStep(t *testing.T) {
 			}
 		}
 	}
+	// The latch-heavy profile: baseline on from the start, on and off from
+	// seeded mid-run frontiers, each with the skip fast path on and off, at
+	// a window either side of the batch bound.
+	for s := 0; s < seeds/2; s++ {
+		rng := rand.New(rand.NewSource(int64(5000 + s)))
+		n, input := latchHeavyCase(t, rng)
+		tab := engine.NewTables(n)
+		frontiers := [][]nfa.StateID{nil, randomFrontier(rng, n)}
+		for _, kind := range []engine.Kind{engine.BitKind, engine.Auto} {
+			for _, disableSkip := range []bool{false, true} {
+				for _, window := range []int{0, 7, 65} {
+					for _, seed := range frontiers {
+						for _, baseline := range []bool{true, false} {
+							if !baseline && seed == nil {
+								continue
+							}
+							runStepDiff(t, n, tab, input, stepDiffConfig{
+								kind: kind, baseline: baseline, disableSkip: disableSkip, seed: seed, window: window,
+							})
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// latchHeavyCase is the latch-heavy profile: a dozen rules over "abcd" in
+// the shapes that exercise the bit kernel's background — words joined by
+// '.*' (states latched for good once their head is seen), '.*.*' (a
+// latchable successor of a latched state), a reporting state right after a
+// '.*', a trailing '.*' that reports and so stays out of the latch, and a
+// partial-class loop that can switch off — over input that hits the heads
+// early and keeps firing the tails.
+func latchHeavyCase(t *testing.T, rng *rand.Rand) (*nfa.NFA, []byte) {
+	t.Helper()
+	word := func(max int) string {
+		b := make([]byte, 1+rng.Intn(max))
+		for i := range b {
+			b[i] = "abcd"[rng.Intn(4)]
+		}
+		return string(b)
+	}
+	var patterns []string
+	for i := 0; i < 12; i++ {
+		switch i % 6 {
+		case 0:
+			patterns = append(patterns, word(3)+".*"+word(3))
+		case 1:
+			patterns = append(patterns, word(2)+".*"+word(2)+".*"+word(3))
+		case 2:
+			patterns = append(patterns, word(2)+".*.*"+word(2))
+		case 3:
+			patterns = append(patterns, word(2)+".*"+word(1))
+		case 4:
+			patterns = append(patterns, word(3)+".*")
+		default:
+			patterns = append(patterns, word(2)+"[^d]*"+word(2))
+		}
+	}
+	n, err := regex.CompilePatterns("latch-heavy", patterns)
+	if err != nil {
+		t.Fatalf("%q: %v", patterns, err)
+	}
+	input := make([]byte, 400)
+	for i := range input {
+		input[i] = "abcdz"[rng.Intn(5)]
+	}
+	return n, input
 }
 
 // TestStepDiffExecModes asserts the baseline-skip fast path is invisible to

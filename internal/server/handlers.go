@@ -159,16 +159,21 @@ func (s *Server) checkQuota(w http.ResponseWriter, r *http.Request) bool {
 	if s.quotas == nil {
 		return true
 	}
-	tenant := tenantOf(r)
-	ok, wait := s.quotas.Allow(tenant)
+	ok, wait, shared := s.quotas.Allow(tenantOf(r))
 	if ok {
 		return true
 	}
 	sec := retryAfterSeconds(wait)
 	w.Header().Set("Retry-After", strconv.Itoa(sec))
+	// The label says which kind of bucket ran dry, never whose: a tenant
+	// label is an API key, and one series per key would grow without bound.
+	bucket := `bucket="own"`
+	if shared {
+		bucket = `bucket="shared"`
+	}
 	s.metrics.Counter("papd_quota_rejected_total",
-		"Requests rejected by per-tenant quotas, by tenant.",
-		fmt.Sprintf("tenant=%q", EscapeLabelValue(tenant))).Inc()
+		"Requests rejected by per-tenant quotas, by the bucket charged: the tenant's own or the shared overflow bucket.",
+		bucket).Inc()
 	writeErr(w, http.StatusTooManyRequests,
 		"tenant over quota, retry in %ds", sec)
 	return false

@@ -61,10 +61,11 @@ func NewQuotas(rps, burst float64) *Quotas {
 
 // Allow spends one token from tenant's bucket. When the bucket is empty
 // it reports false with the duration until the next token is available —
-// the Retry-After the handler sends with the 429.
-func (q *Quotas) Allow(tenant string) (bool, time.Duration) {
+// the Retry-After the handler sends with the 429. shared reports whether
+// the tenant was charged to the overflow bucket rather than its own.
+func (q *Quotas) Allow(tenant string) (ok bool, wait time.Duration, shared bool) {
 	if q == nil {
-		return true, 0
+		return true, 0, false
 	}
 	now := q.now()
 	q.mu.Lock()
@@ -83,6 +84,7 @@ func (q *Quotas) Allow(tenant string) (bool, time.Duration) {
 			b = &q.overflow
 		}
 	}
+	shared = b == &q.overflow
 	// Lazy refill since the last spend.
 	if dt := now.Sub(b.last).Seconds(); dt > 0 {
 		b.tokens = math.Min(q.burst, b.tokens+dt*q.rps)
@@ -90,10 +92,10 @@ func (q *Quotas) Allow(tenant string) (bool, time.Duration) {
 	}
 	if b.tokens >= 1 {
 		b.tokens--
-		return true, 0
+		return true, 0, shared
 	}
 	need := (1 - b.tokens) / q.rps
-	return false, time.Duration(math.Ceil(need*1000)) * time.Millisecond
+	return false, time.Duration(math.Ceil(need*1000)) * time.Millisecond, shared
 }
 
 // evictIdleLocked drops buckets that have refilled completely: a tenant

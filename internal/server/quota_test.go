@@ -1,7 +1,10 @@
 package server
 
 import (
+	"context"
 	"fmt"
+	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -15,7 +18,7 @@ func TestQuotasDisabled(t *testing.T) {
 	if q != nil {
 		t.Fatalf("NewQuotas(0, _) = %v, want nil", q)
 	}
-	if ok, wait := q.Allow("anyone"); !ok || wait != 0 {
+	if ok, wait, _ := q.Allow("anyone"); !ok || wait != 0 {
 		t.Fatalf("nil Quotas.Allow = (%v, %v), want (true, 0)", ok, wait)
 	}
 }
@@ -29,11 +32,11 @@ func TestQuotasBucketMath(t *testing.T) {
 	q.now = func() time.Time { return now }
 
 	for i := 0; i < 4; i++ {
-		if ok, _ := q.Allow("t"); !ok {
+		if ok, _, _ := q.Allow("t"); !ok {
 			t.Fatalf("burst request %d denied", i)
 		}
 	}
-	ok, wait := q.Allow("t")
+	ok, wait, _ := q.Allow("t")
 	if ok {
 		t.Fatal("5th request within burst allowed, want denied")
 	}
@@ -43,21 +46,21 @@ func TestQuotasBucketMath(t *testing.T) {
 	}
 
 	now = now.Add(500 * time.Millisecond)
-	if ok, _ := q.Allow("t"); !ok {
+	if ok, _, _ := q.Allow("t"); !ok {
 		t.Fatal("request after exactly one refill interval denied")
 	}
-	if ok, _ := q.Allow("t"); ok {
+	if ok, _, _ := q.Allow("t"); ok {
 		t.Fatal("second request after one refill interval allowed, want denied")
 	}
 
 	// Refill caps at burst: a long idle period grants burst, not more.
 	now = now.Add(time.Hour)
 	for i := 0; i < 4; i++ {
-		if ok, _ := q.Allow("t"); !ok {
+		if ok, _, _ := q.Allow("t"); !ok {
 			t.Fatalf("post-idle burst request %d denied", i)
 		}
 	}
-	if ok, _ := q.Allow("t"); ok {
+	if ok, _, _ := q.Allow("t"); ok {
 		t.Fatal("post-idle 5th request allowed: refill exceeded burst")
 	}
 }
@@ -70,15 +73,15 @@ func TestQuotasTenantIsolation(t *testing.T) {
 	q.now = func() time.Time { return now }
 
 	for i := 0; i < 2; i++ {
-		if ok, _ := q.Allow("noisy"); !ok {
+		if ok, _, _ := q.Allow("noisy"); !ok {
 			t.Fatalf("noisy request %d denied", i)
 		}
 	}
-	if ok, _ := q.Allow("noisy"); ok {
+	if ok, _, _ := q.Allow("noisy"); ok {
 		t.Fatal("noisy over-budget request allowed")
 	}
 	for i := 0; i < 2; i++ {
-		if ok, _ := q.Allow("quiet"); !ok {
+		if ok, _, _ := q.Allow("quiet"); !ok {
 			t.Fatalf("quiet tenant throttled by noisy neighbour (request %d)", i)
 		}
 	}
@@ -145,7 +148,7 @@ func TestQuotasBoundedUnderFlood(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := g; i < 3*maxTenants; i += floods {
-				if ok, _ := q.Allow(fmt.Sprintf("tenant-%d", i)); !ok {
+				if ok, _, _ := q.Allow(fmt.Sprintf("tenant-%d", i)); !ok {
 					denied.Add(1)
 				}
 			}
@@ -165,12 +168,12 @@ func TestQuotasBoundedUnderFlood(t *testing.T) {
 	for tracked = range q.buckets {
 		break
 	}
-	if ok, _ := q.Allow(tracked); ok {
+	if ok, _, _ := q.Allow(tracked); ok {
 		t.Fatalf("%s spent its burst yet was allowed", tracked)
 	}
 
 	now = now.Add(time.Second) // every bucket refills; the next new key rescans
-	if ok, _ := q.Allow("late"); !ok {
+	if ok, _, _ := q.Allow("late"); !ok {
 		t.Fatal("a new tenant after the refill period was denied")
 	}
 	if _, tracked := q.buckets["late"]; !tracked || len(q.buckets) > maxTenants {
@@ -190,7 +193,7 @@ func TestQuotasConcurrent(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				if ok, _ := q.Allow("shared"); ok {
+				if ok, _, _ := q.Allow("shared"); ok {
 					mu.Lock()
 					allowed++
 					mu.Unlock()
@@ -204,5 +207,45 @@ func TestQuotasConcurrent(t *testing.T) {
 	// under a second, so at most burst + a couple refilled tokens pass.
 	if allowed < 50 || allowed > 55 {
 		t.Fatalf("shared tenant allowed %d of 800, want ~50 (burst)", allowed)
+	}
+}
+
+// TestQuotaRejectionsKeepKeysOutOfMetrics floods the quota with three times
+// maxTenants distinct API keys, each rejected: the rejection counter must
+// stay at most two series — the tenant's own bucket and the shared overflow
+// one — and no key may reach /metrics, where it would be a credential in a
+// scrape target.
+func TestQuotaRejectionsKeepKeysOutOfMetrics(t *testing.T) {
+	s := New(Config{Workers: 1, TenantRPS: 0.001, TenantBurst: 1})
+	defer s.Shutdown(context.Background())
+	key := func(i int) string { return fmt.Sprintf("sk-live-%06d", i) }
+	rejected := 0
+	for i := 0; i < 3*maxTenants; i++ {
+		for try := 0; try < 2; try++ { // the first request spends a fresh bucket's one token
+			r := httptest.NewRequest("POST", "/v1/automata/x/match", nil)
+			r.Header.Set("X-API-Key", key(i))
+			if !s.checkQuota(httptest.NewRecorder(), r) {
+				rejected++
+				break
+			}
+		}
+	}
+	if rejected != 3*maxTenants {
+		t.Fatalf("%d of %d keys were rejected, want all", rejected, 3*maxTenants)
+	}
+	w := httptest.NewRecorder()
+	s.Handler().ServeHTTP(w, httptest.NewRequest("GET", "/metrics", nil))
+	metrics := w.Body.String()
+	series := 0
+	for _, line := range strings.Split(metrics, "\n") {
+		if strings.HasPrefix(line, "papd_quota_rejected_total{") {
+			series++
+		}
+	}
+	if series == 0 || series > 2 {
+		t.Fatalf("papd_quota_rejected_total has %d series, want 1 or 2", series)
+	}
+	if strings.Contains(metrics, "sk-live-") {
+		t.Fatal("/metrics exposes API keys")
 	}
 }

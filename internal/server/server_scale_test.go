@@ -199,7 +199,7 @@ func TestServerTenantQuota(t *testing.T) {
 	}
 
 	_, metrics := doJSON(t, "GET", ts.URL+"/metrics", nil, nil)
-	if !strings.Contains(string(metrics), `papd_quota_rejected_total{tenant="alice"} 1`) {
+	if !strings.Contains(string(metrics), `papd_quota_rejected_total{bucket="own"} 1`) {
 		t.Errorf("metrics missing alice's quota rejection:\n%s", metrics)
 	}
 }
