@@ -18,6 +18,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -30,7 +31,7 @@ import (
 func main() {
 	var (
 		experiment = flag.String("experiment", "all",
-			"one of: table1, fig3, fig8, fig9, fig10, fig11, fig12, switch, energy, ablation, speculation, dfa, all")
+			"one of: table1, fig3, fig8, fig9, fig10, fig11, fig12, switch, energy, ablation, dfa, all")
 		scale      = flag.Float64("scale", 0.25, "ruleset scale in (0,1]; 1 = paper-size automata")
 		size1      = flag.Int("size1", 128<<10, "bytes standing in for the paper's 1 MB stream")
 		size10     = flag.Int("size10", 1<<20, "bytes standing in for the paper's 10 MB stream")
@@ -65,7 +66,7 @@ func main() {
 	}
 	env := experiments.NewEnv(opts)
 
-	if err := run(env, *experiment); err != nil {
+	if err := run(os.Stdout, env, *experiment); err != nil {
 		fmt.Fprintln(os.Stderr, "papbench:", err)
 		os.Exit(1)
 	}
@@ -90,9 +91,12 @@ func writeReport(env *experiments.Env, path string) error {
 	return f.Close()
 }
 
-func run(env *experiments.Env, experiment string) error {
+// run writes the named experiment's tables (or all of them) to w. The
+// timing lines go to stderr, so two runs with the same options write
+// identical bytes to w.
+func run(w io.Writer, env *experiments.Env, experiment string) error {
 	o := env.Options()
-	fmt.Printf("papbench: scale=%.2f size1=%d size10=%d seed=%d\n\n",
+	fmt.Fprintf(w, "papbench: scale=%.2f size1=%d size10=%d seed=%d\n\n",
 		o.Scale, o.Size1MB, o.Size10MB, o.Seed)
 
 	steps := map[string]func() error{
@@ -101,14 +105,14 @@ func run(env *experiments.Env, experiment string) error {
 			if err != nil {
 				return err
 			}
-			return experiments.WriteTable1(os.Stdout, rows)
+			return experiments.WriteTable1(w, rows)
 		},
 		"fig3": func() error {
 			rows, err := env.Fig3()
 			if err != nil {
 				return err
 			}
-			return experiments.WriteFig3(os.Stdout, rows)
+			return experiments.WriteFig3(w, rows)
 		},
 		"fig8": func() error {
 			for _, size := range []experiments.SizeClass{experiments.Size1MB, experiments.Size10MB} {
@@ -116,10 +120,10 @@ func run(env *experiments.Env, experiment string) error {
 				if err != nil {
 					return err
 				}
-				if err := experiments.WriteFig8(os.Stdout, sum); err != nil {
+				if err := experiments.WriteFig8(w, sum); err != nil {
 					return err
 				}
-				fmt.Println()
+				fmt.Fprintln(w)
 			}
 			return nil
 		},
@@ -128,63 +132,56 @@ func run(env *experiments.Env, experiment string) error {
 			if err != nil {
 				return err
 			}
-			return experiments.WriteFig9(os.Stdout, rows)
+			return experiments.WriteFig9(w, rows)
 		},
 		"fig10": func() error {
 			rows, err := env.Fig10()
 			if err != nil {
 				return err
 			}
-			return experiments.WriteFig10(os.Stdout, rows)
+			return experiments.WriteFig10(w, rows)
 		},
 		"fig11": func() error {
 			rows, err := env.Fig11()
 			if err != nil {
 				return err
 			}
-			return experiments.WriteFig11(os.Stdout, rows)
+			return experiments.WriteFig11(w, rows)
 		},
 		"fig12": func() error {
 			rows, err := env.Fig12()
 			if err != nil {
 				return err
 			}
-			return experiments.WriteFig12(os.Stdout, rows)
+			return experiments.WriteFig12(w, rows)
 		},
 		"switch": func() error {
 			sum, err := env.SwitchSensitivity()
 			if err != nil {
 				return err
 			}
-			return experiments.WriteSwitch(os.Stdout, sum)
+			return experiments.WriteSwitch(w, sum)
 		},
 		"energy": func() error {
 			sum, err := env.Energy()
 			if err != nil {
 				return err
 			}
-			return experiments.WriteEnergy(os.Stdout, sum)
+			return experiments.WriteEnergy(w, sum)
 		},
 		"dfa": func() error {
 			rows, err := env.DFAComparison()
 			if err != nil {
 				return err
 			}
-			return experiments.WriteDFA(os.Stdout, rows)
-		},
-		"speculation": func() error {
-			rows, err := env.Speculation()
-			if err != nil {
-				return err
-			}
-			return experiments.WriteSpeculation(os.Stdout, rows)
+			return experiments.WriteDFA(w, rows)
 		},
 		"ablation": func() error {
 			rows, err := env.Ablation()
 			if err != nil {
 				return err
 			}
-			return experiments.WriteAblation(os.Stdout, rows)
+			return experiments.WriteAblation(w, rows)
 		},
 	}
 
@@ -219,7 +216,7 @@ func run(env *experiments.Env, experiment string) error {
 		if err := timed(name, steps[name]); err != nil {
 			return err
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 	return nil
 }
@@ -229,6 +226,6 @@ func timed(name string, fn func() error) error {
 	if err := fn(); err != nil {
 		return fmt.Errorf("%s: %w", name, err)
 	}
-	fmt.Printf("[%s completed in %v]\n", name, time.Since(start).Round(time.Millisecond))
+	fmt.Fprintf(os.Stderr, "[%s completed in %v]\n", name, time.Since(start).Round(time.Millisecond))
 	return nil
 }

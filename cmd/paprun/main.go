@@ -7,7 +7,6 @@
 //	paprun -rules rules.txt -input data.bin              # sequential
 //	paprun -rules rules.txt -input data.bin -parallel -ranks 4
 //	paprun -rules rules.txt -input data.bin -engine bit  # force a backend
-//	paprun -rules rules.txt -input data.bin -parallel -mode sfa
 //	paprun -rules rules.txt -input data.bin -scored      # per-match scores
 //	echo 'GET /admin' | paprun -rules rules.txt -parallel
 //
@@ -39,8 +38,6 @@ func main() {
 		maxPrint  = flag.Int("max-print", 20, "print at most this many matches")
 		engName   = flag.String("engine", "auto",
 			"execution backend: "+strings.Join(pap.EngineKindNames(), ", "))
-		modeName = flag.String("mode", "flows",
-			"parallel execution mode: "+strings.Join(pap.ExecModeNames(), ", "))
 		scored = flag.Bool("scored", false,
 			"track per-transition max-plus scores and report each match's score plus the best")
 	)
@@ -51,18 +48,13 @@ func main() {
 		fmt.Fprintln(os.Stderr, "paprun:", err)
 		os.Exit(1)
 	}
-	mode, err := pap.ParseExecMode(*modeName)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "paprun:", err)
-		os.Exit(1)
-	}
-	if err := run(*rulesPath, *anmlPath, *mnrlPath, *inputPath, *parallel, *ranks, *compress, *quiet, *maxPrint, engine, mode, *scored); err != nil {
+	if err := run(*rulesPath, *anmlPath, *mnrlPath, *inputPath, *parallel, *ranks, *compress, *quiet, *maxPrint, engine, *scored); err != nil {
 		fmt.Fprintln(os.Stderr, "paprun:", err)
 		os.Exit(1)
 	}
 }
 
-func run(rulesPath, anmlPath, mnrlPath, inputPath string, parallel bool, ranks int, compress, quiet bool, maxPrint int, engine pap.EngineKind, mode pap.ExecMode, scored bool) error {
+func run(rulesPath, anmlPath, mnrlPath, inputPath string, parallel bool, ranks int, compress, quiet bool, maxPrint int, engine pap.EngineKind, scored bool) error {
 	var a *pap.Automaton
 	sources := 0
 	for _, p := range []string{rulesPath, anmlPath, mnrlPath} {
@@ -116,7 +108,6 @@ func run(rulesPath, anmlPath, mnrlPath, inputPath string, parallel bool, ranks i
 	if parallel {
 		cfg := pap.DefaultConfig(ranks)
 		cfg.Engine = engine
-		cfg.Mode = mode
 		cfg.Scoring = scored
 		rep, err := a.MatchParallel(input, cfg)
 		if err != nil {
@@ -124,16 +115,12 @@ func run(rulesPath, anmlPath, mnrlPath, inputPath string, parallel bool, ranks i
 		}
 		matches = rep.Matches
 		s := rep.Stats
-		fmt.Printf("parallel (%s mode): %d segments, cut symbol %q (range %d)\n",
-			s.Mode, s.Segments, s.CutSymbol, s.CutRange)
+		fmt.Printf("parallel: %d segments, cut symbol %q (range %d)\n",
+			s.Segments, s.CutSymbol, s.CutRange)
 		fmt.Printf("modelled AP time: %.1f µs sequential -> %.1f µs parallel (%.2fx of ideal %.0fx)\n",
 			s.BaselineNS/1e3, s.ParallelNS/1e3, s.Speedup, s.IdealSpeedup)
 		fmt.Printf("flows: %.1f avg active; switching overhead %.2f%%; report inflation %.2fx\n",
 			s.AvgActiveFlows, s.SwitchOverheadPct, s.FalseReportRatio)
-		if s.SFAMappings > 0 {
-			fmt.Printf("sfa: %d mapping classes, %d compose ops, %d fingerprint collisions\n",
-				s.SFAMappings, s.SFAComposeOps, s.FingerprintCollisions)
-		}
 	} else if scored {
 		// A scored sequential run through the stream API: scores carry in
 		// the engine, so one whole-input Write equals chunked writes.

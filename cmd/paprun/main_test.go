@@ -43,35 +43,32 @@ func TestRunSequentialAndParallel(t *testing.T) {
 	input := writeFile(t, "input.bin",
 		"an attack on the defense perimeter; the defence held; attack again "+
 			"and padding padding padding padding padding padding padding padding")
-	if err := run(rules, "", "", input, false, 1, true, false, 5, pap.EngineAuto, pap.ExecFlows, false); err != nil {
+	if err := run(rules, "", "", input, false, 1, true, false, 5, pap.EngineAuto, false); err != nil {
 		t.Fatalf("sequential: %v", err)
 	}
-	if err := run(rules, "", "", input, true, 2, true, true, 5, pap.EngineAuto, pap.ExecFlows, false); err != nil {
+	if err := run(rules, "", "", input, true, 2, true, true, 5, pap.EngineAuto, false); err != nil {
 		t.Fatalf("parallel: %v", err)
 	}
-	if err := run(rules, "", "", input, true, 2, true, true, 5, pap.EngineAuto, pap.ExecSFA, false); err != nil {
-		t.Fatalf("parallel sfa: %v", err)
-	}
 	// -scored on an unscored ruleset: every match reports score 0.
-	if err := run(rules, "", "", input, false, 1, true, false, 5, pap.EngineAuto, pap.ExecFlows, true); err != nil {
+	if err := run(rules, "", "", input, false, 1, true, false, 5, pap.EngineAuto, true); err != nil {
 		t.Fatalf("sequential scored: %v", err)
 	}
-	if err := run(rules, "", "", input, true, 2, true, true, 5, pap.EngineAuto, pap.ExecFlows, true); err != nil {
+	if err := run(rules, "", "", input, true, 2, true, true, 5, pap.EngineAuto, true); err != nil {
 		t.Fatalf("parallel scored: %v", err)
 	}
 }
 
 func TestRunErrors(t *testing.T) {
-	if err := run("", "", "", "-", false, 1, false, true, 1, pap.EngineAuto, pap.ExecFlows, false); err == nil {
+	if err := run("", "", "", "-", false, 1, false, true, 1, pap.EngineAuto, false); err == nil {
 		t.Fatal("missing -rules accepted")
 	}
 	bad := writeFile(t, "rules.txt", "a(b\n")
 	input := writeFile(t, "in.bin", "xyz")
-	if err := run(bad, "", "", input, false, 1, false, true, 1, pap.EngineAuto, pap.ExecFlows, false); err == nil {
+	if err := run(bad, "", "", input, false, 1, false, true, 1, pap.EngineAuto, false); err == nil {
 		t.Fatal("invalid pattern accepted")
 	}
 	good := writeFile(t, "ok.txt", "abc\n")
-	if err := run(good, "", "", filepath.Join(t.TempDir(), "missing.bin"), false, 1, false, true, 1, pap.EngineAuto, pap.ExecFlows, false); err == nil {
+	if err := run(good, "", "", filepath.Join(t.TempDir(), "missing.bin"), false, 1, false, true, 1, pap.EngineAuto, false); err == nil {
 		t.Fatal("missing input accepted")
 	}
 }
@@ -92,14 +89,14 @@ func TestRunFromANMLAndMNRL(t *testing.T) {
 	anmlPath := writeFile(t, "a.anml", anmlDoc)
 	mnrlPath := writeFile(t, "a.mnrl", mnrlDoc)
 	input := writeFile(t, "in.txt", "say hi and hi again")
-	if err := run("", anmlPath, "", input, false, 1, false, true, 1, pap.EngineAuto, pap.ExecFlows, false); err != nil {
+	if err := run("", anmlPath, "", input, false, 1, false, true, 1, pap.EngineAuto, false); err != nil {
 		t.Fatalf("anml: %v", err)
 	}
-	if err := run("", "", mnrlPath, input, false, 1, false, true, 1, pap.EngineAuto, pap.ExecFlows, false); err != nil {
+	if err := run("", "", mnrlPath, input, false, 1, false, true, 1, pap.EngineAuto, false); err != nil {
 		t.Fatalf("mnrl: %v", err)
 	}
 	// Mutually exclusive sources.
-	if err := run(anmlPath, anmlPath, "", input, false, 1, false, true, 1, pap.EngineAuto, pap.ExecFlows, false); err == nil {
+	if err := run(anmlPath, anmlPath, "", input, false, 1, false, true, 1, pap.EngineAuto, false); err == nil {
 		t.Fatal("multiple sources accepted")
 	}
 }

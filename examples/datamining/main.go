@@ -1,8 +1,8 @@
 // Sequential pattern mining: count candidate sequential patterns ("A then
 // B then C, in order, any gaps") over a transaction stream — the paper's
 // SPM scenario (Apriori-style mining, where NFA processing dominates
-// runtime). Also contrasts enumeration with the speculative execution mode
-// (the paper's §6 future-work direction) on the same stream.
+// runtime), and reports the modelled speedup of enumerating the stream's
+// segments in parallel.
 package main
 
 import (
@@ -64,18 +64,6 @@ func main() {
 	s := rep.Stats
 	fmt.Printf("\nenumeration: %.1fx modelled speedup (ideal %.0fx), %.1f avg flows\n",
 		s.Speedup, s.IdealSpeedup, s.AvgActiveFlows)
-
-	// The §6 alternative: speculate that boundaries are idle. SPM streams
-	// are hot (gap states stay enabled), so almost every segment
-	// mispredicts and re-executes — enumeration wins.
-	spec := pap.DefaultConfig(4)
-	spec.Speculate = true
-	srep, err := miner.MatchParallel(stream, spec)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("speculation:  %.1fx modelled speedup (same exact matches: %v)\n",
-		srep.Stats.Speedup, len(srep.Matches) == len(rep.Matches))
 }
 
 func makeTransactions(rng *rand.Rand, size int) []byte {

@@ -399,8 +399,9 @@ func checkChunkedStream(c *Case, oracle []engine.Report, rng *rand.Rand) (string
 
 // checkParallel asserts oracle ≡ the full PAP parallelization, under a
 // default configuration and under a toggled one (CC-merge, parent-merge,
-// convergence, deactivation, FIV and speculation flipped pseudo-randomly),
-// across rotating backends, segment caps and TDM quanta.
+// convergence, deactivation, FIV, prefilter, baseline-skip and absorption
+// flipped pseudo-randomly), across rotating backends, segment caps and TDM
+// quanta.
 func checkParallel(c *Case, oracle []engine.Report, rng *rand.Rand) (string, string) {
 	if len(c.Input) < 8 {
 		return "", "" // too short to partition meaningfully
@@ -475,7 +476,6 @@ func checkSFAMode(c *Case, oracle []engine.Report, rng *rand.Rand) (string, stri
 		return "", "" // too short to partition meaningfully
 	}
 	base := parallelConfig(rng, false)
-	base.Speculate = false // SFA mode rejects speculation by contract
 	flowRef, err := core.Run(c.NFA, c.Input, base)
 	if err != nil {
 		return "sfa-mode", fmt.Sprintf("flow-mode reference core.Run: %v (cfg %+v)", err, base)
@@ -598,8 +598,8 @@ func checkCancellation(c *Case, oracle []engine.Report, rng *rand.Rand) (string,
 // baseline-skip ablation, chunked streaming exactly as Stream.Write chunks,
 // boundary-recording runs whose recorded frontier scores must equal the
 // oracle's at every cut, boundary-re-seeded segment resume, and the full
-// PAP parallelization under both schedulers, both execution modes and
-// speculation. Roughly a third of generated specs carry edge weights
+// PAP parallelization under both schedulers and both execution modes.
+// Roughly a third of generated specs carry edge weights
 // (negative, zero and tied); on the unscored rest the scored paths must
 // still run and produce all-zero scores — the all-zero ≡ unscored
 // degenerate case, checked here on every single case.
@@ -707,8 +707,8 @@ func checkScored(c *Case, rng *rand.Rand) (string, string) {
 		}
 	}
 
-	// Full PAP parallelization: both schedulers × both execution modes, plus
-	// a speculative flow-mode run. CheckCorrect covers score exactness too
+	// Full PAP parallelization: both schedulers × both execution modes.
+	// CheckCorrect covers score exactness too
 	// (SameReports compares scores), so Correct doubles as the internal
 	// golden-vs-composed scored agreement.
 	if len(c.Input) < 8 {
@@ -733,10 +733,6 @@ func checkScored(c *Case, rng *rand.Rand) (string, string) {
 			cases = append(cases, coreCase{name, cfg})
 		}
 	}
-	spec := base
-	spec.Mode = core.ModeFlows
-	spec.Speculate = true
-	cases = append(cases, coreCase{"scored-parallel/speculative", spec})
 	for _, tc := range cases {
 		res, err := core.Run(c.NFA, c.Input, tc.cfg)
 		if err != nil {
@@ -779,11 +775,9 @@ func diffResultMetrics(a, b *core.Result) string {
 		{"TotalEvents", a.TotalEvents, b.TotalEvents},
 		{"ReportIncrease", a.ReportIncrease, b.ReportIncrease},
 		{"TransitionRatio", a.TransitionRatio, b.TransitionRatio},
-		{"MispredictedSegments", a.MispredictedSegments, b.MispredictedSegments},
 		{"PrefilterSkipped", a.PrefilterSkipped, b.PrefilterSkipped},
 		{"BaselineSkipped", a.BaselineSkipped, b.BaselineSkipped},
 		{"CapacityNote", a.CapacityNote, b.CapacityNote},
-		{"Mode", a.Mode, b.Mode},
 		{"SFAMappings", a.SFAMappings, b.SFAMappings},
 		{"SFAComposeOps", a.SFAComposeOps, b.SFAComposeOps},
 		{"FingerprintCollisions", a.FingerprintCollisions, b.FingerprintCollisions},
@@ -824,11 +818,8 @@ func parallelConfig(rng *rand.Rand, toggled bool) core.Config {
 		cfg.DisablePrefilter = rng.Intn(2) == 0
 		cfg.DisableBaselineSkip = rng.Intn(2) == 0
 		cfg.AbsorbDeactivation = rng.Intn(2) == 0
-		if rng.Intn(3) == 0 {
-			cfg.Speculate = true
-		}
 		if !(cfg.DisableCCMerge || cfg.DisableParentMerge || cfg.DisableConvergence ||
-			cfg.DisableDeactivation || cfg.DisableFIV || cfg.Speculate) {
+			cfg.DisableDeactivation || cfg.DisableFIV) {
 			cfg.DisableConvergence = true
 		}
 	}

@@ -26,7 +26,7 @@ import (
 )
 
 // Oracle executes an NFA by direct per-symbol simulation over plain maps:
-// no match tables, no frontier lists, no merging, no speculation, nothing
+// no match tables, no frontier lists, no merging, no enumeration, nothing
 // shared with the production engines beyond the NFA accessors. It exists to
 // be obviously correct, not fast.
 //

@@ -87,10 +87,10 @@ type Config struct {
 	SegmentParallel bool
 
 	// Engine selects the execution backend for every engine this run
-	// creates — the golden run, the per-flow TDM engines, and speculative
-	// re-runs. The zero value (engine.Auto) chooses between the sparse
-	// frontier-list and dense bit-vector representations by step cost
-	// (see engine.New); engine.SparseKind and engine.BitKind force one.
+	// creates — the golden run and the per-flow TDM engines. The zero
+	// value (engine.Auto) chooses between the sparse frontier-list and
+	// dense bit-vector representations by step cost (see engine.New);
+	// engine.SparseKind and engine.BitKind force one.
 	// The choice affects simulator wall-clock speed only, never modelled
 	// AP cycles or results (the backends are observably equivalent).
 	Engine engine.Kind
@@ -103,14 +103,6 @@ type Config struct {
 	// produce exactly the sequential report set (checked); modelled cycle
 	// metrics differ because the strategies do different work.
 	Mode Mode
-
-	// Speculate replaces enumeration with speculative execution (the
-	// paper's §6 future-work direction): each segment predicts that its
-	// boundary carries no enumeration activity and runs only the ASG flow;
-	// mispredicted segments re-execute with the true start states once the
-	// truth chain delivers them. Exactness is preserved. See
-	// internal/core/speculate.go and the Speculation experiment.
-	Speculate bool
 
 	// Scored enables per-transition score tracking (the scored-NFA sequence
 	// alignment model; see engine.Scorer): every engine the run creates
@@ -201,9 +193,6 @@ func (c *Config) validate() error {
 	}
 	if c.Mode > maxMode {
 		return fmt.Errorf("core: unknown execution mode %d", c.Mode)
-	}
-	if c.Mode == ModeSFA && c.Speculate {
-		return fmt.Errorf("core: Mode=sfa is incompatible with Speculate (speculation predicts boundaries instead of composing mappings)")
 	}
 	if c.Scored {
 		// Score-blind flow merges are inexact (see the Scored field docs);

@@ -91,23 +91,3 @@ func TestRunAllASG(t *testing.T) {
 		}
 	}
 }
-
-// TestRunAllASGSpeculative: the speculation path on an all-ASG automaton —
-// every boundary is trivially idle, so no segment may mispredict.
-func TestRunAllASGSpeculative(t *testing.T) {
-	n := allASGNFA(t)
-	cfg := DefaultConfig(1)
-	cfg.MaxSegments = 4
-	cfg.TDMQuantum = 2
-	cfg.Speculate = true
-	res, err := Run(n, []byte("abbaababbaababbaabba"), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := res.CheckCorrect(); err != nil {
-		t.Fatal(err)
-	}
-	if res.MispredictedSegments != 0 {
-		t.Errorf("%d mispredicted segments on an idle-boundary automaton", res.MispredictedSegments)
-	}
-}

@@ -84,9 +84,7 @@ type segmentResult struct {
 	KnownAt      ap.Cycles // wall time when this segment's truth is known
 
 	Rounds        int
-	FlowRounds    int64     // Σ alive flows over rounds (avg active = /Rounds)
-	Mispredicted  bool      // speculation only: boundary was not idle
-	RerunCycles   ap.Cycles // speculation only: misprediction penalty
+	FlowRounds    int64 // Σ alive flows over rounds (avg active = /Rounds)
 	Deactivations int
 	Convergences  int
 	FIVKills      int
@@ -194,13 +192,13 @@ func (p *Plan) applyFIV(seg *segmentResult, g *goldenRun) {
 }
 
 // runSegmentRounds is the TDM round loop, the one both schedulers, both
-// modes, speculation's ASG pass and fault-injected runs go through. It
-// runs every round of every flow of the segment on e, the engine the
-// segment's driver holds for the segment's life — the paper's one
-// half-core per segment (§3.2). All modelled quantities it computes depend
-// only on (plan, segment, input) — never on which engine, how many other
-// drivers, or how far the golden run has got — which is what makes the
-// serial and parallel schedulers bit-identical in ap.Cycles metrics.
+// modes and fault-injected runs go through. It runs every round of every
+// flow of the segment on e, the engine the segment's driver holds for the
+// segment's life — the paper's one half-core per segment (§3.2). All
+// modelled quantities it computes depend only on (plan, segment, input) —
+// never on which engine, how many other drivers, or how far the golden run
+// has got — which is what makes the serial and parallel schedulers
+// bit-identical in ap.Cycles metrics.
 //
 // A sole live flow is not switched. Only flow 0 can be the last one alive
 // (it never dies, and dead flows never revive), so from then on no sweep,

@@ -19,9 +19,9 @@ import (
 // cut. Every read of a boundary goes through boundary(), which waits for
 // that one cut only — so a segment needs the golden run no further along
 // than its own start, and needs it only where truth content is consumed:
-// decoding the FIV, seeding entry scores, the speculative re-run, report
-// composition. What the segments exchange through truthCells is timing;
-// nothing modelled depends on when a boundary arrives.
+// decoding the FIV, seeding entry scores, report composition. What the
+// segments exchange through truthCells is timing; nothing modelled depends
+// on when a boundary arrives.
 type goldenRun struct {
 	mu     sync.Mutex
 	cond   sync.Cond         // on mu

@@ -31,24 +31,11 @@ const (
 
 var modeNames = [...]string{"flows", "sfa"}
 
-// ModeNames lists the accepted ParseMode spellings in Mode order.
-func ModeNames() []string { return append([]string(nil), modeNames[:]...) }
-
 func (m Mode) String() string {
 	if int(m) < len(modeNames) {
 		return modeNames[m]
 	}
 	return fmt.Sprintf("mode(%d)", uint8(m))
-}
-
-// ParseMode converts a mode name to a Mode.
-func ParseMode(s string) (Mode, error) {
-	for i, name := range modeNames {
-		if s == name {
-			return Mode(i), nil
-		}
-	}
-	return 0, fmt.Errorf("core: unknown execution mode %q (want one of %v)", s, modeNames[:])
 }
 
 // execMode is the execution-strategy seam of the round loop: how a
@@ -114,12 +101,8 @@ func (flowMode) seedSegment(p *Plan, seg *segmentResult) {
 }
 
 // finalize decodes the truth of every segment whose enumeration flows no
-// FIV judged, for compose to filter their reports by. Speculation has no
-// enumeration flows: its re-run's reports are true by construction.
+// FIV judged, for compose to filter their reports by.
 func (flowMode) finalize(p *Plan, segs []*segmentResult, g *goldenRun) {
-	if p.Cfg.Speculate {
-		return
-	}
 	for _, seg := range segs[1:] {
 		if len(seg.flows) > 1 && !p.decodeTruth(seg, g) {
 			return

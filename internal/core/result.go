@@ -47,8 +47,6 @@ type SegmentStats struct {
 	// that matched but whose full vector compare disagreed — across
 	// convergence, deactivation, class grouping, and SFA boundary checks.
 	FPCollisions int64
-	Mispredicted bool      // speculation only
-	RerunCycles  ap.Cycles // speculation only
 }
 
 // Result is the outcome of one PAP execution: the composed (exact) report
@@ -107,8 +105,6 @@ type Result struct {
 	// engine kinds; it too charges every covered symbol its modelled round.
 	BaselineSkipped int64
 
-	// Mode is the execution strategy that produced this result.
-	Mode Mode
 	// SFAMappings is the total number of entry→exit mappings (frontier-
 	// equivalence classes) run across segments; 0 in flow mode.
 	SFAMappings int64
@@ -123,10 +119,6 @@ type Result struct {
 	// CapacityNote is non-empty when the flow plan exceeds the SVC limit
 	// (the run still simulates, as the paper's pre-optimization analyses do).
 	CapacityNote string
-
-	// MispredictedSegments counts segments that needed a speculative
-	// re-run (Config.Speculate only).
-	MispredictedSegments int
 }
 
 // Run plans and executes PAP for one automaton and input, returning the
@@ -176,7 +168,7 @@ func (p *Plan) Execute(input []byte) (*Result, error) {
 // ExecuteContext is Execute under a context; see RunContext for the
 // cancellation contract.
 func (p *Plan) ExecuteContext(ctx context.Context, input []byte) (*Result, error) {
-	res := &Result{Plan: p, Mode: p.Cfg.Mode, IdealSpeedup: float64(p.Segments)}
+	res := &Result{Plan: p, IdealSpeedup: float64(p.Segments)}
 	if err := p.CheckCapacity(); err != nil {
 		res.CapacityNote = err.Error()
 	}
@@ -292,9 +284,6 @@ func (p *Plan) buildSegments(input []byte) []*segmentResult {
 		}
 		seg.Sym = input[start-1]
 		base.svcID = seg.svc.AllocOverflow(nil, 0)
-		if p.Cfg.Speculate {
-			continue // predict an idle boundary: no enumeration flows
-		}
 		mode.seedSegment(p, seg)
 		seg.InitFlows = len(seg.flows)
 	}
@@ -304,10 +293,10 @@ func (p *Plan) buildSegments(input []byte) []*segmentResult {
 // chainSegment performs the host-side truth-propagation step for one
 // finished segment (§3.4): count the surviving flows, decode against the
 // next segment's units, and fold the predecessor's KnownAt into this one —
-// the serial link of the timeline. done is the segment's completion time
-// (post-rerun under speculation); prevKnown is the predecessor's KnownAt (0
-// for segment 0). Returns — and records — this segment's KnownAt.
-func (p *Plan) chainSegment(seg *segmentResult, next *segmentResult, done, prevKnown ap.Cycles) ap.Cycles {
+// the serial link of the timeline, from the segment's completion time
+// seg.Cycles. prevKnown is the predecessor's KnownAt (0 for segment 0).
+// Returns — and records — this segment's KnownAt.
+func (p *Plan) chainSegment(seg *segmentResult, next *segmentResult, prevKnown ap.Cycles) ap.Cycles {
 	if err := p.Cfg.fire(faultinject.TruthPublish, seg.Index, -1); err != nil {
 		seg.err = err
 		return 0 // callers check seg.err and never use this KnownAt
@@ -319,13 +308,13 @@ func (p *Plan) chainSegment(seg *segmentResult, next *segmentResult, done, prevK
 		}
 	}
 	nextUnits := 0
-	if next != nil && !p.Cfg.Speculate {
+	if next != nil {
 		nextUnits = len(p.SymbolPlanFor(next.Sym).Units)
 	}
 	par := hostParallelCycles(p.Placement.Devices, seg.EventsEmitted, nextUnits, aliveFlows)
 	ser := hostSerialCycles(nextUnits, aliveFlows)
 	seg.HostCycles = par + ser
-	known := done + par
+	known := seg.Cycles + par
 	if seg.Index > 0 && prevKnown > known {
 		known = prevKnown
 	}
@@ -437,12 +426,7 @@ func (p *Plan) aggregate(res *Result, segs []*segmentResult) {
 			SFAMappings:      seg.SFAMappings,
 			ComposeOps:       seg.ComposeOps,
 			FPCollisions:     seg.FPCollisions,
-			Mispredicted:     seg.Mispredicted,
-			RerunCycles:      seg.RerunCycles,
 		})
-		if seg.Mispredicted {
-			res.MispredictedSegments++
-		}
 		cyc += seg.Cycles
 		switchCyc += seg.SwitchCycles
 		events += seg.EventsEmitted

@@ -46,13 +46,12 @@ import (
 // FIVApplied flag and kill set the serial scheduler computes in-loop.
 //
 // The cells carry timing only. The truth *content* a segment consumes — its
-// units' truth at its start boundary, its flows' entry scores, the true
-// start states of a speculative re-run — comes from the golden execution,
-// which the calling goroutine makes beside the drivers, as §5.1 has the
-// half-core of segment 1 carry on through the input (golden.go): each
-// reader waits for the golden run to pass its one cut, at the point where
-// it first needs the content, and nothing modelled depends on when that
-// is. The result: every modelled ap.Cycles metric is bit-identical between
+// units' truth at its start boundary and its flows' entry scores — comes
+// from the golden execution, which the calling goroutine makes beside the
+// drivers, as §5.1 has the half-core of segment 1 carry on through the
+// input (golden.go): each reader waits for the golden run to pass its one
+// cut, at the point where it first needs the content, and nothing modelled
+// depends on when that is. The result: every modelled ap.Cycles metric is bit-identical between
 // executeSerial and executeParallel (the conformance parity invariant
 // asserts this); only wall-clock changes.
 //
@@ -227,18 +226,11 @@ func (p *Plan) executeSerial(ctx context.Context, segs []*segmentResult, input [
 			if seg.err != nil {
 				return
 			}
-			done := seg.Cycles
-			if p.Cfg.Speculate && j > 0 {
-				done = p.runSpeculative(seg, input, e, g, prevKnown+ap.FIVTransferCycles)
-				if seg.err != nil {
-					return
-				}
-			}
 			var next *segmentResult
 			if j+1 < len(segs) {
 				next = segs[j+1]
 			}
-			prevKnown = p.chainSegment(seg, next, done, prevKnown)
+			prevKnown = p.chainSegment(seg, next, prevKnown)
 		})
 		if seg.err != nil {
 			return
@@ -354,18 +346,11 @@ func (p *Plan) driveSegment(ctx context.Context, segs []*segmentResult, j int, c
 			return
 		}
 	}
-	done := seg.Cycles
-	if p.Cfg.Speculate && j > 0 {
-		done = p.runSpeculative(seg, input, e, g, prevKnown+ap.FIVTransferCycles)
-		if seg.err != nil {
-			return
-		}
-	}
 	var next *segmentResult
 	if j+1 < len(segs) {
 		next = segs[j+1]
 	}
-	known := p.chainSegment(seg, next, done, prevKnown)
+	known := p.chainSegment(seg, next, prevKnown)
 	if seg.err != nil {
 		return
 	}

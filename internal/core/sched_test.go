@@ -58,9 +58,7 @@ func diffResults(a, b *Result) string {
 		{"TotalEvents", a.TotalEvents, b.TotalEvents},
 		{"ReportIncrease", a.ReportIncrease, b.ReportIncrease},
 		{"TransitionRatio", a.TransitionRatio, b.TransitionRatio},
-		{"MispredictedSegments", a.MispredictedSegments, b.MispredictedSegments},
 		{"CapacityNote", a.CapacityNote, b.CapacityNote},
-		{"Mode", a.Mode, b.Mode},
 		{"SFAMappings", a.SFAMappings, b.SFAMappings},
 		{"SFAComposeOps", a.SFAComposeOps, b.SFAComposeOps},
 		{"FingerprintCollisions", a.FingerprintCollisions, b.FingerprintCollisions},
@@ -124,7 +122,6 @@ func TestSchedulerParityPatterns(t *testing.T) {
 		{"workers3", func(c *Config) { c.Workers = 3 }},
 		{"workers8", func(c *Config) { c.Workers = 8 }},
 		{"quantum8", func(c *Config) { c.TDMQuantum = 8 }},
-		{"speculate", func(c *Config) { c.Speculate = true }},
 		{"no-fiv", func(c *Config) { c.DisableFIV = true }},
 		{"no-convergence", func(c *Config) { c.DisableConvergence = true }},
 		{"no-deactivation", func(c *Config) { c.DisableDeactivation = true }},
@@ -151,7 +148,6 @@ func randomParityCase(rng *rand.Rand) (*nfa.NFA, []byte, Config) {
 	cfg.Workers = 1 + rng.Intn(4)
 	cfg.TDMQuantum = 8 << rng.Intn(4)
 	cfg.ConvergenceEvery = 1 + rng.Intn(12)
-	cfg.Speculate = rng.Intn(4) == 0
 	cfg.DisableFIV = rng.Intn(5) == 0
 	cfg.AbsorbDeactivation = rng.Intn(4) != 0
 	return n, input, cfg
@@ -222,7 +218,7 @@ func wideCase() (*nfa.NFA, []byte) {
 var wideVariants = []configVariant{
 	{"default", func(*Config) {}},
 	{"cut-a", func(c *Config) { c.CutSymbol = 'a' }},
-	{"cut-a-quantum8-speculate", func(c *Config) { c.CutSymbol, c.TDMQuantum, c.Speculate = 'a', 8, true }},
+	{"cut-a-quantum8", func(c *Config) { c.CutSymbol, c.TDMQuantum = 'a', 8 }},
 	{"cut-a-sfa", func(c *Config) { c.CutSymbol, c.Mode = 'a', ModeSFA }},
 }
 
@@ -282,7 +278,7 @@ func stretchBoth(t *testing.T, tag string, n *nfa.NFA, input []byte, cfg Config)
 }
 
 // TestStretchParity runs stretchBoth over the generators of the scheduler
-// parity tests, a speculative and a scored configuration, and a segment
+// parity tests, scored configurations, and a segment
 // built to go sole-flow mid-way.
 func TestStretchParity(t *testing.T) {
 	trials := 40
@@ -310,10 +306,8 @@ func TestStretchParity(t *testing.T) {
 		stretchBoth(t, "sfa-"+v.name, n, input, cfg)
 	}
 	for _, v := range []configVariant{
-		{"speculate", func(c *Config) { c.Speculate = true }},
 		{"scored", func(c *Config) { c.Scored = true }},
 		{"scored-sfa", func(c *Config) { c.Scored, c.Mode = true, ModeSFA }},
-		{"scored-speculate", func(c *Config) { c.Scored, c.Speculate = true, true }},
 	} {
 		cfg := testConfig(4)
 		v.mutate(&cfg)

@@ -9,30 +9,11 @@ import (
 	"pap/internal/nfa"
 )
 
-func TestParseMode(t *testing.T) {
-	for i, name := range ModeNames() {
-		m, err := ParseMode(name)
-		if err != nil || m != Mode(i) {
-			t.Fatalf("ParseMode(%q) = %v, %v", name, m, err)
-		}
-		if m.String() != name {
-			t.Fatalf("Mode(%d).String() = %q, want %q", i, m.String(), name)
-		}
-	}
-	if _, err := ParseMode("nope"); err == nil {
-		t.Fatal("ParseMode accepted an unknown mode")
-	}
-}
-
-func TestSFAModeRejectsSpeculate(t *testing.T) {
+// TestConfigRejectsUnknownMode: a Mode past the last strategy fails
+// validation.
+func TestConfigRejectsUnknownMode(t *testing.T) {
 	cfg := testConfig(1)
-	cfg.Mode = ModeSFA
-	cfg.Speculate = true
-	if err := cfg.validate(); err == nil {
-		t.Fatal("Mode=sfa with Speculate validated")
-	}
 	cfg.Mode = maxMode + 1
-	cfg.Speculate = false
 	if err := cfg.validate(); err == nil {
 		t.Fatal("out-of-range Mode validated")
 	}
@@ -59,8 +40,8 @@ func TestSFAModeExact(t *testing.T) {
 			if err := res.CheckCorrect(); err != nil {
 				t.Fatalf("segs=%d parallel=%v: %v", segs, parallel, err)
 			}
-			if res.Mode != ModeSFA {
-				t.Fatalf("Result.Mode = %v, want sfa", res.Mode)
+			if res.Plan.Cfg.Mode != ModeSFA {
+				t.Fatalf("Mode = %v, want sfa", res.Plan.Cfg.Mode)
 			}
 			if res.Plan.Segments > 1 && res.SFAMappings == 0 {
 				t.Fatalf("segs=%d: no SFA mappings ran", segs)
@@ -167,8 +148,8 @@ func TestSFASingleSegmentIdentity(t *testing.T) {
 	if res.Plan.Segments != 1 {
 		t.Fatalf("Segments = %d, want 1", res.Plan.Segments)
 	}
-	if res.Mode != ModeSFA {
-		t.Fatalf("Mode = %v, want sfa", res.Mode)
+	if res.Plan.Cfg.Mode != ModeSFA {
+		t.Fatalf("Mode = %v, want sfa", res.Plan.Cfg.Mode)
 	}
 	if res.SFAMappings != 0 || res.SFAComposeOps != 0 {
 		t.Fatalf("degenerate run recorded SFA work: %d mappings, %d ops",

@@ -268,21 +268,6 @@ func TestDFAComparison(t *testing.T) {
 	}
 }
 
-func TestSpeculationStudy(t *testing.T) {
-	e := smallEnv("ExactMatch")
-	rows, err := e.Speculation()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 1 || rows[0].EnumSpeedup < 1 || rows[0].SpecSpeedup < 1 {
-		t.Fatalf("rows = %+v", rows)
-	}
-	var buf bytes.Buffer
-	if err := WriteSpeculation(&buf, rows); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestGeomean(t *testing.T) {
 	if g := geomean([]float64{4, 16}); math.Abs(g-8) > 1e-9 {
 		t.Fatalf("geomean = %v, want 8", g)

@@ -197,16 +197,6 @@ func WriteDFA(w io.Writer, rows []DFARow) error {
 	return err
 }
 
-// WriteSpeculation prints the enumeration-vs-speculation study.
-func WriteSpeculation(w io.Writer, rows []SpeculationRow) error {
-	fmt.Fprintln(w, "Speculation (§6 future work) vs enumeration, pm=0.75 traces")
-	t := &table{header: []string{"Benchmark", "Enumeration", "Speculation", "Mispredict(%)"}}
-	for _, r := range rows {
-		t.add(r.Name, f2(r.EnumSpeedup), f2(r.SpecSpeedup), f1(100*r.MispredictRate))
-	}
-	return t.write(w)
-}
-
 // WriteAblation prints the design-choice study.
 func WriteAblation(w io.Writer, rows []AblationRow) error {
 	fmt.Fprintln(w, "Ablation: speedup with each flow optimization disabled")

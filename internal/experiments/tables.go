@@ -416,48 +416,6 @@ func (e *Env) DFAComparison() ([]DFARow, error) {
 	return rows, nil
 }
 
-// SpeculationRow compares enumeration against the speculative execution of
-// the paper's §6 future-work direction on the standard (hot, pm = 0.75)
-// traces: speculation predicts idle boundaries and re-executes mispredicted
-// segments serially, so it collapses on hot traffic — the reason the paper
-// chose enumeration.
-type SpeculationRow struct {
-	Name           string
-	EnumSpeedup    float64
-	SpecSpeedup    float64
-	MispredictRate float64 // fraction of segments re-executed
-}
-
-// Speculation runs the enumeration-vs-speculation study (1 MB, 1 rank).
-func (e *Env) Speculation() ([]SpeculationRow, error) {
-	specs, err := e.Specs()
-	if err != nil {
-		return nil, err
-	}
-	var rows []SpeculationRow
-	for _, spec := range specs {
-		enum, err := e.Run(spec.Name, 1, Size1MB)
-		if err != nil {
-			return nil, err
-		}
-		sp, err := e.RunConfigured(spec.Name, 1, Size1MB, "speculate",
-			func(c *core.Config) { c.Speculate = true })
-		if err != nil {
-			return nil, err
-		}
-		row := SpeculationRow{
-			Name:        spec.Name,
-			EnumSpeedup: enum.Speedup,
-			SpecSpeedup: sp.Speedup,
-		}
-		if n := sp.Plan.Segments - 1; n > 0 {
-			row.MispredictRate = float64(sp.MispredictedSegments) / float64(n)
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
-}
-
 // AblationRow quantifies each flow-reduction optimization's contribution
 // (a DESIGN.md design-choice study; not a paper figure, but implied by
 // §5.2's analysis).

@@ -85,10 +85,10 @@ func NewCoalescer(limiter *Limiter, window time.Duration, maxBatch int, queueTim
 func (c *Coalescer) Enabled() bool { return c != nil }
 
 // Match joins (or opens) the batch for e, waits for the batch to run its
-// payload, and returns this request's demuxed result. ctx bounds the
-// execution of this request's payload inside the batch; a request whose
-// ctx expires before its turn is skipped with ctx.Err() and costs the
-// batch nothing.
+// payload, and returns this request's demuxed result. ctx bounds both the
+// wait and the execution of this request's payload inside the batch: a
+// request whose ctx expires returns ctx.Err() at once, even while its
+// batch still waits for a slot, and costs the batch nothing.
 func (c *Coalescer) Match(ctx context.Context, e *Entry, payload []byte) ([]pap.Match, pap.EngineInfo, error) {
 	it := &batchItem{ctx: ctx, payload: payload, done: make(chan struct{})}
 
@@ -114,8 +114,15 @@ func (c *Coalescer) Match(ctx context.Context, e *Entry, payload []byte) ([]pap.
 		c.mu.Unlock()
 	}
 
-	<-it.done
-	return it.ms, it.info, it.err
+	select {
+	case <-it.done:
+		return it.ms, it.info, it.err
+	case <-ctx.Done():
+		// The batch may still be waiting for a slot: answer the deadline
+		// now, as a request admitted alone would. run skips this item when
+		// the batch gets its slot, and deliver is once-guarded.
+		return nil, pap.EngineInfo{}, ctx.Err()
+	}
 }
 
 // detach removes b from the live map if it is still the current batch

@@ -209,3 +209,35 @@ func TestCoalescerVersionsNeverShareBatches(t *testing.T) {
 	}()
 	wg.Wait()
 }
+
+// TestCoalescerHonoursDeadlineWhileQueued proves a coalesced request
+// answers its own deadline while its batch still waits for a slot, as a
+// request admitted alone does, instead of waiting for the slot to free.
+func TestCoalescerHonoursDeadlineWhileQueued(t *testing.T) {
+	p := NewLimiter(1, 16)
+	defer p.Close()
+	c := NewCoalescer(p, 5*time.Millisecond, 64, 30*time.Second)
+	e := coalesceEntry(t, "x")
+
+	held, release := make(chan struct{}), make(chan struct{})
+	defer close(release)
+	go p.Do(context.Background(), func() {
+		close(held)
+		select {
+		case <-release:
+		case <-time.After(2 * time.Second):
+		}
+	})
+	<-held
+
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	_, _, err := c.Match(ctx, e, []byte("x"))
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("Match returned after %v with the slot held, want its 50ms deadline", d)
+	}
+}

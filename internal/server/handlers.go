@@ -424,13 +424,6 @@ func parseParallelConfig(q map[string][]string) (pap.Config, error) {
 		}
 		cfg.MaxSegments = n
 	}
-	if v := get("speculate"); v != "" {
-		b, err := strconv.ParseBool(v)
-		if err != nil {
-			return cfg, fmt.Errorf("speculate must be a bool, got %q", v)
-		}
-		cfg.Speculate = b
-	}
 	return cfg, nil
 }
 
@@ -460,13 +453,6 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 	mode := q.Get("mode")
 	if mode == "" || mode == "seq" {
 		mode = "sequential"
-	}
-	// mode=sfa is parallel matching under the SFA function-composition
-	// strategy; mode=parallel is the paper's flow enumeration.
-	execMode := pap.ExecFlows
-	if mode == "sfa" {
-		mode = "parallel"
-		execMode = pap.ExecSFA
 	}
 	// scored=true tracks per-transition scores; scored automata always do.
 	scored := e.Automaton.Scored()
@@ -522,7 +508,6 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 			writeErr(w, http.StatusBadRequest, "%v", err)
 			return
 		}
-		cfg.Mode = execMode
 		cfg.Scoring = scored
 		var rep *pap.Report
 		if !s.dispatch(execCtx, w, func() {
@@ -547,11 +532,9 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 			PrefilterSkippedBytes: st.PrefilterSkippedBytes,
 			BaselineSkippedBytes:  st.BaselineSkippedBytes,
 		})
-		s.sfaMappings.Add(st.SFAMappings)
-		s.sfaCompositions.Add(st.SFAComposeOps)
 	default:
 		writeErr(w, http.StatusBadRequest,
-			`mode must be "sequential" (default), "parallel" or "sfa", got %q`, mode)
+			`mode must be "sequential" (default) or "parallel", got %q`, mode)
 		return
 	}
 

@@ -150,8 +150,6 @@ type Server struct {
 	engineSwitches   *Counter
 	prefilterSkipped *Counter
 	baselineSkipped  *Counter
-	sfaMappings      *Counter
-	sfaCompositions  *Counter
 	scoredMatches    *Counter
 }
 
@@ -188,10 +186,6 @@ func New(cfg Config) *Server {
 		"Input bytes the literal/class prefilter proved inert and never stepped.", "")
 	s.baselineSkipped = m.Counter("papd_baseline_skipped_bytes_total",
 		"Input bytes the exact baseline-skip fast path scanned past instead of stepping.", "")
-	s.sfaMappings = m.Counter("papd_sfa_mappings_total",
-		"Entry-to-exit mapping flows run by SFA-mode parallel matches.", "")
-	s.sfaCompositions = m.Counter("papd_sfa_compositions_total",
-		"Boundary composition operations performed by SFA-mode parallel matches.", "")
 	s.scoredMatches = m.Counter("papd_scored_matches_total",
 		"Matches returned with per-transition scores attached (scored matches and stream writes).", "")
 	s.cancellations = make(map[string]*Counter)

@@ -142,19 +142,15 @@ func TestServerEndToEnd(t *testing.T) {
 		}
 	}
 
-	// SFA-mode match: same matches again, SFA stats in the AP block.
-	var sfa matchResponse
-	if code, body := doJSON(t, "POST", ts.URL+"/v1/automata/ids/match?mode=sfa&ranks=2&segments=8", payload, &sfa); code != 200 {
-		t.Fatalf("sfa match = %d %q", code, body)
+	// mode takes sequential or parallel; the SFA strategy is not on the
+	// wire, and the error names the two modes.
+	var bad struct {
+		Error string `json:"error"`
 	}
-	if sfa.AP == nil || !sfa.AP.Verified || sfa.AP.Mode != "sfa" {
-		t.Fatalf("sfa AP stats = %+v", sfa.AP)
-	}
-	if len(sfa.Matches) != len(seq.Matches) {
-		t.Fatalf("sfa found %d matches, sequential %d", len(sfa.Matches), len(seq.Matches))
-	}
-	if par.AP.Mode != "flows" {
-		t.Fatalf("parallel default exec mode = %q, want flows", par.AP.Mode)
+	code, body := doJSON(t, "POST", ts.URL+"/v1/automata/ids/match?mode=sfa&ranks=2&segments=8", payload, nil)
+	_ = json.Unmarshal(body, &bad)
+	if code != 400 || !strings.Contains(bad.Error, `"sequential"`) || !strings.Contains(bad.Error, `"parallel"`) {
+		t.Fatalf("mode=sfa = %d %q, want 400 naming sequential and parallel", code, body)
 	}
 
 	// Bad parallel params.
@@ -225,14 +221,15 @@ func TestServerEndToEnd(t *testing.T) {
 		"papd_streams_active 0",
 		"papd_automata_registered 1",
 		`papd_automaton_matches_total{automaton="ids"}`,
-		"papd_parallel_speedup_count 2",
+		"papd_parallel_speedup_count 1",
 		"papd_stream_bytes_total 32768",
-		"papd_sfa_mappings_total",
-		"papd_sfa_compositions_total",
 	} {
 		if !strings.Contains(string(metrics), want) {
 			t.Errorf("metrics missing %q", want)
 		}
+	}
+	if strings.Contains(string(metrics), "papd_sfa") {
+		t.Error("metrics still carry an SFA family")
 	}
 	if t.Failed() {
 		t.Logf("metrics output:\n%s", metrics)
@@ -484,14 +481,14 @@ func scrubbed(t *testing.T, what string, body []byte) string {
 
 // TestWireSelectsNothing pins the rule docs/SERVER.md states: nothing on
 // the wire selects how an answer is computed. A request that still sends
-// the removed engine= / serial_segments= parameters (query and body
-// spellings, valid and invalid values alike) gets, timings and ids aside,
+// the removed engine= / serial_segments= / speculate= parameters (query
+// and body spellings, valid and invalid values alike) gets, timings and ids aside,
 // byte for byte the response of one that does not; no response names an
 // engine; and the metrics carry one engine-steps series and none of the
 // per-kind ones.
 func TestWireSelectsNothing(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	const removed = "engine=sparse&serial_segments=true"
+	const removed = "engine=sparse&serial_segments=true&speculate=true"
 
 	register := func(name string, extra map[string]any) string {
 		req := map[string]any{"name": name, "patterns": []string{"attack", "ne+dle"}}
@@ -511,7 +508,7 @@ func TestWireSelectsNothing(t *testing.T) {
 	}
 
 	payload := testInput(1<<14, 5, "attack", "needle")
-	for _, q := range []string{"", "mode=parallel&segments=4", "mode=sfa&segments=4"} {
+	for _, q := range []string{"", "mode=parallel&segments=4", "mode=parallel&ranks=2&segments=8"} {
 		var got [2]string
 		for i, query := range []string{q, q + "&" + removed} {
 			code, body := doJSON(t, "POST", ts.URL+"/v1/automata/w1/match?"+query, payload, nil)
@@ -524,7 +521,7 @@ func TestWireSelectsNothing(t *testing.T) {
 			t.Errorf("match ?%s differs with the removed parameters:\n%s\n%s", q, got[0], got[1])
 		}
 	}
-	if code, body := doJSON(t, "POST", ts.URL+"/v1/automata/w1/match?engine=quantum&serial_segments=zzz", payload, nil); code != 200 {
+	if code, body := doJSON(t, "POST", ts.URL+"/v1/automata/w1/match?mode=parallel&engine=quantum&serial_segments=zzz&speculate=zzz", payload, nil); code != 200 {
 		t.Errorf("match with unparseable removed parameters = %d %q, want 200: they are ignored, not validated", code, body)
 	}
 
@@ -594,10 +591,11 @@ func TestSequentialMatchCountsEngineSwitches(t *testing.T) {
 }
 
 // TestAPStatsWireKeys pins the "ap" object of a parallel match response —
-// its key set, key order and JSON value types — for a flows, an sfa and a
-// scored request. The lists are literal, taken from the responses of the
-// commit before pap.RunStats itself became the wire record, so the struct
-// and its tags cannot drift from what clients already parse.
+// its key set, key order and JSON value types — for a plain and a scored
+// request. The lists are literal, taken from the responses of the commit
+// before pap.RunStats itself became the wire record, less the mode and SFA
+// keys that left with SFA mode, so the struct and its tags cannot drift
+// from what clients already parse.
 func TestAPStatsWireKeys(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	reg, _ := json.Marshal(registerRequest{
@@ -615,7 +613,7 @@ func TestAPStatsWireKeys(t *testing.T) {
 		"cut_range:number", "avg_active_flows:number",
 		"switch_overhead_pct:number", "false_report_ratio:number",
 		"engine_switches:number", "prefilter_skipped:number",
-		"baseline_skipped:number", "exec_mode:string",
+		"baseline_skipped:number",
 	}
 	with := func(extra ...string) []string {
 		return append(append(append([]string{}, common...), extra...), "verified:bool")
@@ -625,7 +623,6 @@ func TestAPStatsWireKeys(t *testing.T) {
 		want  []string
 	}{
 		{"mode=parallel&ranks=2&segments=8", with()},
-		{"mode=sfa&ranks=2&segments=8", with("sfa_mappings:number", "sfa_compose_ops:number")},
 		{"mode=parallel&ranks=2&segments=8&scored=true", with("scored:bool", "scored_reports:number")},
 	}
 	for _, c := range cases {

@@ -128,63 +128,6 @@ func (k EngineKind) toKind() engine.Kind {
 	return engine.Kind(k)
 }
 
-// ExecMode selects the parallel execution strategy of MatchParallel: how
-// the unknown entry state of each input segment is resolved. Both modes
-// produce exactly the sequential match set (verified on every run); they
-// differ in the work the modelled machine does.
-type ExecMode int
-
-const (
-	// ExecFlows (the default) is the paper's start-state enumeration: one
-	// AP flow per enumeration unit, false flows killed by deactivation,
-	// convergence, and Flow Invalidation Vectors from the predecessor
-	// segment.
-	ExecFlows ExecMode = iota
-	// ExecSFA runs one flow per frontier-equivalence class and composes
-	// the per-segment entry→exit state mappings at segment boundaries
-	// (function composition in the style of simultaneous finite automata),
-	// with Rabin-style fingerprints making the equivalence checks hash
-	// compares. No Flow Invalidation Vectors are sent.
-	ExecSFA
-)
-
-// ExecModeNames returns the parseable names of every execution mode, in
-// ExecMode order ("flows", "sfa").
-func ExecModeNames() []string { return core.ModeNames() }
-
-// String returns the parseable mode name (see ExecModeNames).
-func (m ExecMode) String() string { return m.toMode().String() }
-
-// ParseExecMode parses an execution mode name: "flows" (or the empty
-// string) and "sfa". Unknown names return an error listing the valid
-// modes.
-func ParseExecMode(s string) (ExecMode, error) {
-	if s == "" {
-		return ExecFlows, nil
-	}
-	m, err := core.ParseMode(s)
-	if err != nil {
-		return ExecFlows, fmt.Errorf("pap: %v", err)
-	}
-	return ExecMode(m), nil
-}
-
-// ExecMode mirrors core.Mode value for value (see the EngineKind
-// assertions above).
-var (
-	_ = [1]struct{}{}[ExecFlows-ExecMode(core.ModeFlows)]
-	_ = [1]struct{}{}[ExecSFA-ExecMode(core.ModeSFA)]
-)
-
-// toMode converts to the internal mode; undeclared values select the
-// default, as the zero value does.
-func (m ExecMode) toMode() core.Mode {
-	if m < 0 || m > ExecSFA {
-		return core.ModeFlows
-	}
-	return core.Mode(m)
-}
-
 // Rule pairs a pattern with the code its matches report.
 type Rule struct {
 	Pattern string
@@ -459,20 +402,10 @@ type Config struct {
 	Ranks int
 	// MaxSegments caps parallelism below the board limit (0 = board limit).
 	MaxSegments int
-	// Speculate replaces start-state enumeration with speculative
-	// execution (idle-boundary prediction + serial re-execution of
-	// mispredicted segments). Exactness is preserved; speedup collapses on
-	// streams with dense match activity.
-	Speculate bool
 	// Engine selects the execution backend for every simulated flow
 	// (default EngineAuto). It changes simulator wall-clock time only,
 	// never matches or modelled AP cycles.
 	Engine EngineKind
-	// Mode selects the parallel execution strategy (default ExecFlows,
-	// the paper's enumeration; ExecSFA composes per-segment state
-	// mappings instead). Matches are identical either way; modelled
-	// cycles and flow statistics differ. Incompatible with Speculate.
-	Mode ExecMode
 	// Scoring forces per-transition score tracking during parallel
 	// matching even when the automaton carries no scored transitions
 	// (every score is then 0 — useful for ablation and conformance
@@ -496,9 +429,7 @@ func (c Config) toCore() core.Config {
 	}
 	cfg := core.DefaultConfig(ranks)
 	cfg.MaxSegments = c.MaxSegments
-	cfg.Speculate = c.Speculate
 	cfg.Engine = c.Engine.toKind()
-	cfg.Mode = c.Mode.toMode()
 	cfg.Scored = c.Scoring
 	return cfg
 }
@@ -538,20 +469,10 @@ type RunStats struct {
 	// boundary run. Exact for every observable and deterministic across
 	// schedulers; skipped symbols still charge their modelled AP cycles.
 	BaselineSkippedBytes int64 `json:"baseline_skipped"`
-	// Mode is the execution strategy that produced this run ("flows" or
-	// "sfa").
-	Mode string `json:"exec_mode"`
-	// SFAMappings is the number of entry→exit mapping flows SFA mode ran
-	// (one per frontier-equivalence class per segment; 0 in flow mode).
-	SFAMappings int64 `json:"sfa_mappings,omitempty"`
-	// SFAComposeOps counts the elementary operations of the boundary
-	// composition pass: exit states merged plus subset probes performed
-	// (0 in flow mode).
-	SFAComposeOps int64 `json:"sfa_compose_ops,omitempty"`
 	// FingerprintCollisions counts hash-equal-but-different state-vector
 	// pairs caught by the full compare backing every fingerprint fast
-	// path (convergence, deactivation, SFA class grouping and boundary
-	// cross-checks). Collisions are handled exactly, never merged.
+	// path (convergence and deactivation). Collisions are handled exactly,
+	// never merged.
 	FingerprintCollisions int64 `json:"fingerprint_collisions,omitempty"`
 	// Scored reports whether per-transition score tracking was enabled for
 	// this run (Config.Scoring, or an automaton with scored transitions).
@@ -667,9 +588,6 @@ func (a *Automaton) MatchParallelContext(ctx context.Context, input []byte, cfg 
 			EngineSwitches:        res.EngineSwitches,
 			PrefilterSkippedBytes: res.PrefilterSkipped,
 			BaselineSkippedBytes:  res.BaselineSkipped,
-			Mode:                  res.Mode.String(),
-			SFAMappings:           res.SFAMappings,
-			SFAComposeOps:         res.SFAComposeOps,
 			FingerprintCollisions: res.FingerprintCollisions,
 			Scored:                coreCfg.Scored,
 			ScoredReports:         scoredReports,

@@ -199,8 +199,8 @@ func TestMatchParallelSharesTables(t *testing.T) {
 }
 
 // TestMatchParallelConfigKnobs: every option Config keeps reaches the core
-// run — Ranks and the MaxSegments cap through the plan, Mode through the
-// strategy that ran, Speculate, Engine and Scoring through the core config.
+// run — Ranks and the MaxSegments cap through the plan, Engine and Scoring
+// through the core config, which always selects flow enumeration.
 func TestMatchParallelConfigKnobs(t *testing.T) {
 	a, err := Compile("t", []string{"abc"})
 	if err != nil {
@@ -211,29 +211,25 @@ func TestMatchParallelConfigKnobs(t *testing.T) {
 	for _, c := range []struct {
 		cfg      Config
 		segments int
-		mode     string
 	}{
-		{Config{Ranks: 1}, 16, "flows"}, // a one-half-core automaton: 16 replicas per rank
-		{Config{Ranks: 2}, 32, "flows"},
-		{Config{Ranks: 2, MaxSegments: 4}, 4, "flows"},
-		{Config{Ranks: 1, MaxSegments: 4, Mode: ExecSFA}, 4, "sfa"},
-		{Config{Ranks: 1, MaxSegments: 4, Speculate: true}, 4, "flows"},
+		{Config{Ranks: 1}, 16}, // a one-half-core automaton: 16 replicas per rank
+		{Config{Ranks: 2}, 32},
+		{Config{Ranks: 2, MaxSegments: 4}, 4},
 	} {
 		rep, err := a.MatchParallel(input, c.cfg)
 		if err != nil {
 			t.Fatalf("%+v: %v", c.cfg, err)
 		}
-		if rep.Stats.Segments != c.segments || rep.Stats.Mode != c.mode {
-			t.Errorf("%+v: %d segments in mode %q, want %d in %q",
-				c.cfg, rep.Stats.Segments, rep.Stats.Mode, c.segments, c.mode)
+		if rep.Stats.Segments != c.segments {
+			t.Errorf("%+v: %d segments, want %d", c.cfg, rep.Stats.Segments, c.segments)
 		}
 		if !reflect.DeepEqual(rep.Matches, want) {
 			t.Errorf("%+v: parallel matches differ from Match", c.cfg)
 		}
 	}
-	got := Config{Ranks: 3, MaxSegments: 5, Speculate: true, Engine: EngineBit, Mode: ExecSFA, Scoring: true}.toCore()
-	if got.Ranks != 3 || got.MaxSegments != 5 || !got.Speculate ||
-		got.Engine != engine.BitKind || got.Mode != core.ModeSFA || !got.Scored {
+	got := Config{Ranks: 3, MaxSegments: 5, Engine: EngineBit, Scoring: true}.toCore()
+	if got.Ranks != 3 || got.MaxSegments != 5 || got.Engine != engine.BitKind || !got.Scored ||
+		got.Mode != core.ModeFlows {
 		t.Fatalf("toCore dropped an option: %+v", got)
 	}
 }
@@ -241,7 +237,7 @@ func TestMatchParallelConfigKnobs(t *testing.T) {
 // TestConfigFields pins Config's exported fields, so that any growth of the
 // public option surface shows up as a diff here.
 func TestConfigFields(t *testing.T) {
-	want := []string{"Ranks", "MaxSegments", "Speculate", "Engine", "Mode", "Scoring"}
+	want := []string{"Ranks", "MaxSegments", "Engine", "Scoring"}
 	var got []string
 	typ := reflect.TypeOf(Config{})
 	for i := 0; i < typ.NumField(); i++ {

@@ -44,57 +44,6 @@ func TestStreamMatchesWholeInput(t *testing.T) {
 	}
 }
 
-// TestStreamMatchesSFAParallel: chunked streaming and SFA-mode parallel
-// matching are independent paths to the same answer. The stream runs the
-// sequential engine over arbitrary chunkings; MatchParallel with
-// Mode=ExecSFA composes per-segment state mappings. Both must report the
-// exact sequential match set.
-func TestStreamMatchesSFAParallel(t *testing.T) {
-	a, err := Compile("s", []string{"abc", "bc+d", "x.z"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	input := makeInput(1<<14, 41, "abc", "bccd", "xyz")
-
-	cfg := DefaultConfig(2)
-	cfg.Mode = ExecSFA
-	cfg.MaxSegments = 6
-	rep, err := a.MatchParallel(input, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Stats.Mode != "sfa" {
-		t.Fatalf("Stats.Mode = %q, want %q", rep.Stats.Mode, "sfa")
-	}
-	if !rep.Stats.Verified {
-		t.Fatal("SFA-mode match not verified against the golden run")
-	}
-	want := rep.Matches
-
-	rng := rand.New(rand.NewSource(41))
-	for trial := 0; trial < 5; trial++ {
-		s := a.NewStream()
-		var got []Match
-		pos := 0
-		for pos < len(input) {
-			n := 1 + rng.Intn(700)
-			if pos+n > len(input) {
-				n = len(input) - pos
-			}
-			got = append(got, s.Write(input[pos:pos+n])...)
-			pos += n
-		}
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: stream %d matches, SFA parallel %d", trial, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("trial %d match %d: stream %+v vs SFA %+v", trial, i, got[i], want[i])
-			}
-		}
-	}
-}
-
 // TestStreamMatchesAcrossChunkBoundary: a pattern split across Write calls
 // must still match.
 func TestStreamMatchesAcrossChunkBoundary(t *testing.T) {
