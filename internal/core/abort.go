@@ -68,10 +68,11 @@ func ctxAborted(err error) bool {
 // context error says how far the input was verified; otherwise ctxErr, the
 // caller context's own error, is the cause (nil when only a fault aborted
 // the run).
-func abortError(goldenErr error, segs []*segmentResult, ctxErr error) error {
+func abortError(goldenErr error, segs []segmentResult, ctxErr error) error {
 	cause := goldenErr
 	var anyErr error
-	for _, seg := range segs {
+	for j := range segs {
+		seg := &segs[j]
 		if seg.err == nil {
 			continue
 		}
@@ -91,8 +92,9 @@ func abortError(goldenErr error, segs []*segmentResult, ctxErr error) error {
 	if cause == nil {
 		return nil
 	}
-	e := &Aborted{Cause: cause}
-	for _, seg := range segs {
+	e := &Aborted{Cause: cause, Segments: make([]SegmentProgress, 0, len(segs))}
+	for j := range segs {
+		seg := &segs[j]
 		e.Segments = append(e.Segments, SegmentProgress{
 			Index:  seg.Index,
 			Start:  seg.Start,

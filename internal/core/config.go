@@ -82,8 +82,11 @@ type Config struct {
 	// known. Modelled ap.Cycles metrics are bit-identical to the
 	// serial scheduler (the conformance parity invariant asserts this);
 	// only real wall-clock time changes. Default true (DefaultConfig); set
-	// false for the serial scheduler, kept for the timing model's
-	// determinism checks and single-threaded debugging.
+	// false for the serial scheduler, which starts no goroutine: the
+	// determinism baseline of the timing model, and what pap.MatchParallel
+	// runs an input of at most 1 KiB on, since a goroutine hand-off costs
+	// more than such an input's whole simulation on most rulesets. core
+	// applies the setting as given, whatever the input length.
 	SegmentParallel bool
 
 	// Engine selects the execution backend for every engine this run

@@ -74,7 +74,7 @@ func (seg *segmentResult) entry(g *goldenRun) (engine.Boundary, bool) {
 // the cut. It returns the result, the symbols processed and, when the run
 // stopped short of the input's end, why and where.
 func (p *Plan) sequentialRun(ctx context.Context, input []byte, onCut func(engine.Boundary) error) (engine.Result, int, error) {
-	res, _, pos, err := engine.RunWithBoundaries(ctx, p.NFA, input, p.Cuts, p.Cfg.Engine, p.tables,
+	res, _, pos, err := engine.RunWithBoundaries(ctx, p.NFA, input, p.Cuts, p.Cfg.Engine, p.static.tab,
 		engine.RunOpts{DisableBaselineSkip: p.Cfg.DisableBaselineSkip, Scored: p.Cfg.Scored}, onCut)
 	if err != nil {
 		err = fmt.Errorf("golden execution at byte %d of %d: %w", pos, len(input), err)

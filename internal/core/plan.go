@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"pap/internal/ap"
 	"pap/internal/engine"
@@ -51,8 +50,8 @@ type SymbolPlan struct {
 }
 
 // Plan is the complete pre-processing result for one (automaton, input,
-// config) triple: placement, cut positions, and per-boundary-symbol flow
-// plans.
+// config) triple: placement, cut positions, and the boundary symbols in
+// use, whose flow plans it reads from the automaton's Static.
 type Plan struct {
 	NFA       *nfa.NFA
 	Cfg       Config
@@ -68,19 +67,13 @@ type Plan struct {
 	// larger range).
 	ExactCuts int
 
-	// symMu guards symPlans: NewPlan prebuilds the plan for every boundary
-	// symbol in use, but SymbolPlanFor lazily builds plans for other symbols
-	// on demand, and a Plan is driven from many goroutines (the segment
-	// drivers).
-	symMu    sync.RWMutex
-	symPlans map[byte]*SymbolPlan
-
-	// tables is the automaton's symbol→match-vector table, shared by every
-	// bit-capable engine this plan creates. Fills are atomic, so the many
-	// flow engines of one run (and their goroutines) share it race-free —
-	// and so may the caller's other runs over the same automaton, when it
-	// hands its own tables in (see RunContext).
-	tables *engine.Tables
+	// static is the automaton's input-independent pre-processing: match
+	// tables, range sizes and symbol plans, shared with every other run over
+	// the same Static (see RunContext).
+	static *Static
+	// maxFlows is the largest flow count over the plan's boundary symbols:
+	// the cut symbol and the symbol before every cut.
+	maxFlows int
 }
 
 // newEngine creates one execution engine of the configured backend kind,
@@ -91,7 +84,7 @@ func (p *Plan) newEngine() engine.Engine {
 	if p.Cfg.Scored {
 		kind = engine.ScoringKind(kind)
 	}
-	e := engine.New(kind, p.NFA, p.tables)
+	e := engine.New(kind, p.NFA, p.static.tab)
 	if p.Cfg.Scored {
 		engine.SetScoring(e, true)
 	}
@@ -101,14 +94,16 @@ func (p *Plan) newEngine() engine.Engine {
 // NewPlan runs the pre-processing pipeline of §3.5: choose the cut symbol
 // by profiling the input (unless forced), place the automaton, derive the
 // number of segments from the board, compute cut positions, and build the
-// flow plan for every boundary symbol in use. The plan's engines fill
-// private match tables.
+// flow plan for every boundary symbol in use. The plan builds all of it:
+// its Static — match tables, range sizes, symbol plans — is its own.
 func NewPlan(n *nfa.NFA, input []byte, cfg Config) (*Plan, error) {
-	return newPlan(n, input, cfg, nil)
+	return newPlan(input, cfg, NewStatic(n, nil))
 }
 
-// newPlan is NewPlan over the caller's match tables for n (nil = private).
-func newPlan(n *nfa.NFA, input []byte, cfg Config, tab *engine.Tables) (*Plan, error) {
+// newPlan is NewPlan over the automaton's shared Static: only the board,
+// the placement and the cut positions are built here.
+func newPlan(input []byte, cfg Config, st *Static) (*Plan, error) {
+	n := st.nfa
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
@@ -150,72 +145,46 @@ func newPlan(n *nfa.NFA, input []byte, cfg Config, tab *engine.Tables) (*Plan, e
 	if segments < 1 {
 		segments = 1
 	}
-	if tab == nil {
-		tab = engine.NewTables(n)
-	}
-
 	p := &Plan{
 		NFA:       n,
 		Cfg:       cfg,
 		Board:     board,
 		Placement: placement,
 		Segments:  segments,
-		symPlans:  make(map[byte]*SymbolPlan),
-		tables:    tab,
+		static:    st,
 	}
 	freq := profile(input)
 	if cfg.CutSymbol >= 0 {
 		p.CutSym = byte(cfg.CutSymbol)
 	} else {
-		p.CutSym = chooseCutSymbol(n, freq, segments)
+		p.CutSym = chooseCutSymbol(st, freq, segments)
 	}
 	p.CutFreq = freq[p.CutSym]
 	p.Cuts, p.ExactCuts = cutPositions(input, p.CutSym, segments)
 	p.Segments = len(p.Cuts) + 1
-	// Build symbol plans for every boundary symbol actually used.
+	// Build (or find) the symbol plan of every boundary symbol in use.
+	p.useSymbol(p.CutSym)
 	for _, c := range p.Cuts {
-		sym := input[c-1]
-		if _, ok := p.symPlans[sym]; !ok {
-			p.symPlans[sym] = buildSymbolPlan(n, sym, cfg)
-		}
-	}
-	if _, ok := p.symPlans[p.CutSym]; !ok {
-		p.symPlans[p.CutSym] = buildSymbolPlan(n, p.CutSym, cfg)
+		p.useSymbol(input[c-1])
 	}
 	return p, nil
 }
 
-// SymbolPlanFor returns the flow plan for one boundary symbol, building and
-// caching it on first use. Safe for concurrent callers.
-func (p *Plan) SymbolPlanFor(sym byte) *SymbolPlan {
-	p.symMu.RLock()
-	sp, ok := p.symPlans[sym]
-	p.symMu.RUnlock()
-	if ok {
-		return sp
-	}
-	p.symMu.Lock()
-	defer p.symMu.Unlock()
-	if sp, ok = p.symPlans[sym]; !ok {
-		sp = buildSymbolPlan(p.NFA, sym, p.Cfg)
-		p.symPlans[sym] = sp
-	}
-	return sp
+// useSymbol makes sym a boundary symbol of the plan, building its symbol
+// plan if no run has yet.
+func (p *Plan) useSymbol(sym byte) {
+	p.maxFlows = max(p.maxFlows, len(p.SymbolPlanFor(sym).Flows))
 }
 
-// MaxFlows returns the largest flow count across boundary symbols in use
-// (+1 for the ASG flow), the figure checked against SVC capacity.
-func (p *Plan) MaxFlows() int {
-	p.symMu.RLock()
-	defer p.symMu.RUnlock()
-	m := 0
-	for _, sp := range p.symPlans {
-		if len(sp.Flows) > m {
-			m = len(sp.Flows)
-		}
-	}
-	return m + 1
+// SymbolPlanFor returns the flow plan for one boundary symbol, building it
+// on first use. Safe for concurrent callers.
+func (p *Plan) SymbolPlanFor(sym byte) *SymbolPlan {
+	return p.static.symbolPlan(sym, &p.Cfg)
 }
+
+// MaxFlows returns the largest flow count across the plan's boundary
+// symbols (+1 for the ASG flow), the figure checked against SVC capacity.
+func (p *Plan) MaxFlows() int { return p.maxFlows + 1 }
 
 // CheckCapacity verifies the plan fits the State Vector Cache (§5.1: the
 // current AP supports 512 active flows per device; flow reduction must
@@ -237,7 +206,7 @@ func profile(input []byte) [256]int {
 // (§3.1): among symbols frequent enough to place every boundary within a
 // small window, it minimises the range size; ties go to the more frequent
 // symbol. Offline range profiling is cheap (one pass per symbol present).
-func chooseCutSymbol(n *nfa.NFA, freq [256]int, segments int) byte {
+func chooseCutSymbol(st *Static, freq [256]int, segments int) byte {
 	need := 2 * (segments - 1)
 	if need < 4 {
 		need = 4
@@ -247,7 +216,7 @@ func chooseCutSymbol(n *nfa.NFA, freq [256]int, segments int) byte {
 		if freq[s] < need {
 			continue
 		}
-		r := n.RangeSize(byte(s))
+		r := st.RangeSize(byte(s))
 		if best == -1 || r < bestRange || (r == bestRange && freq[s] > bestFreq) {
 			best, bestRange, bestFreq = s, r, freq[s]
 		}
@@ -275,6 +244,7 @@ func cutPositions(input []byte, sym byte, segments int) (cuts []int, exact int) 
 	n := len(input)
 	window := n / (4 * segments)
 	prev := 0
+	cuts = make([]int, 0, segments-1)
 	for i := 1; i < segments; i++ {
 		ideal := i * n / segments
 		pos := -1

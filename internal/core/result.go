@@ -136,17 +136,24 @@ func Run(n *nfa.NFA, input []byte, cfg Config) (*Result, error) {
 // are converted at the segment's boundary by guardSegment, the golden
 // run's at its own by runGolden.
 //
-// tab is the caller's shared match tables for n, or nil for tables private
-// to this run. A caller that matches the same automaton repeatedly passes
-// the tables its sequential runs already filled, so the golden run and the
-// flow engines build no match vector a second time.
-func RunContext(ctx context.Context, n *nfa.NFA, input []byte, cfg Config, tab *engine.Tables) (res *Result, err error) {
+// st is the caller's Static for n, or nil for one private to this run. A
+// caller that matches the same automaton repeatedly keeps one Static and
+// passes it to every run, so no run profiles a range or builds a symbol
+// plan another has built, and — when the Static shares the tables the
+// caller's sequential runs fill — the golden run and the flow engines build
+// no match vector a second time either.
+func RunContext(ctx context.Context, n *nfa.NFA, input []byte, cfg Config, st *Static) (res *Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			res, err = nil, &Aborted{Cause: fmt.Errorf("core: pre-processing panicked: %v", r)}
 		}
 	}()
-	plan, err := newPlan(n, input, cfg, tab)
+	if st == nil {
+		st = NewStatic(n, nil)
+	} else if st.nfa != n {
+		return nil, fmt.Errorf("core: Static built for automaton %q, run over %q", st.nfa.Name(), n.Name())
+	}
+	plan, err := newPlan(input, cfg, st)
 	if err != nil {
 		return nil, err
 	}
@@ -255,39 +262,96 @@ func (p *Plan) ExecuteContext(ctx context.Context, input []byte) (*Result, error
 // class in SFA mode. Nothing here reads the golden run: what a segment
 // takes from its start boundary (unit truth, entry scores) it takes when
 // it first needs it.
-func (p *Plan) buildSegments(input []byte) []*segmentResult {
+//
+// A call's segments, their SVCs, their flows and the flows' attribution
+// come in one allocation each, sized from the symbol plans in flow mode's
+// terms: a base flow per segment, then one flow per FlowSpec, which
+// attributes each unit once. SFA mode's flows take what is left and
+// allocate past it.
+func (p *Plan) buildSegments(input []byte) []segmentResult {
 	mode := p.execMode()
-	segs := make([]*segmentResult, p.Segments)
-	for j := 0; j < p.Segments; j++ {
-		start, end := 0, len(input)
+	segs := make([]segmentResult, p.Segments)
+	flows, attribs := 0, 0
+	for j := range segs {
+		seg := &segs[j]
+		seg.Index, seg.Start, seg.End, seg.InitFlows = j, 0, len(input), 1
 		if j > 0 {
-			start = p.Cuts[j-1]
+			seg.Start = p.Cuts[j-1]
+			seg.Sym = input[seg.Start-1]
+			sp := p.SymbolPlanFor(seg.Sym)
+			seg.InitFlows += len(sp.Flows)
+			attribs += len(sp.Units)
 		}
 		if j < len(p.Cuts) {
-			end = p.Cuts[j]
+			seg.End = p.Cuts[j]
 		}
-		seg := &segmentResult{
-			Index: j,
-			Start: start,
-			End:   end,
-			svc:   ap.NewSVC(p.Placement.Devices),
-		}
-		segs[j] = seg
-		base := newFlowRun(0, true) // golden flow of segment 0, ASG flow elsewhere
-		base.attrib = []attribEntry{{CC: -1, Unit: -1, From: int64(start)}}
-		seg.flows = []*flowRun{base}
-		seg.InitFlows = 1
+		flows += seg.InitFlows
+	}
+	svcs := ap.NewSVCs(len(segs), p.Placement.Devices, func(j int) int { return segs[j].InitFlows })
+	a := &flowArena{
+		runs:    make([]flowRun, flows),
+		ptrs:    make([]*flowRun, flows),
+		attribs: make([]attribEntry, len(segs)+attribs),
+	}
+	for j := range segs {
+		seg := &segs[j]
+		seg.svc = &svcs[j]
+		base := a.flow(0, true) // golden flow of segment 0, ASG flow elsewhere
+		base.attrib = append(a.attrib(1), attribEntry{CC: -1, Unit: -1, From: int64(seg.Start)})
+		seg.flows = append(a.flowList(seg.InitFlows), base)
 		if j == 0 {
-			seed := dropAllInput(sortedIDs(p.NFA.StartStates()), p.NFA)
-			base.svcID = seg.svc.AllocOverflow(seed, fingerprintOf(seed, p.NFA))
+			base.svcID = seg.svc.AllocOverflow(p.static.startSeed, p.static.startFP)
 			continue
 		}
-		seg.Sym = input[start-1]
 		base.svcID = seg.svc.AllocOverflow(nil, 0)
-		mode.seedSegment(p, seg)
+		mode.seedSegment(p, seg, a)
 		seg.InitFlows = len(seg.flows)
 	}
 	return segs
+}
+
+// flowArena hands out the flows of one call, their lists and their
+// attribution entries from slices allocated once for the whole call
+// (buildSegments); a request past the end of a slice is allocated on its
+// own.
+type flowArena struct {
+	runs    []flowRun
+	ptrs    []*flowRun
+	attribs []attribEntry
+}
+
+// flow returns a new alive flow.
+func (a *flowArena) flow(id int, asg bool) *flowRun {
+	var f *flowRun
+	if len(a.runs) > 0 {
+		f, a.runs = &a.runs[0], a.runs[1:]
+	} else {
+		f = new(flowRun)
+	}
+	*f = flowRun{id: id, asg: asg, alive: true}
+	return f
+}
+
+// flowList returns an empty flow list with room for n flows.
+func (a *flowArena) flowList(n int) []*flowRun {
+	if n > len(a.ptrs) {
+		return make([]*flowRun, 0, n)
+	}
+	l := a.ptrs[:0:n]
+	a.ptrs = a.ptrs[n:]
+	return l
+}
+
+// attrib returns an empty attribution list with room for n entries; a
+// convergence merge that appends past them reallocates the survivor's list
+// rather than overrun its neighbour's.
+func (a *flowArena) attrib(n int) []attribEntry {
+	if n > len(a.attribs) {
+		return make([]attribEntry, 0, n)
+	}
+	l := a.attribs[:0:n]
+	a.attribs = a.attribs[n:]
+	return l
 }
 
 // chainSegment performs the host-side truth-propagation step for one
@@ -378,10 +442,20 @@ func dropAllInput(sorted []nfa.StateID, n *nfa.NFA) []nfa.StateID {
 // report's offset. Baseline-caused reports are kept via the always-true
 // entries of the ASG/golden flows. The result is compared against the
 // golden sequential run.
-func (p *Plan) compose(res *Result, segs []*segmentResult) {
-	ccIDs, _ := p.NFA.ConnectedComponents()
+func (p *Plan) compose(res *Result, segs []segmentResult) {
+	ccIDs := p.static.cc
+	n := 0
+	for j := range segs {
+		for _, f := range segs[j].flows {
+			n += len(f.reports)
+		}
+	}
 	var out []engine.Report
-	for _, seg := range segs {
+	if n > 0 {
+		out = make([]engine.Report, 0, n)
+	}
+	for j := range segs {
+		seg := &segs[j]
 		for _, f := range seg.flows {
 			for _, r := range f.reports {
 				if attribTrue(f.attrib, seg.unitTrue, ccIDs[r.State], r.Offset) {
@@ -396,12 +470,14 @@ func (p *Plan) compose(res *Result, segs []*segmentResult) {
 }
 
 // aggregate fills the whole-run metrics from per-segment results.
-func (p *Plan) aggregate(res *Result, segs []*segmentResult) {
+func (p *Plan) aggregate(res *Result, segs []segmentResult) {
 	var flowRounds, rounds int64
 	var switchCyc, cyc, hostCyc ap.Cycles
 	var events, trans int64
 	hostSamples := 0
-	for _, seg := range segs {
+	res.Segments = make([]SegmentStats, 0, len(segs))
+	for j := range segs {
+		seg := &segs[j]
 		res.Segments = append(res.Segments, SegmentStats{
 			Index:            seg.Index,
 			Start:            seg.Start,

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 
 	"pap/internal/ap"
-	"pap/internal/engine"
 	"pap/internal/faultinject"
 )
 
@@ -213,22 +212,24 @@ func (p *Plan) guardSegment(seg *segmentResult, body func()) {
 // scheduler is checked against. The first segment error (context
 // cancellation, fault, recovered panic) stops the chain; later segments
 // keep their zero progress for the abort report.
-func (p *Plan) executeSerial(ctx context.Context, segs []*segmentResult, input []byte, g *goldenRun) {
-	e := p.newEngine()
+func (p *Plan) executeSerial(ctx context.Context, segs []segmentResult, input []byte, g *goldenRun) {
+	h := p.newHalfCore()
+	sched := &serialFIV{}
 	var prevKnown ap.Cycles
-	for j, seg := range segs {
-		fivAt := maxCycles
+	for j := range segs {
+		seg := &segs[j]
+		sched.fivAt = maxCycles
 		if j > 0 && p.fivEnabled() {
-			fivAt = prevKnown + ap.FIVTransferCycles
+			sched.fivAt = prevKnown + ap.FIVTransferCycles
 		}
 		p.guardSegment(seg, func() {
-			p.runSegmentRounds(ctx, seg, input, e, g, serialFIV{fivAt})
+			p.runSegmentRounds(ctx, seg, input, h, g, sched)
 			if seg.err != nil {
 				return
 			}
 			var next *segmentResult
 			if j+1 < len(segs) {
-				next = segs[j+1]
+				next = &segs[j+1]
 			}
 			prevKnown = p.chainSegment(seg, next, prevKnown)
 		})
@@ -269,7 +270,7 @@ func (p *Plan) executeSerial(ctx context.Context, segs []*segmentResult, input [
 // marking itself done, so no one blocks on a truth that will never be
 // published. executeParallel always joins every goroutine it started
 // before returning — cancellation leaks nothing.
-func (p *Plan) executeParallel(ctx context.Context, segs []*segmentResult, input []byte, g *goldenRun) {
+func (p *Plan) executeParallel(ctx context.Context, segs []segmentResult, input []byte, g *goldenRun) {
 	runCtx, cancelRun := context.WithCancel(ctx)
 	defer cancelRun()
 	cells := newTruthCells(len(segs))
@@ -292,7 +293,7 @@ func (p *Plan) executeParallel(ctx context.Context, segs []*segmentResult, input
 		}()
 	}
 	drive = func() {
-		var e engine.Engine
+		var h *halfCore
 		// A failed run takes no further segment: the unstarted ones keep
 		// their zero progress.
 		for runCtx.Err() == nil {
@@ -300,11 +301,11 @@ func (p *Plan) executeParallel(ctx context.Context, segs []*segmentResult, input
 			if j >= len(segs) {
 				return
 			}
-			p.guardSegment(segs[j], func() {
-				if e == nil {
-					e = p.newEngine()
+			p.guardSegment(&segs[j], func() {
+				if h == nil {
+					h = p.newHalfCore()
 				}
-				p.driveSegment(runCtx, segs, j, cells, input, e, g)
+				p.driveSegment(runCtx, segs, j, cells, input, h, g)
 			})
 			cells[j].abort() // no-op when resolve already ran
 			if segs[j].err != nil {
@@ -322,15 +323,15 @@ func (p *Plan) executeParallel(ctx context.Context, segs []*segmentResult, input
 	wg.Wait()
 }
 
-// driveSegment is one segment's part of executeParallel: its rounds on e,
+// driveSegment is one segment's part of executeParallel: its rounds on h,
 // then the chain step, gated on and published through the truth cells.
-func (p *Plan) driveSegment(ctx context.Context, segs []*segmentResult, j int, cells []truthCell, input []byte, e engine.Engine, g *goldenRun) {
-	seg := segs[j]
+func (p *Plan) driveSegment(ctx context.Context, segs []segmentResult, j int, cells []truthCell, input []byte, h *halfCore, g *goldenRun) {
+	seg := &segs[j]
 	var pred *truthCell
 	if j > 0 {
 		pred = &cells[j-1]
 	}
-	p.runSegmentRounds(ctx, seg, input, e, g, &pipelineFIV{pred: pred, self: &cells[j]})
+	p.runSegmentRounds(ctx, seg, input, h, g, &pipelineFIV{pred: pred, self: &cells[j]})
 	if seg.err != nil {
 		return
 	}
@@ -348,7 +349,7 @@ func (p *Plan) driveSegment(ctx context.Context, segs []*segmentResult, j int, c
 	}
 	var next *segmentResult
 	if j+1 < len(segs) {
-		next = segs[j+1]
+		next = &segs[j+1]
 	}
 	known := p.chainSegment(seg, next, prevKnown)
 	if seg.err != nil {

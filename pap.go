@@ -154,11 +154,23 @@ type Automaton struct {
 	// concurrent use; sparse-only runs never pay for them).
 	tabOnce sync.Once
 	tab     *engine.Tables
+
+	// staticOnce/static lazily build the input-independent half of
+	// MatchParallel's pre-processing — range sizes and symbol plans, over
+	// the tables above — once for every parallel match of the automaton.
+	// Sequential matching and streaming never build it.
+	staticOnce sync.Once
+	static     *core.Static
 }
 
 func (a *Automaton) tables() *engine.Tables {
 	a.tabOnce.Do(func() { a.tab = engine.NewTables(a.n) })
 	return a.tab
+}
+
+func (a *Automaton) plan() *core.Static {
+	a.staticOnce.Do(func() { a.static = core.NewStatic(a.n, a.tables()) })
+	return a.static
 }
 
 // Compile builds an automaton from patterns; rule i reports code i.
@@ -539,19 +551,32 @@ func (a *Automaton) MatchParallel(input []byte, cfg Config) (*Report, error) {
 	return a.MatchParallelContext(context.Background(), input, cfg)
 }
 
+// serialMaxInput is the longest input MatchParallel simulates on the
+// calling goroutine alone: the golden run, then the segments in turn, as
+// under core's serial scheduler. For inputs this short a goroutine hand-off
+// costs more than the simulation it would share, on most rulesets; the
+// modelled AP execution is the same either way, only wall-clock time
+// differs. The value is the largest size at which the serial scheduler is
+// at least as fast as the parallel one in the geometric mean over the
+// rulesets of BenchmarkMatchParallelBySize (table in DESIGN.md §5b).
+const serialMaxInput = 1 << 10
+
 // MatchParallelContext is MatchParallel under a context: a cancelled or
 // expired ctx stops every segment at its next TDM round boundary — within
 // 4096 symbols, like a sequential match — and the golden run beside them
 // at its next poll (the per-symbol inner loops stay check-free), and
 // returns ctx's error wrapped in *AbortError with per-segment progress.
-// Up to GOMAXPROCS segments are simulated at once, the golden run
-// included; no goroutine outlives the call.
+// An input longer than 1 KiB is simulated on up to GOMAXPROCS goroutines
+// at once, the caller's and the golden run's included; a shorter one on the
+// caller alone. No goroutine outlives the call.
 func (a *Automaton) MatchParallelContext(ctx context.Context, input []byte, cfg Config) (*Report, error) {
 	coreCfg := cfg.toCore()
 	if a.n.Scored() {
 		coreCfg.Scored = true // scored automata always track (see Config.Scoring)
 	}
-	res, err := core.RunContext(ctx, a.n, input, coreCfg, a.tables())
+	coreCfg.SegmentParallel = len(input) > serialMaxInput
+	st := a.plan()
+	res, err := core.RunContext(ctx, a.n, input, coreCfg, st)
 	if err != nil {
 		var ab *core.Aborted
 		if errors.As(err, &ab) {
@@ -581,7 +606,7 @@ func (a *Automaton) MatchParallelContext(ctx context.Context, input []byte, cfg 
 			BaselineNS:            res.BaselineCycles.Nanoseconds(),
 			ParallelNS:            res.TotalCycles.Nanoseconds(),
 			CutSymbol:             res.Plan.CutSym,
-			CutRange:              a.n.RangeSize(res.Plan.CutSym),
+			CutRange:              st.RangeSize(res.Plan.CutSym),
 			AvgActiveFlows:        res.AvgActiveFlows,
 			SwitchOverheadPct:     res.SwitchOverheadPct,
 			FalseReportRatio:      res.ReportIncrease,
