@@ -544,7 +544,7 @@ func checkCancellation(c *Case, oracle []engine.Report, rng *rand.Rand) (string,
 			}
 			return nil
 		}
-		res, err := core.RunContext(ctx, c.NFA, c.Input, cfg, nil)
+		res, err := core.RunContext(ctx, core.NewStatic(c.NFA, nil), c.Input, cfg)
 		cancel()
 
 		if fired.Load() {

@@ -133,7 +133,7 @@ func TestChaosStages(t *testing.T) {
 						ctx, cancel = context.WithTimeout(ctx, 5*time.Millisecond)
 						defer cancel()
 					}
-					res, err := RunContext(ctx, n, in, cfg, nil)
+					res, err := RunContext(ctx, NewStatic(n, nil), in, cfg)
 
 					if err == nil {
 						if action != faultinject.Delay {
@@ -206,7 +206,7 @@ func TestChaosSeeded(t *testing.T) {
 		// The deadline bounds scenarios dominated by persistent delays;
 		// hitting it is a legal outcome, not a failure.
 		ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
-		res, err := RunContext(ctx, nfa, input, cfg, nil)
+		res, err := RunContext(ctx, NewStatic(nfa, nil), input, cfg)
 		cancel()
 
 		switch {
@@ -254,7 +254,7 @@ func TestChaosCancelMidRun(t *testing.T) {
 			}
 			return nil
 		}
-		res, err := RunContext(ctx, nfa, input, cfg, nil)
+		res, err := RunContext(ctx, NewStatic(nfa, nil), input, cfg)
 		cancel()
 		if err == nil {
 			t.Fatalf("parallel=%v: run survived cancellation", parallel)
@@ -305,7 +305,7 @@ func TestChaosCancelGoldenMidInput(t *testing.T) {
 			}
 			return nil
 		}
-		res, err := RunContext(ctx, nfa, input, cfg, nil)
+		res, err := RunContext(ctx, NewStatic(nfa, nil), input, cfg)
 		cancel()
 		if res != nil || !errors.Is(err, context.Canceled) {
 			t.Fatalf("%v: result %v, error %v; want no result and context.Canceled", mode, res, err)

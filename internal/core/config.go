@@ -84,9 +84,9 @@ type Config struct {
 	// only real wall-clock time changes. Default true (DefaultConfig); set
 	// false for the serial scheduler, which starts no goroutine: the
 	// determinism baseline of the timing model, and what pap.MatchParallel
-	// runs an input of at most 1 KiB on, since a goroutine hand-off costs
-	// more than such an input's whole simulation on most rulesets. core
-	// applies the setting as given, whatever the input length.
+	// runs an input of at most 256 bytes on, since a goroutine hand-off
+	// costs at least as much as it saves on such an input. core applies the
+	// setting as given, whatever the input length.
 	SegmentParallel bool
 
 	// Engine selects the execution backend for every engine this run

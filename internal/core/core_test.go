@@ -138,7 +138,7 @@ func TestChooseCutSymbolPrefersSmallRange(t *testing.T) {
 	var freq [256]int
 	freq['z'] = 100
 	freq['a'] = 100
-	sym := chooseCutSymbol(NewStatic(n, nil), freq, 4)
+	sym := chooseCutSymbol(n, freq, 4)
 	if sym != 'z' {
 		t.Fatalf("chose %q, want 'z' (range %d vs %d)", sym, n.RangeSize(sym), n.RangeSize('z'))
 	}

@@ -157,7 +157,7 @@ func newPlan(input []byte, cfg Config, st *Static) (*Plan, error) {
 	if cfg.CutSymbol >= 0 {
 		p.CutSym = byte(cfg.CutSymbol)
 	} else {
-		p.CutSym = chooseCutSymbol(st, freq, segments)
+		p.CutSym = chooseCutSymbol(n, freq, segments)
 	}
 	p.CutFreq = freq[p.CutSym]
 	p.Cuts, p.ExactCuts = cutPositions(input, p.CutSym, segments)
@@ -206,7 +206,7 @@ func profile(input []byte) [256]int {
 // (§3.1): among symbols frequent enough to place every boundary within a
 // small window, it minimises the range size; ties go to the more frequent
 // symbol. Offline range profiling is cheap (one pass per symbol present).
-func chooseCutSymbol(st *Static, freq [256]int, segments int) byte {
+func chooseCutSymbol(n *nfa.NFA, freq [256]int, segments int) byte {
 	need := 2 * (segments - 1)
 	if need < 4 {
 		need = 4
@@ -216,7 +216,7 @@ func chooseCutSymbol(st *Static, freq [256]int, segments int) byte {
 		if freq[s] < need {
 			continue
 		}
-		r := st.RangeSize(byte(s))
+		r := n.RangeSize(byte(s))
 		if best == -1 || r < bestRange || (r == bestRange && freq[s] > bestFreq) {
 			best, bestRange, bestFreq = s, r, freq[s]
 		}

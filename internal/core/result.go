@@ -124,7 +124,7 @@ type Result struct {
 // Run plans and executes PAP for one automaton and input, returning the
 // composed reports and all modelled metrics.
 func Run(n *nfa.NFA, input []byte, cfg Config) (*Result, error) {
-	return RunContext(context.Background(), n, input, cfg, nil)
+	return RunContext(context.Background(), NewStatic(n, nil), input, cfg)
 }
 
 // RunContext is Run under a context: a cancelled or expired ctx stops the
@@ -136,23 +136,18 @@ func Run(n *nfa.NFA, input []byte, cfg Config) (*Result, error) {
 // are converted at the segment's boundary by guardSegment, the golden
 // run's at its own by runGolden.
 //
-// st is the caller's Static for n, or nil for one private to this run. A
-// caller that matches the same automaton repeatedly keeps one Static and
-// passes it to every run, so no run profiles a range or builds a symbol
-// plan another has built, and — when the Static shares the tables the
-// caller's sequential runs fill — the golden run and the flow engines build
-// no match vector a second time either.
-func RunContext(ctx context.Context, n *nfa.NFA, input []byte, cfg Config, st *Static) (res *Result, err error) {
+// st is the automaton to run, with its input-independent pre-processing
+// (NewStatic). A caller that matches the same automaton repeatedly keeps
+// one Static and passes it to every run, so no run builds a symbol plan
+// another has built, and — when the Static shares the tables the caller's
+// sequential runs fill — the golden run and the flow engines build no
+// match vector a second time either.
+func RunContext(ctx context.Context, st *Static, input []byte, cfg Config) (res *Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			res, err = nil, &Aborted{Cause: fmt.Errorf("core: pre-processing panicked: %v", r)}
 		}
 	}()
-	if st == nil {
-		st = NewStatic(n, nil)
-	} else if st.nfa != n {
-		return nil, fmt.Errorf("core: Static built for automaton %q, run over %q", st.nfa.Name(), n.Name())
-	}
 	plan, err := newPlan(input, cfg, st)
 	if err != nil {
 		return nil, err
@@ -443,7 +438,7 @@ func dropAllInput(sorted []nfa.StateID, n *nfa.NFA) []nfa.StateID {
 // entries of the ASG/golden flows. The result is compared against the
 // golden sequential run.
 func (p *Plan) compose(res *Result, segs []segmentResult) {
-	ccIDs := p.static.cc
+	ccIDs, _ := p.NFA.ConnectedComponents()
 	n := 0
 	for j := range segs {
 		for _, f := range segs[j].flows {

@@ -8,13 +8,14 @@ import (
 )
 
 // Static is the input-independent half of pre-processing for one automaton
-// (§3.5, Figure 7): the match tables every engine of a run shares, range
-// profiling, and the enumeration plan of every boundary symbol. Only the
+// (§3.5, Figure 7): the match tables every engine of a run shares and the
+// enumeration plan of every boundary symbol. (Range profiling is cached on
+// the NFA itself.) Only the
 // cut positions depend on the input, so a caller that matches one automaton
 // many times keeps one Static and hands it to every RunContext; each run
 // then pays for its own segments and flows only.
 //
-// Range sizes and symbol plans are built on first use, lock-free, and
+// Symbol plans are built on first use, lock-free, and
 // read-only once built: concurrent first uses may build duplicates, one of
 // which is published and seen by every caller thereafter (the builds are
 // deterministic, so which one does not matter). SymbolPlans stay read-only
@@ -23,15 +24,12 @@ import (
 type Static struct {
 	nfa *nfa.NFA
 	tab *engine.Tables
-	cc  []int32 // connected component of every state
 
 	// startSeed is the golden flow's start context: the start states minus
 	// the all-input ones, sorted, with its fingerprint.
 	startSeed []nfa.StateID
 	startFP   uint64
 
-	// ranges holds |Range(σ)| + 1 per symbol; 0 = not yet computed.
-	ranges [256]atomic.Int32
 	// plans holds the SymbolPlans, one table per value of the Config
 	// fields buildSymbolPlan reads (symbolPlanKey), allocated on the first
 	// plan under that value.
@@ -47,21 +45,9 @@ func NewStatic(n *nfa.NFA, tab *engine.Tables) *Static {
 		tab = engine.NewTables(n)
 	}
 	s := &Static{nfa: n, tab: tab}
-	s.cc, _ = n.ConnectedComponents()
 	s.startSeed = dropAllInput(sortedIDs(n.StartStates()), n)
 	s.startFP = fingerprintOf(s.startSeed, n)
 	return s
-}
-
-// RangeSize returns |Range(sym)|, the number of states sym can enable
-// (§3.1), computing it on first use.
-func (s *Static) RangeSize(sym byte) int {
-	if r := s.ranges[sym].Load(); r > 0 {
-		return int(r - 1)
-	}
-	r := s.nfa.RangeSize(sym)
-	s.ranges[sym].Store(int32(r + 1))
-	return r
 }
 
 // symbolPlanKey indexes Static.plans by the Config fields buildSymbolPlan

@@ -7,22 +7,18 @@ import "sort"
 // "disconnected sub-graphs" of §3.3.1: patterns that share no states. The
 // result is computed once and cached; safe for concurrent use.
 func (n *NFA) ConnectedComponents() (ids []int32, count int) {
-	n.analysisMu.Lock()
-	defer n.analysisMu.Unlock()
-	return n.ccLocked()
+	n.ccOnce.Do(n.computeCC)
+	return n.cc, n.ccCount
 }
 
-// ccLocked computes/returns the component table; analysisMu must be held.
-func (n *NFA) ccLocked() (ids []int32, count int) {
-	if n.cc != nil {
-		return n.cc, n.ccCount
-	}
-	ids = make([]int32, len(n.states))
+// computeCC fills the component table.
+func (n *NFA) computeCC() {
+	ids := make([]int32, len(n.states))
 	for i := range ids {
 		ids[i] = -1
 	}
 	var stack []StateID
-	count = 0
+	count := 0
 	for root := range n.states {
 		if ids[root] != -1 {
 			continue
@@ -49,7 +45,6 @@ func (n *NFA) ccLocked() (ids []int32, count int) {
 		}
 	}
 	n.cc, n.ccCount = ids, count
-	return ids, count
 }
 
 // CCOf returns the connected-component ID of state q.
@@ -61,16 +56,16 @@ func (n *NFA) CCOf(q StateID) int32 {
 // Range returns the range of symbol σ (§3.1): the sorted union of the
 // children of every state whose label matches σ. During execution, after
 // consuming σ the enabled set is always a subset of Range(σ) ∪ AllInput.
-// The result is cached; callers must not modify it. Safe for concurrent
-// use: each cache entry is written exactly once under analysisMu and never
-// mutated afterwards.
+// The result is computed once per symbol and cached; callers must not
+// modify it. Safe for concurrent use, and lock-free once computed.
 func (n *NFA) Range(sym byte) []StateID {
-	n.analysisMu.Lock()
-	defer n.analysisMu.Unlock()
 	e := &n.rangeTab[sym]
-	if e.computed {
-		return e.states
-	}
+	e.once.Do(func() { e.states = n.computeRange(sym) })
+	return e.states
+}
+
+// computeRange builds Range(sym).
+func (n *NFA) computeRange(sym byte) []StateID {
 	seen := make(map[StateID]struct{})
 	for q := range n.states {
 		if !n.states[q].Label.Test(sym) {
@@ -85,7 +80,6 @@ func (n *NFA) Range(sym byte) []StateID {
 		out = append(out, q)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	e.computed, e.states = true, out
 	return out
 }
 

@@ -65,19 +65,19 @@ type NFA struct {
 	startOfData []StateID
 	allInput    []StateID
 
-	// lazily computed analyses, guarded by analysisMu so that one compiled
-	// NFA can be shared by concurrent planners (compile-once,
-	// share-everywhere). Each cache is written exactly once; engines only
-	// read precomputed fields and never touch these.
-	analysisMu sync.Mutex
-	cc         []int32
-	ccCount    int
-	rangeTab   []rangeEntry
+	// lazily computed analyses, each computed once under its sync.Once so
+	// that one compiled NFA can be shared by concurrent planners
+	// (compile-once, share-everywhere) and read lock-free afterwards.
+	// Engines only read precomputed fields and never touch these.
+	ccOnce   sync.Once
+	cc       []int32
+	ccCount  int
+	rangeTab []rangeEntry
 }
 
 type rangeEntry struct {
-	computed bool
-	states   []StateID // sorted union of children of all σ-labelled states
+	once   sync.Once
+	states []StateID // sorted union of children of all σ-labelled states
 }
 
 // Name returns the automaton's name (for reporting).

@@ -553,30 +553,28 @@ func (a *Automaton) MatchParallel(input []byte, cfg Config) (*Report, error) {
 
 // serialMaxInput is the longest input MatchParallel simulates on the
 // calling goroutine alone: the golden run, then the segments in turn, as
-// under core's serial scheduler. For inputs this short a goroutine hand-off
-// costs more than the simulation it would share, on most rulesets; the
-// modelled AP execution is the same either way, only wall-clock time
-// differs. The value is the largest size at which the serial scheduler is
-// at least as fast as the parallel one in the geometric mean over the
-// rulesets of BenchmarkMatchParallelBySize (table in DESIGN.md §5b).
-const serialMaxInput = 1 << 10
+// under core's serial scheduler. The modelled AP execution is the same
+// either way, only wall-clock time differs. The value is the largest size
+// of BenchmarkMatchParallelBySize at which the serial scheduler is at least
+// as fast as the parallel one on every ruleset (table in DESIGN.md §5b), and
+// the record size of the repository benchmark's needle_requests workload.
+const serialMaxInput = 256
 
 // MatchParallelContext is MatchParallel under a context: a cancelled or
 // expired ctx stops every segment at its next TDM round boundary — within
 // 4096 symbols, like a sequential match — and the golden run beside them
 // at its next poll (the per-symbol inner loops stay check-free), and
 // returns ctx's error wrapped in *AbortError with per-segment progress.
-// An input longer than 1 KiB is simulated on up to GOMAXPROCS goroutines
-// at once, the caller's and the golden run's included; a shorter one on the
-// caller alone. No goroutine outlives the call.
+// An input longer than 256 bytes is simulated on up to GOMAXPROCS
+// goroutines at once, the caller's and the golden run's included; a shorter
+// one on the caller alone. No goroutine outlives the call.
 func (a *Automaton) MatchParallelContext(ctx context.Context, input []byte, cfg Config) (*Report, error) {
 	coreCfg := cfg.toCore()
 	if a.n.Scored() {
 		coreCfg.Scored = true // scored automata always track (see Config.Scoring)
 	}
 	coreCfg.SegmentParallel = len(input) > serialMaxInput
-	st := a.plan()
-	res, err := core.RunContext(ctx, a.n, input, coreCfg, st)
+	res, err := core.RunContext(ctx, a.plan(), input, coreCfg)
 	if err != nil {
 		var ab *core.Aborted
 		if errors.As(err, &ab) {
@@ -606,7 +604,7 @@ func (a *Automaton) MatchParallelContext(ctx context.Context, input []byte, cfg 
 			BaselineNS:            res.BaselineCycles.Nanoseconds(),
 			ParallelNS:            res.TotalCycles.Nanoseconds(),
 			CutSymbol:             res.Plan.CutSym,
-			CutRange:              st.RangeSize(res.Plan.CutSym),
+			CutRange:              a.n.RangeSize(res.Plan.CutSym),
 			AvgActiveFlows:        res.AvgActiveFlows,
 			SwitchOverheadPct:     res.SwitchOverheadPct,
 			FalseReportRatio:      res.ReportIncrease,

@@ -113,7 +113,7 @@ func TestMatchParallelSharedPlan(t *testing.T) {
 	alphabets := []string{"abcdefgh \n", "xyzw:0123", "qrst!\tuv", "GET /admin"}
 	var inputs [][]byte
 	for i, alpha := range alphabets {
-		for _, size := range []int{256, serialMaxInput, serialMaxInput + 1, 8 << 10} {
+		for _, size := range []int{128, serialMaxInput, serialMaxInput + 1, 8 << 10} {
 			rng := rand.New(rand.NewSource(int64(i*100 + size)))
 			in := make([]byte, size)
 			for k := range in {
@@ -201,8 +201,8 @@ func TestMatchParallelShortAllocs(t *testing.T) {
 // schedulers over a needle_requests-like and a snort_sparse-like ruleset, at
 // 256 B to 64 KiB per call, on one shared plan as MatchParallel runs them.
 // serialMaxInput is the largest size at which serial is at least as fast
-// as parallel in the geometric mean over the rulesets (DESIGN.md §5b,
-// "Serial means zero goroutines").
+// as parallel on every ruleset (DESIGN.md §5b, "Serial means zero
+// goroutines").
 func BenchmarkMatchParallelBySize(b *testing.B) {
 	for _, rs := range []struct {
 		name  string
@@ -221,7 +221,7 @@ func BenchmarkMatchParallelBySize(b *testing.B) {
 					b.SetBytes(int64(size))
 					for i := 0; i < b.N; i++ {
 						off := i * size % len(corpus)
-						res, err := core.RunContext(context.Background(), a.n, corpus[off:off+size], cfg, a.plan())
+						res, err := core.RunContext(context.Background(), a.plan(), corpus[off:off+size], cfg)
 						if err != nil || !res.Correct {
 							b.Fatalf("core.RunContext: %v", err)
 						}
