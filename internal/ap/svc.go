@@ -40,28 +40,6 @@ func NewSVC(devices int) *SVC {
 	return &SVC{capacity: SVCEntriesPerDevice * devices}
 }
 
-// NewSVCs returns n SVCs spanning the given number of devices each, with
-// room reserved for entries(i) contexts in SVC i, in two allocations
-// however many SVCs there are. An SVC that allocates past its reservation
-// grows on its own, never into its neighbour's.
-func NewSVCs(n, devices int, entries func(i int) int) []SVC {
-	if devices < 1 {
-		devices = 1
-	}
-	svcs := make([]SVC, n)
-	total := 0
-	for i := range svcs {
-		total += entries(i)
-	}
-	backing := make([]svcEntry, total)
-	for i := range svcs {
-		k := entries(i)
-		svcs[i] = SVC{capacity: SVCEntriesPerDevice * devices, entries: backing[:0:k]}
-		backing = backing[k:]
-	}
-	return svcs
-}
-
 // Capacity returns the maximum number of concurrently valid entries.
 func (s *SVC) Capacity() int { return s.capacity }
 

@@ -68,11 +68,10 @@ func ctxAborted(err error) bool {
 // context error says how far the input was verified; otherwise ctxErr, the
 // caller context's own error, is the cause (nil when only a fault aborted
 // the run).
-func abortError(goldenErr error, segs []segmentResult, ctxErr error) error {
+func abortError(goldenErr error, segs []*segmentResult, ctxErr error) error {
 	cause := goldenErr
 	var anyErr error
-	for j := range segs {
-		seg := &segs[j]
+	for _, seg := range segs {
 		if seg.err == nil {
 			continue
 		}
@@ -93,8 +92,7 @@ func abortError(goldenErr error, segs []segmentResult, ctxErr error) error {
 		return nil
 	}
 	e := &Aborted{Cause: cause, Segments: make([]SegmentProgress, 0, len(segs))}
-	for j := range segs {
-		seg := &segs[j]
+	for _, seg := range segs {
 		e.Segments = append(e.Segments, SegmentProgress{
 			Index:  seg.Index,
 			Start:  seg.Start,

@@ -84,9 +84,9 @@ type Config struct {
 	// only real wall-clock time changes. Default true (DefaultConfig); set
 	// false for the serial scheduler, which starts no goroutine: the
 	// determinism baseline of the timing model, and what pap.MatchParallel
-	// runs an input of at most 256 bytes on, since a goroutine hand-off
-	// costs at least as much as it saves on such an input. core applies the
-	// setting as given, whatever the input length.
+	// runs an input of at most 256 bytes on, where a goroutine hand-off
+	// mostly adds to the call's fixed cost. core applies the setting as
+	// given, whatever the input length.
 	SegmentParallel bool
 
 	// Engine selects the execution backend for every engine this run

@@ -60,23 +60,15 @@ type flowRun struct {
 	// boundary scores; nil for the ASG flow (baseline paths start at score 0
 	// by definition).
 	scoreBuf []int64
-}
-
-// halfCore is what one segment driver holds for its life: the engine it
-// runs every flow of its segments on — the paper's one half-core per
-// segment (§3.2) — and the one report sink that credits whatever the engine
-// reports to the flow on it, so a flow needs no sink of its own.
-type halfCore struct {
-	e    engine.Engine
-	on   *flowRun // the flow on the engine
+	// emit appends to reports; built once per flow, not once per flow-round.
 	emit engine.EmitFunc
-	live []*flowRun // the round loop's list of live flows
 }
 
-func (p *Plan) newHalfCore() *halfCore {
-	h := &halfCore{e: p.newEngine()}
-	h.emit = func(r engine.Report) { h.on.reports = append(h.on.reports, r) }
-	return h
+// newFlowRun returns an alive flow with its report sink in place.
+func newFlowRun(id int, asg bool) *flowRun {
+	f := &flowRun{id: id, asg: asg, alive: true}
+	f.emit = func(r engine.Report) { f.reports = append(f.reports, r) }
+	return f
 }
 
 // segmentResult aggregates one segment's functional and timing outcomes.
@@ -173,8 +165,8 @@ type segScheduler interface {
 // up front from the already-finished predecessor.
 type serialFIV struct{ fivAt ap.Cycles }
 
-func (*serialFIV) tick(*segmentResult) {}
-func (s *serialFIV) fivArrived(seg *segmentResult, _ bool) bool {
+func (serialFIV) tick(*segmentResult) {}
+func (s serialFIV) fivArrived(seg *segmentResult, _ bool) bool {
 	return seg.Cycles >= s.fivAt
 }
 
@@ -201,11 +193,12 @@ func (p *Plan) applyFIV(seg *segmentResult, g *goldenRun) {
 
 // runSegmentRounds is the TDM round loop, the one both schedulers, both
 // modes and fault-injected runs go through. It runs every round of every
-// flow of the segment on h, the half-core the segment's driver holds for
-// the segment's life (§3.2). All modelled quantities it computes depend
-// only on (plan, segment, input) — never on which engine, how many other
-// drivers, or how far the golden run has got — which is what makes the
-// serial and parallel schedulers bit-identical in ap.Cycles metrics.
+// flow of the segment on e, the engine the segment's driver holds for the
+// segment's life — the paper's one half-core per segment (§3.2). All
+// modelled quantities it computes depend only on (plan, segment, input) —
+// never on which engine, how many other drivers, or how far the golden run
+// has got — which is what makes the serial and parallel schedulers
+// bit-identical in ap.Cycles metrics.
 //
 // A sole live flow is not switched. Only flow 0 can be the last one alive
 // (it never dies, and dead flows never revive), so from then on no sweep,
@@ -221,9 +214,8 @@ func (p *Plan) applyFIV(seg *segmentResult, g *goldenRun) {
 // context-switch boundary the paper's §3.2 TDM model already pays for — the
 // per-symbol inner loop stays check-free. On cancellation the segment
 // records ctx's error and its progress and returns.
-func (p *Plan) runSegmentRounds(ctx context.Context, seg *segmentResult, input []byte, h *halfCore, g *goldenRun, sched segScheduler) {
+func (p *Plan) runSegmentRounds(ctx context.Context, seg *segmentResult, input []byte, e engine.Engine, g *goldenRun, sched segScheduler) {
 	cfg := &p.Cfg
-	e := h.e
 	asgFlow := seg.flows[0]
 	if !p.seedScores(seg, g) {
 		return
@@ -234,7 +226,7 @@ func (p *Plan) runSegmentRounds(ctx context.Context, seg *segmentResult, input [
 	pos := seg.Start
 	round := 0
 	fivApplied := !p.fivEnabled()
-	live := h.live[:0]
+	var live []*flowRun
 	for pos < seg.End {
 		seg.pos = pos
 		if err := cfg.fire(faultinject.RoundStep, seg.Index, round); err != nil {
@@ -253,7 +245,6 @@ func (p *Plan) runSegmentRounds(ctx context.Context, seg *segmentResult, input [
 				symsBefore += f.symbols
 			}
 		}
-		h.live = live
 		sole := len(live) == 1
 		k := min(cfg.TDMQuantum, seg.End-pos)
 		if sole && cfg.Fault == nil {
@@ -272,13 +263,13 @@ func (p *Plan) runSegmentRounds(ctx context.Context, seg *segmentResult, input [
 		// the snapshots the other flows are compared against. A sole flow
 		// has no one to be compared with, in round 0 or later.
 		if round == 0 && !sole {
-			asgTrace := p.runFlowRound(seg, asgFlow, input, h, pos, k, true, nil)
+			asgTrace := p.runFlowRound(seg, asgFlow, input, e, pos, k, true, nil)
 			for _, f := range live[1:] {
-				p.runFlowRound(seg, f, input, h, pos, k, true, asgTrace)
+				p.runFlowRound(seg, f, input, e, pos, k, true, asgTrace)
 			}
 		} else {
 			for _, f := range live {
-				p.runFlowRound(seg, f, input, h, pos, k, false, nil)
+				p.runFlowRound(seg, f, input, e, pos, k, false, nil)
 			}
 		}
 
@@ -395,11 +386,9 @@ func (p *Plan) runSegmentRounds(ctx context.Context, seg *segmentResult, input [
 // ASG flow; any other flow is compared against the provided snapshots and
 // killed at the first probe where it has fully converged onto the
 // baseline.
-func (p *Plan) runFlowRound(seg *segmentResult, f *flowRun, input []byte, h *halfCore,
+func (p *Plan) runFlowRound(seg *segmentResult, f *flowRun, input []byte, e engine.Engine,
 	pos, k int, probing bool, asgTrace []snapshot) []snapshot {
 
-	e := h.e
-	h.on = f
 	if seg.resident != f {
 		// The ASG/golden flow simulates the shared baseline (all-input
 		// states firing every cycle); enumeration flows track only their
@@ -461,7 +450,7 @@ func (p *Plan) runFlowRound(seg *segmentResult, f *flowRun, input []byte, h *hal
 		if probing {
 			stop = min(k, (i/deactivationProbe+1)*deactivationProbe)
 		}
-		c, _, _ := e.StepBatch(input[pos+i:pos+stop], int64(pos+i), h.emit)
+		c, _, _ := e.StepBatch(input[pos+i:pos+stop], int64(pos+i), f.emit)
 		f.symbols += int64(c)
 		i += c
 		if !probing || i%deactivationProbe != 0 {

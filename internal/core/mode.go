@@ -50,17 +50,16 @@ type execMode interface {
 	// truth cell and FIVApplied stays false on every segment.
 	usesFIV() bool
 	// seedSegment populates the enumeration flows (seg.flows[1:]) of one
-	// segment with Index > 0 from the call's arena; the ASG flow and the
-	// golden flow of segment 0 are seeded by the mode-independent
-	// buildSegments shell. It runs before the golden execution has
-	// necessarily started, so it reads no boundary.
-	seedSegment(p *Plan, seg *segmentResult, a *flowArena)
+	// segment with Index > 0; the ASG flow and the golden flow of segment 0
+	// are seeded by the mode-independent buildSegments shell. It runs before
+	// the golden execution has necessarily started, so it reads no boundary.
+	seedSegment(p *Plan, seg *segmentResult)
 	// finalize runs once after every segment's round loop — and the golden
 	// run — has joined and before report composition, on the caller's
 	// goroutine: every segment's unit truth is established when it returns.
 	// Errors (and recovered panics) land on the offending segment's err
 	// field.
-	finalize(p *Plan, segs []segmentResult, g *goldenRun)
+	finalize(p *Plan, segs []*segmentResult, g *goldenRun)
 }
 
 // execMode returns the strategy implementation for the configured Mode.
@@ -85,12 +84,11 @@ type flowMode struct{}
 
 func (flowMode) usesFIV() bool { return true }
 
-func (flowMode) seedSegment(p *Plan, seg *segmentResult, a *flowArena) {
+func (flowMode) seedSegment(p *Plan, seg *segmentResult) {
 	sp := p.SymbolPlanFor(seg.Sym)
 	for fi, spec := range sp.Flows {
-		f := a.flow(fi+1, false)
+		f := newFlowRun(fi+1, false)
 		f.svcID = seg.svc.AllocOverflow(spec.Seed, spec.fp)
-		f.attrib = a.attrib(len(spec.Units))
 		for _, ui := range spec.Units {
 			f.attrib = append(f.attrib, attribEntry{
 				CC:   sp.Units[ui].CC,
@@ -104,9 +102,9 @@ func (flowMode) seedSegment(p *Plan, seg *segmentResult, a *flowArena) {
 
 // finalize decodes the truth of every segment whose enumeration flows no
 // FIV judged, for compose to filter their reports by.
-func (flowMode) finalize(p *Plan, segs []segmentResult, g *goldenRun) {
-	for j := 1; j < len(segs); j++ {
-		if seg := &segs[j]; len(seg.flows) > 1 && !p.decodeTruth(seg, g) {
+func (flowMode) finalize(p *Plan, segs []*segmentResult, g *goldenRun) {
+	for _, seg := range segs[1:] {
+		if len(seg.flows) > 1 && !p.decodeTruth(seg, g) {
 			return
 		}
 	}
@@ -142,7 +140,7 @@ type sfaMode struct{}
 
 func (sfaMode) usesFIV() bool { return false }
 
-func (sfaMode) seedSegment(p *Plan, seg *segmentResult, a *flowArena) {
+func (sfaMode) seedSegment(p *Plan, seg *segmentResult) {
 	sp := p.SymbolPlanFor(seg.Sym)
 	// Truth is unknown until finalize composes the boundary mappings.
 	seg.unitTrue = make([]bool, len(sp.Units))
@@ -181,12 +179,11 @@ func (sfaMode) seedSegment(p *Plan, seg *segmentResult, a *flowArena) {
 	}
 
 	for ci, c := range classes {
-		f := a.flow(ci+1, false)
+		f := newFlowRun(ci+1, false)
 		f.classUnit = c.units[0]
 		// The SVC copies the seed on allocation: the plan's unit seeds are
 		// shared across executions of the same Plan.
 		f.svcID = seg.svc.AllocOverflow(c.seed, c.fp)
-		f.attrib = a.attrib(len(c.units))
 		for _, ui := range c.units {
 			f.attrib = append(f.attrib, attribEntry{
 				CC:   sp.Units[ui].CC,
@@ -206,11 +203,11 @@ func (sfaMode) seedSegment(p *Plan, seg *segmentResult, a *flowArena) {
 // unitTruth applies to the golden boundary, so composition reproduces flow
 // mode's truth (and therefore its reports) exactly. Each boundary is
 // cross-checked against the golden run by fingerprint.
-func (sfaMode) finalize(p *Plan, segs []segmentResult, g *goldenRun) {
+func (sfaMode) finalize(p *Plan, segs []*segmentResult, g *goldenRun) {
 	entry := map[nfa.StateID]struct{}{}
 	var entryIDs []nfa.StateID // sorted materialisation for the cross-check
 	for j := 1; j < len(segs); j++ {
-		prev, seg := &segs[j-1], &segs[j]
+		prev, seg := segs[j-1], segs[j]
 		p.guardSegment(seg, func() {
 			if err := p.Cfg.fire(faultinject.SFACompose, seg.Index, -1); err != nil {
 				seg.err = err

@@ -257,96 +257,38 @@ func (p *Plan) ExecuteContext(ctx context.Context, input []byte) (*Result, error
 // class in SFA mode. Nothing here reads the golden run: what a segment
 // takes from its start boundary (unit truth, entry scores) it takes when
 // it first needs it.
-//
-// A call's segments, their SVCs, their flows and the flows' attribution
-// come in one allocation each, sized from the symbol plans in flow mode's
-// terms: a base flow per segment, then one flow per FlowSpec, which
-// attributes each unit once. SFA mode's flows take what is left and
-// allocate past it.
-func (p *Plan) buildSegments(input []byte) []segmentResult {
+func (p *Plan) buildSegments(input []byte) []*segmentResult {
 	mode := p.execMode()
-	segs := make([]segmentResult, p.Segments)
-	flows, attribs := 0, 0
-	for j := range segs {
-		seg := &segs[j]
-		seg.Index, seg.Start, seg.End, seg.InitFlows = j, 0, len(input), 1
+	segs := make([]*segmentResult, p.Segments)
+	for j := 0; j < p.Segments; j++ {
+		start, end := 0, len(input)
 		if j > 0 {
-			seg.Start = p.Cuts[j-1]
-			seg.Sym = input[seg.Start-1]
-			sp := p.SymbolPlanFor(seg.Sym)
-			seg.InitFlows += len(sp.Flows)
-			attribs += len(sp.Units)
+			start = p.Cuts[j-1]
 		}
 		if j < len(p.Cuts) {
-			seg.End = p.Cuts[j]
+			end = p.Cuts[j]
 		}
-		flows += seg.InitFlows
-	}
-	svcs := ap.NewSVCs(len(segs), p.Placement.Devices, func(j int) int { return segs[j].InitFlows })
-	a := &flowArena{
-		runs:    make([]flowRun, flows),
-		ptrs:    make([]*flowRun, flows),
-		attribs: make([]attribEntry, len(segs)+attribs),
-	}
-	for j := range segs {
-		seg := &segs[j]
-		seg.svc = &svcs[j]
-		base := a.flow(0, true) // golden flow of segment 0, ASG flow elsewhere
-		base.attrib = append(a.attrib(1), attribEntry{CC: -1, Unit: -1, From: int64(seg.Start)})
-		seg.flows = append(a.flowList(seg.InitFlows), base)
+		seg := &segmentResult{
+			Index: j,
+			Start: start,
+			End:   end,
+			svc:   ap.NewSVC(p.Placement.Devices),
+		}
+		segs[j] = seg
+		base := newFlowRun(0, true) // golden flow of segment 0, ASG flow elsewhere
+		base.attrib = []attribEntry{{CC: -1, Unit: -1, From: int64(start)}}
+		seg.flows = []*flowRun{base}
+		seg.InitFlows = 1
 		if j == 0 {
 			base.svcID = seg.svc.AllocOverflow(p.static.startSeed, p.static.startFP)
 			continue
 		}
+		seg.Sym = input[start-1]
 		base.svcID = seg.svc.AllocOverflow(nil, 0)
-		mode.seedSegment(p, seg, a)
+		mode.seedSegment(p, seg)
 		seg.InitFlows = len(seg.flows)
 	}
 	return segs
-}
-
-// flowArena hands out the flows of one call, their lists and their
-// attribution entries from slices allocated once for the whole call
-// (buildSegments); a request past the end of a slice is allocated on its
-// own.
-type flowArena struct {
-	runs    []flowRun
-	ptrs    []*flowRun
-	attribs []attribEntry
-}
-
-// flow returns a new alive flow.
-func (a *flowArena) flow(id int, asg bool) *flowRun {
-	var f *flowRun
-	if len(a.runs) > 0 {
-		f, a.runs = &a.runs[0], a.runs[1:]
-	} else {
-		f = new(flowRun)
-	}
-	*f = flowRun{id: id, asg: asg, alive: true}
-	return f
-}
-
-// flowList returns an empty flow list with room for n flows.
-func (a *flowArena) flowList(n int) []*flowRun {
-	if n > len(a.ptrs) {
-		return make([]*flowRun, 0, n)
-	}
-	l := a.ptrs[:0:n]
-	a.ptrs = a.ptrs[n:]
-	return l
-}
-
-// attrib returns an empty attribution list with room for n entries; a
-// convergence merge that appends past them reallocates the survivor's list
-// rather than overrun its neighbour's.
-func (a *flowArena) attrib(n int) []attribEntry {
-	if n > len(a.attribs) {
-		return make([]attribEntry, 0, n)
-	}
-	l := a.attribs[:0:n]
-	a.attribs = a.attribs[n:]
-	return l
 }
 
 // chainSegment performs the host-side truth-propagation step for one
@@ -437,11 +379,11 @@ func dropAllInput(sorted []nfa.StateID, n *nfa.NFA) []nfa.StateID {
 // report's offset. Baseline-caused reports are kept via the always-true
 // entries of the ASG/golden flows. The result is compared against the
 // golden sequential run.
-func (p *Plan) compose(res *Result, segs []segmentResult) {
+func (p *Plan) compose(res *Result, segs []*segmentResult) {
 	ccIDs, _ := p.NFA.ConnectedComponents()
 	n := 0
-	for j := range segs {
-		for _, f := range segs[j].flows {
+	for _, seg := range segs {
+		for _, f := range seg.flows {
 			n += len(f.reports)
 		}
 	}
@@ -449,8 +391,7 @@ func (p *Plan) compose(res *Result, segs []segmentResult) {
 	if n > 0 {
 		out = make([]engine.Report, 0, n)
 	}
-	for j := range segs {
-		seg := &segs[j]
+	for _, seg := range segs {
 		for _, f := range seg.flows {
 			for _, r := range f.reports {
 				if attribTrue(f.attrib, seg.unitTrue, ccIDs[r.State], r.Offset) {
@@ -465,14 +406,13 @@ func (p *Plan) compose(res *Result, segs []segmentResult) {
 }
 
 // aggregate fills the whole-run metrics from per-segment results.
-func (p *Plan) aggregate(res *Result, segs []segmentResult) {
+func (p *Plan) aggregate(res *Result, segs []*segmentResult) {
 	var flowRounds, rounds int64
 	var switchCyc, cyc, hostCyc ap.Cycles
 	var events, trans int64
 	hostSamples := 0
 	res.Segments = make([]SegmentStats, 0, len(segs))
-	for j := range segs {
-		seg := &segs[j]
+	for _, seg := range segs {
 		res.Segments = append(res.Segments, SegmentStats{
 			Index:            seg.Index,
 			Start:            seg.Start,

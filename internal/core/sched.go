@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 
 	"pap/internal/ap"
+	"pap/internal/engine"
 	"pap/internal/faultinject"
 )
 
@@ -212,24 +213,22 @@ func (p *Plan) guardSegment(seg *segmentResult, body func()) {
 // scheduler is checked against. The first segment error (context
 // cancellation, fault, recovered panic) stops the chain; later segments
 // keep their zero progress for the abort report.
-func (p *Plan) executeSerial(ctx context.Context, segs []segmentResult, input []byte, g *goldenRun) {
-	h := p.newHalfCore()
-	sched := &serialFIV{}
+func (p *Plan) executeSerial(ctx context.Context, segs []*segmentResult, input []byte, g *goldenRun) {
+	e := p.newEngine()
 	var prevKnown ap.Cycles
-	for j := range segs {
-		seg := &segs[j]
-		sched.fivAt = maxCycles
+	for j, seg := range segs {
+		fivAt := maxCycles
 		if j > 0 && p.fivEnabled() {
-			sched.fivAt = prevKnown + ap.FIVTransferCycles
+			fivAt = prevKnown + ap.FIVTransferCycles
 		}
 		p.guardSegment(seg, func() {
-			p.runSegmentRounds(ctx, seg, input, h, g, sched)
+			p.runSegmentRounds(ctx, seg, input, e, g, serialFIV{fivAt})
 			if seg.err != nil {
 				return
 			}
 			var next *segmentResult
 			if j+1 < len(segs) {
-				next = &segs[j+1]
+				next = segs[j+1]
 			}
 			prevKnown = p.chainSegment(seg, next, prevKnown)
 		})
@@ -270,7 +269,7 @@ func (p *Plan) executeSerial(ctx context.Context, segs []segmentResult, input []
 // marking itself done, so no one blocks on a truth that will never be
 // published. executeParallel always joins every goroutine it started
 // before returning — cancellation leaks nothing.
-func (p *Plan) executeParallel(ctx context.Context, segs []segmentResult, input []byte, g *goldenRun) {
+func (p *Plan) executeParallel(ctx context.Context, segs []*segmentResult, input []byte, g *goldenRun) {
 	runCtx, cancelRun := context.WithCancel(ctx)
 	defer cancelRun()
 	cells := newTruthCells(len(segs))
@@ -293,7 +292,7 @@ func (p *Plan) executeParallel(ctx context.Context, segs []segmentResult, input 
 		}()
 	}
 	drive = func() {
-		var h *halfCore
+		var e engine.Engine
 		// A failed run takes no further segment: the unstarted ones keep
 		// their zero progress.
 		for runCtx.Err() == nil {
@@ -301,11 +300,11 @@ func (p *Plan) executeParallel(ctx context.Context, segs []segmentResult, input 
 			if j >= len(segs) {
 				return
 			}
-			p.guardSegment(&segs[j], func() {
-				if h == nil {
-					h = p.newHalfCore()
+			p.guardSegment(segs[j], func() {
+				if e == nil {
+					e = p.newEngine()
 				}
-				p.driveSegment(runCtx, segs, j, cells, input, h, g)
+				p.driveSegment(runCtx, segs, j, cells, input, e, g)
 			})
 			cells[j].abort() // no-op when resolve already ran
 			if segs[j].err != nil {
@@ -323,15 +322,15 @@ func (p *Plan) executeParallel(ctx context.Context, segs []segmentResult, input 
 	wg.Wait()
 }
 
-// driveSegment is one segment's part of executeParallel: its rounds on h,
+// driveSegment is one segment's part of executeParallel: its rounds on e,
 // then the chain step, gated on and published through the truth cells.
-func (p *Plan) driveSegment(ctx context.Context, segs []segmentResult, j int, cells []truthCell, input []byte, h *halfCore, g *goldenRun) {
-	seg := &segs[j]
+func (p *Plan) driveSegment(ctx context.Context, segs []*segmentResult, j int, cells []truthCell, input []byte, e engine.Engine, g *goldenRun) {
+	seg := segs[j]
 	var pred *truthCell
 	if j > 0 {
 		pred = &cells[j-1]
 	}
-	p.runSegmentRounds(ctx, seg, input, h, g, &pipelineFIV{pred: pred, self: &cells[j]})
+	p.runSegmentRounds(ctx, seg, input, e, g, &pipelineFIV{pred: pred, self: &cells[j]})
 	if seg.err != nil {
 		return
 	}
@@ -349,7 +348,7 @@ func (p *Plan) driveSegment(ctx context.Context, segs []segmentResult, j int, ce
 	}
 	var next *segmentResult
 	if j+1 < len(segs) {
-		next = &segs[j+1]
+		next = segs[j+1]
 	}
 	known := p.chainSegment(seg, next, prevKnown)
 	if seg.err != nil {

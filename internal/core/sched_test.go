@@ -399,11 +399,11 @@ func TestSymbolPlanForConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// runSegment drives one hand-built segment through the round loop on a
-// half-core of its own, with an FIV that never arrives and hence no golden
+// runSegment drives one hand-built segment through the round loop on an
+// engine of its own, with an FIV that never arrives and hence no golden
 // run to read.
 func (p *Plan) runSegment(seg *segmentResult, input []byte) {
-	p.runSegmentRounds(context.Background(), seg, input, p.newHalfCore(), nil, &serialFIV{maxCycles})
+	p.runSegmentRounds(context.Background(), seg, input, p.newEngine(), nil, serialFIV{maxCycles})
 }
 
 // TestRunSegmentZeroRounds is the NaN regression: a degenerate segment with
@@ -418,7 +418,7 @@ func TestRunSegmentZeroRounds(t *testing.T) {
 		t.Fatal(err)
 	}
 	seg := &segmentResult{Index: 1, Start: 5, End: 5, svc: ap.NewSVC(1)}
-	asg := &flowRun{id: 0, asg: true, alive: true}
+	asg := newFlowRun(0, true)
 	asg.svcID = seg.svc.AllocOverflow(nil, 0)
 	seg.flows = []*flowRun{asg}
 	p.runSegment(seg, input)

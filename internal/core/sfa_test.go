@@ -199,10 +199,10 @@ func TestSFAZeroLengthSegment(t *testing.T) {
 		t.Fatal(err)
 	}
 	seg := &segmentResult{Index: 1, Start: 5, End: 5, Sym: input[4], svc: ap.NewSVC(1)}
-	asg := &flowRun{id: 0, asg: true, alive: true}
+	asg := newFlowRun(0, true)
 	asg.svcID = seg.svc.AllocOverflow(nil, 0)
 	seg.flows = []*flowRun{asg}
-	p.execMode().seedSegment(p, seg, &flowArena{})
+	p.execMode().seedSegment(p, seg)
 	p.runSegment(seg, input)
 	if seg.Rounds != 0 {
 		t.Fatalf("Rounds = %d, want 0", seg.Rounds)

@@ -9,18 +9,17 @@ import (
 
 // Static is the input-independent half of pre-processing for one automaton
 // (§3.5, Figure 7): the match tables every engine of a run shares and the
-// enumeration plan of every boundary symbol. (Range profiling is cached on
-// the NFA itself.) Only the
-// cut positions depend on the input, so a caller that matches one automaton
-// many times keeps one Static and hands it to every RunContext; each run
-// then pays for its own segments and flows only.
+// enumeration plan of every boundary symbol (range sizes are cached on the
+// NFA itself). Only the cut positions depend on the input, so a caller that
+// matches one automaton many times keeps one Static and hands it to every
+// RunContext; each run then pays for its own segments and flows only.
 //
-// Symbol plans are built on first use, lock-free, and
-// read-only once built: concurrent first uses may build duplicates, one of
-// which is published and seen by every caller thereafter (the builds are
-// deterministic, so which one does not matter). SymbolPlans stay read-only
-// after publication because the SVC copies a flow's seed on allocation.
-// Safe for concurrent use.
+// Symbol plans are built on first use, lock-free, and read-only once built:
+// concurrent first uses may build duplicates, one of which is published and
+// seen by every caller thereafter (the builds are deterministic, so which
+// one does not matter). SymbolPlans stay read-only after publication
+// because the SVC copies a flow's seed on allocation. Safe for concurrent
+// use.
 type Static struct {
 	nfa *nfa.NFA
 	tab *engine.Tables

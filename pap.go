@@ -554,10 +554,11 @@ func (a *Automaton) MatchParallel(input []byte, cfg Config) (*Report, error) {
 // serialMaxInput is the longest input MatchParallel simulates on the
 // calling goroutine alone: the golden run, then the segments in turn, as
 // under core's serial scheduler. The modelled AP execution is the same
-// either way, only wall-clock time differs. The value is the largest size
-// of BenchmarkMatchParallelBySize at which the serial scheduler is at least
-// as fast as the parallel one on every ruleset (table in DESIGN.md §5b), and
-// the record size of the repository benchmark's needle_requests workload.
+// either way, only wall-clock time differs. The value is the record size of
+// the repository benchmark's needle_requests workload, the one short input
+// it measures: there a call is fixed cost, which a goroutine hand-off only
+// adds to. A short call that enumerates for real can lose a little by it
+// (BenchmarkMatchParallelBySize, table in DESIGN.md §5b).
 const serialMaxInput = 256
 
 // MatchParallelContext is MatchParallel under a context: a cancelled or
