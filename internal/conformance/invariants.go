@@ -164,10 +164,10 @@ func checkEngineRuns(c *Case, oracle []engine.Report) (string, string) {
 //     the report set equals the oracle's. Only report-exactness is
 //     claimed here — literal skipping may jump bytes that would have
 //     fired non-reporting baseline work.
-//  3. Chunked-stream skip, exactly as Stream.Write performs it: a Meta
-//     engine fed in random chunks with dead-frontier class skips must
-//     reproduce the oracle's reports, including literals that straddle
-//     chunk boundaries.
+//  3. Chunked-stream skip, through the loop Stream.Write runs: one Meta
+//     cursor fed random chunks must reproduce the oracle's reports,
+//     including literals that straddle chunk boundaries, and skip exactly
+//     the bytes the whole-input run skips.
 func checkPrefilteredMeta(c *Case, oracle []engine.Report, rng *rand.Rand) (string, string) {
 	tab := engine.NewTables(c.NFA)
 	sp := engine.RunEngineOpts(c.NFA, c.Input, engine.SparseKind, tab, engine.RunOpts{})
@@ -192,9 +192,9 @@ func checkPrefilteredMeta(c *Case, oracle []engine.Report, rng *rand.Rand) (stri
 		return "prefilter-literal/reports", d
 	}
 
-	e, pf := engine.NewWithOpts(engine.MetaKind, c.NFA, tab, engine.RunOpts{})
+	cur := engine.NewWithOpts(engine.MetaKind, c.NFA, tab, engine.RunOpts{})
 	var all, chunk []engine.Report
-	emit := func(r engine.Report) { chunk = append(chunk, r) }
+	cur.Emit = func(r engine.Report) { chunk = append(chunk, r) }
 	pos := 0
 	for pos < len(c.Input) {
 		n := 1 + rng.Intn(32)
@@ -202,23 +202,19 @@ func checkPrefilteredMeta(c *Case, oracle []engine.Report, rng *rand.Rand) (stri
 			n = len(c.Input) - pos
 		}
 		chunk = chunk[:0]
-		piece := c.Input[pos : pos+n]
-		for i := 0; i < len(piece); i++ {
-			if pf != nil && e.Dead() {
-				if j := pf.Next(piece, i); j > i {
-					i = j
-					if i >= len(piece) {
-						break
-					}
-				}
-			}
-			e.Step(piece[i], int64(pos+i), emit)
+		cur.Feed(c.Input[pos:pos+n], 0, int64(pos))
+		if err := cur.Advance(context.Background(), n); err != nil {
+			return "prefilter-stream-chunks/meta", err.Error()
 		}
 		pos += n
 		all = append(all, engine.DedupeReports(chunk)...)
 	}
 	if d := diffReports(oracle, all); d != "" {
 		return "prefilter-stream-chunks/meta", d
+	}
+	if cur.PrefilterSkipped != cls.PrefilterSkipped {
+		return "prefilter-stream-chunks/meta",
+			fmt.Sprintf("chunked run skipped %d bytes, whole run %d", cur.PrefilterSkipped, cls.PrefilterSkipped)
 	}
 	return "", ""
 }

@@ -134,7 +134,10 @@ type Config struct {
 	DisableConvergence  bool // skip §3.3.3 checks
 	DisableDeactivation bool // skip §3.3.4 checks
 	DisableFIV          bool // never send Flow Invalidation Vectors
-	DisablePrefilter    bool // never skip dead-frontier input regions
+	// DisablePrefilter makes a dead enumeration flow step the rest of its
+	// round instead of skipping it (the Result.PrefilterSkipped figure; no
+	// prefilter is involved, and the golden run's is MetaKind's own).
+	DisablePrefilter bool
 	// DisableBaselineSkip turns off the exact baseline-skip fast path
 	// (start-class scan over ASG-only regions). Unlike DisablePrefilter it
 	// never changes any observable — reports, frontiers, and modelled

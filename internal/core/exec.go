@@ -8,7 +8,6 @@ import (
 	"pap/internal/engine"
 	"pap/internal/faultinject"
 	"pap/internal/nfa"
-	"pap/internal/prefilter"
 )
 
 // attribEntry maps reports of a flow in one connected component to the
@@ -33,7 +32,7 @@ type flowRun struct {
 	reports []engine.Report
 	symbols int64 // symbols actually processed (early kills process fewer)
 	trans   int64
-	skipped int64 // symbols covered by prefilter skips (subset of symbols)
+	skipped int64 // symbols of inert round ends after the frontier died (subset of symbols)
 	// baseSkipped counts symbols covered by the exact baseline-skip scan
 	// (ASG flow, dead frontier, start-class scanner). Like skipped it is a
 	// subset of symbols: every covered symbol still charges its modelled
@@ -93,8 +92,8 @@ type segmentResult struct {
 	EventsEmitted int64 // all output-buffer entries, true and false paths
 	Transitions   int64 // successor traversals (energy proxy, §5.3)
 	EngSwitches   int64 // adaptive-engine representation switches (Auto only)
-	PrefilterSkip int64 // input bytes covered by prefilter skips (simulator
-	// fast path; the modelled cycles still charge every covered symbol)
+	PrefilterSkip int64 // input bytes of dead enumeration flows' inert round
+	// ends (simulator fast path; the modelled cycles still charge them)
 	BaselineSkip int64 // input bytes covered by the exact baseline-skip
 	// scan (ASG-only frontier, start-class scanner); same charging rule
 
@@ -222,6 +221,16 @@ func (p *Plan) runSegmentRounds(ctx context.Context, seg *segmentResult, input [
 	}
 	stretch := max(1, engine.CtxCheckEvery/cfg.TDMQuantum) * cfg.TDMQuantum
 	switches := e.Stats().Switches
+	// Every flow round advances through one of two cursors over e: skip,
+	// which skips dead frontiers under every engine kind (the start-class
+	// scan unless DisableBaselineSkip, nil when a saturated class can never
+	// skip), and step, which steps every symbol for the probing rounds.
+	scan := p.static.tab.BaselineSkip()
+	if cfg.DisableBaselineSkip {
+		scan = nil
+	}
+	skip := engine.NewCursor(e, scan, !cfg.DisablePrefilter)
+	step := engine.NewCursor(e, nil, false)
 
 	pos := seg.Start
 	round := 0
@@ -263,13 +272,13 @@ func (p *Plan) runSegmentRounds(ctx context.Context, seg *segmentResult, input [
 		// the snapshots the other flows are compared against. A sole flow
 		// has no one to be compared with, in round 0 or later.
 		if round == 0 && !sole {
-			asgTrace := p.runFlowRound(seg, asgFlow, input, e, pos, k, true, nil)
+			asgTrace := p.runFlowRound(ctx, seg, asgFlow, input, &skip, &step, pos, k, true, nil)
 			for _, f := range live[1:] {
-				p.runFlowRound(seg, f, input, e, pos, k, true, asgTrace)
+				p.runFlowRound(ctx, seg, f, input, &skip, &step, pos, k, true, asgTrace)
 			}
 		} else {
 			for _, f := range live {
-				p.runFlowRound(seg, f, input, e, pos, k, false, nil)
+				p.runFlowRound(ctx, seg, f, input, &skip, &step, pos, k, false, nil)
 			}
 		}
 
@@ -381,109 +390,86 @@ func (p *Plan) runSegmentRounds(ctx context.Context, seg *segmentResult, input [
 // runFlowRound advances one flow by up to k symbols starting at pos on the
 // segment's engine and saves its context back to the State Vector Cache; a
 // flow other than the one that ran last is loaded from there first —
-// exactly an SVC context switch. In a probing round (round 0 of a segment
-// with enumeration flows) it records and returns probe snapshots for the
-// ASG flow; any other flow is compared against the provided snapshots and
-// killed at the first probe where it has fully converged onto the
-// baseline.
-func (p *Plan) runFlowRound(seg *segmentResult, f *flowRun, input []byte, e engine.Engine,
+// exactly an SVC context switch. Outside a probing round the skip cursor
+// takes the flow to the round's end: a dead enumeration flow (baseline off)
+// can never revive, so the rest of its round is inert, and a dead baseline
+// flow scans to the next start-class byte — both bit-identical to stepping,
+// and every covered symbol is still charged to f.symbols, so modelled
+// ap.Cycles are unchanged. A probing round (round 0 of a segment with
+// enumeration flows) steps every symbol, so that the deactivation probe
+// schedule and its Deactivations stay exactly as without skips: it records
+// and returns probe snapshots for the ASG flow, and compares any other flow
+// against the provided snapshots, killing it at the first probe where it
+// has fully converged onto the baseline. Neither cursor polls ctx.
+func (p *Plan) runFlowRound(ctx context.Context, seg *segmentResult, f *flowRun, input []byte, skip, step *engine.Cursor,
 	pos, k int, probing bool, asgTrace []snapshot) []snapshot {
 
+	e := skip.Engine()
 	if seg.resident != f {
 		// The ASG/golden flow simulates the shared baseline (all-input
 		// states firing every cycle); enumeration flows track only their
 		// seed-derived activity — the union of the two is the flow's
 		// hardware state vector (see engine.SetBaseline).
-		ctx, _ := seg.svc.Load(f.svcID)
-		e.SetBaseline(f.asg)
-		// The scheduler-parity contract requires every modelled count to be a
-		// function of (plan, segment, input) alone, but under Auto engines the
-		// live representation depends on what the engine ran before — so
-		// skipping happens here, above the engine, representation-
-		// independently, and the engine's own baseline-skip fast path stays
-		// off. (It could never fire anyway: this loop checks Dead() before
-		// every step.)
-		e.SetBaselineSkip(false)
+		saved, _ := seg.svc.Load(f.svcID)
+		skip.SetBaseline(f.asg)
 		if p.Cfg.Scored {
-			engine.ResetScoredOf(e, ctx, f.scoreBuf)
+			engine.ResetScoredOf(e, saved, f.scoreBuf)
 		} else {
-			e.Reset(ctx)
+			e.Reset(saved)
 		}
 		seg.resident = f
 	}
 	t0 := e.Stats().Transitions
 	var trace []snapshot
-	isASG := f.asg && f.id == 0
-	probe := 0
-	scan := p.baselineSkip()
-	deadSkipOK := !probing && !p.Cfg.DisablePrefilter
-	baseSkipOK := !probing && !p.Cfg.DisableBaselineSkip
-	for i := 0; i < k; {
-		// Dead-frontier fast paths, both bit-identical to stepping: an
-		// enumeration flow (baseline off) can never revive, so the round's
-		// remainder is inert; a baseline flow can only revive on a
-		// start-class byte, which the exact class scanner finds. Every
-		// covered symbol is still charged to f.symbols, so modelled
-		// ap.Cycles are unchanged. A probing round is excluded so the
-		// deactivation probe schedule (and its Deactivations counts) stays
-		// identical.
-		if e.Dead() {
-			if !f.asg {
-				if deadSkipOK {
-					f.symbols += int64(k - i)
-					f.skipped += int64(k - i)
-					break
-				}
-			} else if baseSkipOK && scan != nil {
-				if j := scan.NextIn(input, pos+i, pos+k) - pos; j > i {
-					f.symbols += int64(j - i)
-					f.baseSkipped += int64(j - i)
-					i = j
-					continue
-				}
-			}
-		}
-		// Everything goes through the engine's vectorized batch kernel
-		// (identical observables; see engine.Engine): the whole remainder
-		// without a probe schedule, up to the next probe point with one.
-		stop := k
-		if probing {
-			stop = min(k, (i/deactivationProbe+1)*deactivationProbe)
-		}
-		c, _, _ := e.StepBatch(input[pos+i:pos+stop], int64(pos+i), f.emit)
-		f.symbols += int64(c)
-		i += c
-		if !probing || i%deactivationProbe != 0 {
-			continue
-		}
-		if isASG {
-			trace = append(trace, snapshot{
-				after:    i,
-				fp:       e.Fingerprint(),
-				frontier: frontierOf(e),
-			})
-			continue
-		}
-		if !p.Cfg.DisableDeactivation && probe < len(asgTrace) && asgTrace[probe].after == i {
-			s := asgTrace[probe]
-			probe++
-			dead := e.FrontierLen() == 0
-			if !dead && p.Cfg.AbsorbDeactivation {
-				// The flow's hardware vector equals the ASG flow's exactly
-				// when its enumeration activity is inside the baseline's.
-				// The snapshot is sorted, so containment is a binary
-				// search per state — no per-probe sort or allocation.
-				f.ctxBuf = e.AppendFrontier(f.ctxBuf[:0])
-				dead = subsetOfSorted(f.ctxBuf, s.frontier)
-			}
-			if dead {
-				f.alive = false
-				seg.Deactivations++
+	if !probing {
+		skipped, baseSkipped := skip.PrefilterSkipped, skip.BaselineSkipped
+		skip.Emit = f.emit
+		skip.Feed(input, pos, 0)
+		_ = skip.Advance(ctx, pos+k) // a cursor that never polls never fails
+		f.symbols += int64(k)
+		f.skipped += skip.PrefilterSkipped - skipped
+		f.baseSkipped += skip.BaselineSkipped - baseSkipped
+	} else {
+		isASG := f.asg && f.id == 0
+		probe := 0
+		step.Emit = f.emit
+		step.Feed(input, pos, 0)
+		for i := 0; i < k; {
+			i = min(k, (i/deactivationProbe+1)*deactivationProbe)
+			_ = step.Advance(ctx, pos+i) // never polls, never fails
+			if i%deactivationProbe != 0 {
 				break
 			}
-		} else {
-			probe++
+			if isASG {
+				trace = append(trace, snapshot{
+					after:    i,
+					fp:       e.Fingerprint(),
+					frontier: frontierOf(e),
+				})
+				continue
+			}
+			if !p.Cfg.DisableDeactivation && probe < len(asgTrace) && asgTrace[probe].after == i {
+				s := asgTrace[probe]
+				probe++
+				dead := e.FrontierLen() == 0
+				if !dead && p.Cfg.AbsorbDeactivation {
+					// The flow's hardware vector equals the ASG flow's exactly
+					// when its enumeration activity is inside the baseline's.
+					// The snapshot is sorted, so containment is a binary
+					// search per state — no per-probe sort or allocation.
+					f.ctxBuf = e.AppendFrontier(f.ctxBuf[:0])
+					dead = subsetOfSorted(f.ctxBuf, s.frontier)
+				}
+				if dead {
+					f.alive = false
+					seg.Deactivations++
+					break
+				}
+			} else {
+				probe++
+			}
 		}
+		f.symbols += int64(step.Pos() - pos)
 	}
 	// Save through the flow's reusable buffer: the SVC copies on Save, so
 	// the per-round sorted-frontier allocation frontierOf used to pay is
@@ -495,18 +481,6 @@ func (p *Plan) runFlowRound(seg *segmentResult, f *flowRun, input []byte, e engi
 	}
 	f.trans += e.Stats().Transitions - t0
 	return trace
-}
-
-// baselineSkip returns the plan's shared start-class scanner for the exact
-// baseline-skip fast path, or nil when ablated or useless (a saturated
-// start class can never skip). Skipping is fully exact, so it applies
-// under every engine kind; DisableBaselineSkip is the ablation switch that
-// forces symbol-by-symbol stepping of ASG-only regions.
-func (p *Plan) baselineSkip() *prefilter.ClassScanner {
-	if p.Cfg.DisableBaselineSkip {
-		return nil
-	}
-	return p.static.tab.BaselineSkip()
 }
 
 // frontierOf materialises an engine's frontier as a fresh sorted slice.

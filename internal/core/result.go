@@ -29,9 +29,10 @@ type SegmentStats struct {
 	Events         int64
 	Transitions    int64
 	EngineSwitches int64 // adaptive-backend representation switches
-	// PrefilterSkipped counts input bytes this segment's flows covered by
-	// dead-frontier skips instead of stepping — a simulator fast-path
-	// figure; the modelled cycle metrics charge every covered symbol.
+	// PrefilterSkipped counts input bytes this segment's enumeration flows
+	// skipped as the inert rest of a round after their frontier died (no
+	// prefilter is involved) — a simulator fast-path figure; the modelled
+	// cycle metrics charge every covered symbol.
 	PrefilterSkipped int64
 	// BaselineSkipped counts input bytes this segment's ASG flow covered by
 	// the exact baseline-skip scan (start-class scanner over a dead
@@ -93,10 +94,11 @@ type Result struct {
 	// across all segment engines (0 for the fixed backends) — a simulator
 	// observability figure, not an AP cost.
 	EngineSwitches int64
-	// PrefilterSkipped counts input bytes covered by dead-frontier
-	// prefilter skips across all segment flows plus the golden run —
-	// like EngineSwitches a simulator observability figure, never an AP
-	// cost (skipped symbols are still charged their modelled cycles).
+	// PrefilterSkipped counts input bytes the segments' enumeration flows
+	// skipped as the inert rest of a round after their frontier died,
+	// plus what the golden run's prefilter skipped (MetaKind only) — like
+	// EngineSwitches a simulator observability figure, never an AP cost
+	// (skipped symbols are still charged their modelled cycles).
 	PrefilterSkipped int64
 	// BaselineSkipped counts input bytes covered by the exact baseline-skip
 	// fast path (start-class scan over ASG-only regions) across all segment

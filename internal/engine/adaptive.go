@@ -3,7 +3,6 @@ package engine
 import (
 	"pap/internal/bitset"
 	"pap/internal/nfa"
-	"pap/internal/prefilter"
 )
 
 // The representation choice, by what one symbol step costs. The list engine
@@ -65,13 +64,6 @@ type Adaptive struct {
 	// vector across representation switches via scoreBuf.
 	scoring  bool
 	scoreBuf []int64
-
-	// Baseline-skip fast path (see StepBatch): the adaptive engine skips
-	// at its own level so a dead frontier never pays a representation
-	// switch just to reach the bit engine's scanner.
-	skip    *prefilter.ClassScanner
-	skipOn  bool
-	skipped int64
 }
 
 // NewAdaptive returns an adaptive engine at the start configuration, in the
@@ -88,8 +80,6 @@ func NewAdaptive(n *nfa.NFA, tab *Tables) *Adaptive {
 		tab:      tab,
 		baseline: true,
 		since:    adaptiveHoldSteps,
-		skip:     tab.BaselineSkip(),
-		skipOn:   true,
 	}
 	a.dense = adaptiveDenseMul*(len(n.StartStates())+a.asg) > a.words
 	a.cur = a.side(a.dense)
@@ -102,7 +92,6 @@ func (a *Adaptive) side(dense bool) Engine {
 	if dense {
 		if a.bit == nil {
 			a.bit = NewBit(a.n, a.tab)
-			a.bit.SetBaselineSkip(a.skipOn)
 			a.bit.SetScoring(a.scoring)
 		}
 		return a.bit
@@ -185,17 +174,13 @@ func (a *Adaptive) Step(sym byte, off int64, emit EmitFunc) {
 	}
 }
 
-// StepBatch consumes between 1 and len(input) symbols (see Engine).
-// A dead frontier takes the baseline-skip fast path regardless of the
-// current representation; a dense frontier delegates the whole batch to
-// the bit engine's vectorized kernel; a sparse frontier steps one symbol
-// (the sparse engine is per-state work already — batching buys nothing).
+// StepBatch consumes between 1 and len(input) symbols (see Engine). A
+// dense frontier delegates the whole batch to the bit engine's vectorized
+// kernel; a sparse frontier steps one symbol (the sparse engine is
+// per-state work already — batching buys nothing). The Cursor skips a dead
+// frontier before it gets here, so a skip never pays a representation
+// switch.
 func (a *Adaptive) StepBatch(input []byte, off int64, emit EmitFunc) (consumed int, sumFrontier int64, maxFrontier int) {
-	if a.cur.Dead() {
-		if n := a.skipAhead(input); n > 0 {
-			return n, 0, 0
-		}
-	}
 	a.rebalance()
 	if a.dense {
 		consumed, sumFrontier, maxFrontier = a.bit.StepBatch(input, off, emit)
@@ -212,42 +197,6 @@ func (a *Adaptive) StepBatch(input []byte, off int64, emit EmitFunc) (consumed i
 	a.sparse.Step(input[0], off, emit)
 	l := len(a.sparse.frontier)
 	return 1, int64(l), l
-}
-
-// skipAhead is the adaptive engine's baseline-skip fast path; see
-// Bit.skipAhead for the exactness argument. It operates above the
-// representation choice, so skip behaviour (and the skipped count) does
-// not depend on which engine currently holds the frontier.
-func (a *Adaptive) skipAhead(input []byte) int {
-	if !a.skipOn {
-		return 0
-	}
-	var j int
-	if a.baseline {
-		if a.skip == nil {
-			return 0
-		}
-		j = a.skip.NextIn(input, 0, len(input))
-	} else {
-		j = len(input)
-	}
-	if j > 0 {
-		if a.dense {
-			a.bit.clearFired()
-		} else {
-			a.sparse.clearFired()
-		}
-		a.skipped += int64(j)
-	}
-	return j
-}
-
-// SetBaselineSkip switches the baseline-skip fast path (on by default).
-func (a *Adaptive) SetBaselineSkip(on bool) {
-	a.skipOn = on
-	if a.bit != nil {
-		a.bit.SetBaselineSkip(on)
-	}
 }
 
 // switchTo migrates the frontier into the other representation — the
@@ -283,17 +232,15 @@ func (a *Adaptive) Dead() bool { return a.cur.Dead() }
 // Fingerprint returns the Zobrist fingerprint of the frontier.
 func (a *Adaptive) Fingerprint() uint64 { return a.cur.Fingerprint() }
 
-// Stats returns the representation switches performed plus the transition
-// and baseline-skip counters summed over both representations (the bit
-// engine skips on its own account while it holds the frontier).
+// Stats returns the representation switches performed plus the
+// transitions summed over both representations.
 func (a *Adaptive) Stats() Stats {
-	st := Stats{Switches: a.switches, BaselineSkipped: a.skipped}
+	st := Stats{Switches: a.switches}
 	if a.sparse != nil {
 		st.Transitions = a.sparse.trans
 	}
 	if a.bit != nil {
 		st.Transitions += a.bit.trans
-		st.BaselineSkipped += a.bit.skipped
 	}
 	return st
 }

@@ -2,20 +2,23 @@ package engine
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
 )
 
-// FuzzBaselineSkip stresses the vectorized batch kernel and the
-// baseline-skip fast path against the scalar sparse reference on
-// fuzzer-chosen automata, inputs, and window schedules. The fuzz bytes are
-// mapped onto a mostly-missing alphabet so the frontier repeatedly decays
-// onto the ASG-only baseline — the regime where the skip scanner engages —
-// and windows of 1..130 symbols straddle the 64-symbol batch boundary both
-// ways. Skip-enabled, skip-ablated, and adaptive engines must agree with
-// the reference on every observable after every window, including across
-// baseline on/off flips at window boundaries.
+// FuzzBaselineSkip stresses the vectorized batch kernel and the cursor's
+// baseline skip against the scalar sparse reference on fuzzer-chosen
+// automata, inputs, and window schedules. The fuzz bytes are mapped onto a
+// mostly-missing alphabet so the frontier repeatedly decays onto the
+// ASG-only baseline — the regime where the skip scanner engages — and
+// windows of 1..130 symbols straddle the 64-symbol batch boundary both
+// ways. Cursors over a skipping bit engine, a skipping adaptive engine and
+// a skip-ablated bit engine must agree with the reference on every
+// observable after every window, including the frontier statistics and
+// across baseline on/off flips at window boundaries (a dead frontier with
+// the baseline off skips the rest of its window).
 func FuzzBaselineSkip(f *testing.F) {
 	// Committed corpus (testdata/fuzz/FuzzBaselineSkip) plus inline seeds:
 	// skip-class boundary bytes around the 64-symbol batch edge,
@@ -49,12 +52,15 @@ func FuzzBaselineSkip(f *testing.F) {
 		tab := NewTables(n)
 		ref := NewSparse(n)
 		names := []string{"sparse-ref", "bit-skip", "adaptive-skip", "bit-noskip"}
-		bitSkip := NewBit(n, tab)
-		adaSkip := NewAdaptive(n, tab)
-		bitNoSkip := NewBit(n, tab)
-		bitNoSkip.SetBaselineSkip(false)
-		subs := []Engine{bitSkip, adaSkip, bitNoSkip}
-		all := []Engine{ref, bitSkip, adaSkip, bitNoSkip}
+		subs := []Cursor{
+			NewWithOpts(BitKind, n, tab, RunOpts{}),
+			NewCursor(NewAdaptive(n, tab), tab.BaselineSkip(), true),
+			NewWithOpts(BitKind, n, tab, RunOpts{DisableBaselineSkip: true}),
+		}
+		all := []Engine{ref}
+		for k := range subs {
+			all = append(all, subs[k].Engine())
+		}
 
 		reports := make([][]Report, len(all))
 		emits := make([]EmitFunc, len(all))
@@ -62,7 +68,13 @@ func FuzzBaselineSkip(f *testing.F) {
 			k := k
 			emits[k] = func(r Report) { reports[k] = append(reports[k], r) }
 		}
+		for k := range subs {
+			subs[k].Emit = emits[k+1]
+			subs[k].Feed(mapped, 0, 0)
+		}
 
+		var refSum int64
+		refMax := 0
 		baseline := true
 		for i := 0; i < len(mapped); {
 			w := 1 + rng.Intn(130)
@@ -71,23 +83,26 @@ func FuzzBaselineSkip(f *testing.F) {
 			}
 			for j := 0; j < w; j++ {
 				ref.Step(mapped[i+j], int64(i+j), emits[0])
-			}
-			for k, bs := range subs {
-				for p, rem := i, w; rem > 0; {
-					c, _, _ := bs.StepBatch(mapped[p:p+rem], int64(p), emits[k+1])
-					if c < 1 || c > rem {
-						t.Fatalf("%s: StepBatch at %d consumed %d of %d", names[k+1], p, c, rem)
-					}
-					p += c
-					rem -= c
-				}
+				refSum += int64(ref.FrontierLen())
+				refMax = max(refMax, ref.FrontierLen())
 			}
 			i += w
+			for k := range subs {
+				c := &subs[k]
+				if err := c.Advance(context.Background(), i); err != nil || c.Pos() != i {
+					t.Fatalf("%s: advanced to %d of %d, err %v", names[k+1], c.Pos(), i, err)
+				}
+				if c.SumFrontier != refSum || c.MaxFrontier != refMax {
+					t.Fatalf("%s after %d symbols: frontier sum %d max %d, reference %d %d",
+						names[k+1], i, c.SumFrontier, c.MaxFrontier, refSum, refMax)
+				}
+			}
 			checkAgreement(t, fmt.Sprintf("after %d symbols", i), names, all)
 			if rng.Intn(4) == 0 {
 				baseline = !baseline
-				for _, e := range all {
-					e.SetBaseline(baseline)
+				ref.SetBaseline(baseline)
+				for k := range subs {
+					subs[k].SetBaseline(baseline)
 				}
 			}
 		}
@@ -97,8 +112,8 @@ func FuzzBaselineSkip(f *testing.F) {
 					names[k], names[0], reports[k], reports[0])
 			}
 		}
-		if got := bitNoSkip.Stats().BaselineSkipped; got != 0 {
-			t.Fatalf("skip-ablated engine reports %d skipped bytes", got)
+		if noSkip := subs[2]; noSkip.BaselineSkipped != 0 || noSkip.PrefilterSkipped != 0 {
+			t.Fatalf("skip-ablated cursor skipped %d + %d bytes", noSkip.BaselineSkipped, noSkip.PrefilterSkipped)
 		}
 	})
 }

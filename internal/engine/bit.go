@@ -29,7 +29,7 @@ type Tables struct {
 	bg [256]atomic.Pointer[bgEntry]
 
 	// pfOnce/pf lazily build the automaton's prefilter, shared by every
-	// meta engine and run loop over this automaton (see Prefilter).
+	// Meta cursor over this automaton (see Prefilter).
 	pfOnce sync.Once
 	pf     *prefilter.Prefilter
 
@@ -315,10 +315,6 @@ type Bit struct {
 	allIn    *bitset.Set // shared with the Tables, read-only
 	trans    int64
 
-	// The baseline-skip fast path (see skipAhead): switch and counter.
-	skipOn  bool
-	skipped int64
-
 	// The latch (see latch): which latchable states have fired since the
 	// last Reset (C), the union of their successors (K), the sum of their
 	// out-degrees — 0 exactly when nothing is latched — |K ∖ A|, and the
@@ -369,7 +365,6 @@ func NewBit(n *nfa.NFA, tab *Tables) *Bit {
 		firedBs:  &vecs[1],
 		scratch:  &vecs[2],
 		allIn:    tab.allIn,
-		skipOn:   true,
 		latched:  &vecs[3],
 		latchNx:  &vecs[4],
 		spare:    &vecs[5],
@@ -523,40 +518,12 @@ func (e *Bit) stepScored(sym byte, off int64, emit EmitFunc) {
 // interleave per-batch bookkeeping (context polls, round bounds).
 const batchSymbols = 64
 
-// skipAhead returns the number of leading input symbols a dead frontier
-// provably cannot react to, consuming them. Without baseline injection a
-// dead frontier is dead forever; with it, only a start-class byte can fire
-// anything, so the scan jumps straight to the next candidate. Consumed
-// symbols change no observable beyond Stats.BaselineSkipped —
-// nothing fires, no edge is traversed, no report is emitted — and callers
-// still charge each one its modelled round.
-func (e *Bit) skipAhead(input []byte) int {
-	if !e.skipOn {
-		return 0
-	}
-	var j int
-	if e.baseline {
-		skip := e.tab.BaselineSkip()
-		if skip == nil {
-			return 0
-		}
-		j = skip.NextIn(input, 0, len(input))
-	} else {
-		j = len(input)
-	}
-	if j > 0 {
-		e.firedBs.Reset() // nothing fired on the last consumed symbol
-		e.skipped += int64(j)
-	}
-	return j
-}
-
 // StepBatch consumes between 1 and len(input) symbols starting at absolute
 // offset off, observably identical to calling Step once per consumed
 // symbol. It returns the consumed count with the sum and maximum of the
 // frontier length over the consumed symbols, so callers keep per-symbol
-// frontier statistics exact. len(input) must be > 0. A dead frontier takes
-// the baseline-skip fast path instead (see skipAhead).
+// frontier statistics exact. len(input) must be > 0. It steps a dead
+// frontier like any other: skipping one is the Cursor's.
 //
 // The unscored kernel splits the frontier into the part only a Reset takes
 // away, K ∖ A with K = latchNx (the latched states C are in it: each is its
@@ -585,16 +552,9 @@ func (e *Bit) skipAhead(input []byte) int {
 // match[σ] into the fired vector, then walks that. The enabled and fired
 // vectors are materialised once, when the batch ends.
 func (e *Bit) StepBatch(input []byte, off int64, emit EmitFunc) (consumed int, sumFrontier int64, maxFrontier int) {
-	if e.enabled.Empty() {
-		if n := e.skipAhead(input); n > 0 {
-			return n, 0, 0
-		}
-	}
 	if e.scoring {
 		// Score tracking runs through the scalar scored step; the batched
 		// kernel below stays score-free so the unscored hot path is untouched.
-		// The dead-frontier skip above remains exact: skipped symbols fire
-		// nothing, so no score can change.
 		k := min(len(input), batchSymbols)
 		for j := 0; j < k; j++ {
 			e.stepScored(input[j], off+int64(j), emit)
@@ -785,8 +745,8 @@ func (e *Bit) StepBatch(input []byte, off int64, emit EmitFunc) (consumed int, s
 			maxFrontier = cnt
 		}
 		if cnt == 0 {
-			// Frontier died mid-batch: return so the caller's next call
-			// takes the skip path from the exact death position.
+			// Frontier died mid-batch: return so that the cursor can skip
+			// from the exact death position.
 			break
 		}
 	}
@@ -956,15 +916,6 @@ func (e *Bit) latch(q nfa.StateID) {
 	}
 }
 
-// SetBaselineSkip enables or disables the baseline-skip fast path
-// (enabled by default); disabling forces every symbol through the
-// stepping loop, the ablation the conformance harness exercises.
-func (e *Bit) SetBaselineSkip(on bool) { e.skipOn = on }
-
-// clearFired empties the fired set (used by wrappers that skip input on
-// this engine's behalf: nothing fired on a skipped symbol).
-func (e *Bit) clearFired() { e.firedBs.Reset() }
-
 // Enabled returns the current enabled vector (excluding all-input states).
 // The set is owned by the engine and invalidated by the next Step.
 func (e *Bit) Enabled() *bitset.Set { return e.enabled }
@@ -972,9 +923,8 @@ func (e *Bit) Enabled() *bitset.Set { return e.enabled }
 // Fired returns the states that fired on the most recent Step.
 func (e *Bit) Fired() *bitset.Set { return e.firedBs }
 
-// Stats returns cumulative transition-edge traversals and the symbols the
-// baseline-skip fast path consumed.
-func (e *Bit) Stats() Stats { return Stats{Transitions: e.trans, BaselineSkipped: e.skipped} }
+// Stats returns the cumulative transition-edge traversals.
+func (e *Bit) Stats() Stats { return Stats{Transitions: e.trans} }
 
 // FrontierLen returns the number of enabled states (excluding all-input).
 func (e *Bit) FrontierLen() int { return e.enabled.Count() }

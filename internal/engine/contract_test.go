@@ -232,9 +232,12 @@ func runLatchLifecycle(t *testing.T, kind engine.Kind, window int) {
 //   - a run that records boundaries equals the run that does not on
 //     Reports, Transitions, SumFrontier and MaxFrontier, however densely
 //     it is cut;
-//   - the prefilter goes with the kind, not the engine: offered under
-//     MetaKind for an automaton with a narrow start class, dropped when
-//     scoring remaps the kind; and the lazy-DFA kinds surface their cache
+//   - no engine skips: on a dead frontier StepBatch consumes one symbol,
+//     as scalar Step does, with the baseline on or off;
+//   - the skip goes with the kind, in the cursor NewWithOpts builds: the
+//     prefilter under MetaKind for an automaton with a narrow start class,
+//     dropped when scoring remaps the kind, and the baseline skip under Bit
+//     and Auto unless ablated; and the lazy-DFA kinds surface their cache
 //     counters through Stats;
 //   - what the bit kernel keeps between calls, its latch, shows in no
 //     observable through a run that does everything a caller can do to an
@@ -257,7 +260,7 @@ func TestEngineContract(t *testing.T) {
 			for _, c := range cases {
 				tab := engine.NewTables(c.NFA)
 				for _, w := range []int{1, 63, 64, 65, len(c.Input)} {
-					runStepDiff(t, c.NFA, tab, c.Input, stepDiffConfig{kind: kind, baseline: true, window: w})
+					runStepDiff(t, c.NFA, tab, c.Input, stepDiffConfig{kind: kind, baseline: true, window: w, raw: true})
 				}
 
 				whole := engine.RunEngineOpts(c.NFA, c.Input, kind, tab, engine.RunOpts{})
@@ -288,19 +291,46 @@ func TestEngineContract(t *testing.T) {
 				}
 			}
 
-			_, pf := engine.NewWithOpts(kind, narrow, nil, engine.RunOpts{})
-			if want := kind == engine.MetaKind; (pf != nil) != want {
-				t.Fatalf("prefilter offered = %v over a narrow start class, want %v", pf != nil, want)
+			// No engine skips: a step that leaves the frontier dead ends
+			// the batch, whatever is offered after it, baseline on or off.
+			for _, baseline := range []bool{true, false} {
+				e, twin := engine.New(kind, narrow, nil), engine.New(kind, narrow, nil)
+				e.SetBaseline(baseline)
+				twin.SetBaseline(baseline)
+				dead := []byte(strings.Repeat("z", 200))
+				for i := 0; i < len(dead); i++ {
+					if c, sum, peak := e.StepBatch(dead[i:], int64(i), nil); c != 1 || sum != 0 || peak != 0 {
+						t.Fatalf("baseline=%v: StepBatch on a dead frontier consumed %d of %d (sum %d, max %d), scalar Step one",
+							baseline, c, len(dead)-i, sum, peak)
+					}
+					twin.Step(dead[i], int64(i), nil)
+					if !e.Dead() || e.Stats() != twin.Stats() {
+						t.Fatalf("baseline=%v: after %d dead symbols stats %+v, scalar twin %+v", baseline, i+1, e.Stats(), twin.Stats())
+					}
+				}
 			}
-			if _, pf := engine.NewWithOpts(kind, narrow, nil, engine.RunOpts{Scored: true}); pf != nil {
-				t.Fatal("prefilter offered to a scored run")
-			}
+
+			// The skip goes with the kind, in the cursor: the prefilter
+			// under MetaKind for an automaton with a narrow start class,
+			// the baseline skip under Bit and Auto — and under the lazy
+			// DFA and Meta once scoring remaps them to Auto — none under
+			// Sparse and the lazy DFA or with the skip ablated.
 			res := engine.RunEngineOpts(narrow, quiet, kind, nil, engine.RunOpts{})
 			if len(res.Reports) != 5 {
 				t.Fatalf("reports = %v, want the five GTs", res.Reports)
 			}
-			if (res.PrefilterSkipped > 0) != (pf != nil) {
-				t.Fatalf("prefilter skipped %d bytes with prefilter offered = %v", res.PrefilterSkipped, pf != nil)
+			meta, class := kind == engine.MetaKind, kind == engine.BitKind || kind == engine.Auto
+			if (res.PrefilterSkipped > 0) != meta || (res.BaselineSkipped > 0) != class {
+				t.Fatalf("skipped %d bytes by prefilter and %d by baseline skip", res.PrefilterSkipped, res.BaselineSkipped)
+			}
+			scored := engine.RunEngineOpts(narrow, quiet, kind, nil, engine.RunOpts{Scored: true})
+			if scored.PrefilterSkipped != 0 || (scored.BaselineSkipped > 0) != (kind != engine.SparseKind) {
+				t.Fatalf("scored run skipped %d bytes by prefilter and %d by baseline skip", scored.PrefilterSkipped, scored.BaselineSkipped)
+			}
+			abl := engine.RunEngineOpts(narrow, quiet, kind, nil, engine.RunOpts{DisableBaselineSkip: true})
+			if abl.BaselineSkipped != 0 || abl.PrefilterSkipped != res.PrefilterSkipped {
+				t.Fatalf("skip-ablated run skipped %d bytes by baseline skip and %d by prefilter, want 0 and %d",
+					abl.BaselineSkipped, abl.PrefilterSkipped, res.PrefilterSkipped)
 			}
 			if kind == engine.BitKind || kind == engine.Auto {
 				for _, w := range []int{1, 63, 64, 65, 0} {

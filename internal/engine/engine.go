@@ -22,11 +22,12 @@
 //   - The lazy DFA (package lazydfa) determinizes recurring frontiers into
 //     a bounded cache. The LazyDFA kind falls back to Sparse on cache
 //     blowup; the Meta kind is the same engine falling back to what Auto
-//     builds, run under the automaton's prefilter (the run loops own the
-//     skipping).
+//     builds, run under the automaton's prefilter.
 //
-// All of them satisfy the one Engine contract. Tests assert their
-// equivalence on random automata and inputs.
+// All of them satisfy the one Engine contract, and none skips input: one
+// Cursor above every engine owns the dead-frontier skip, the context poll
+// and the stepping loop. Tests assert their equivalence on random automata
+// and inputs.
 package engine
 
 import (
@@ -41,7 +42,9 @@ import (
 // advancing one symbol per Step with exact AP symbol-cycle semantics.
 // Engines over the same automaton are observably interchangeable — same
 // reports, same frontiers, same fingerprints, same transition counts.
-// Implementations are not safe for concurrent use; a shared *Tables is.
+// An engine steps every symbol it is offered; skipping a dead frontier is
+// the Cursor's, above it. Implementations are not safe for concurrent use;
+// a shared *Tables is.
 type Engine interface {
 	// Reset replaces the frontier with the given seed states (all-input
 	// states in the seed are dropped; duplicates are removed). The
@@ -50,16 +53,8 @@ type Engine interface {
 	// SetBaseline switches all-input ("baseline") injection; see
 	// Sparse.SetBaseline for the decomposition contract.
 	SetBaseline(on bool)
-	// SetBaselineSkip switches the baseline-skip fast path (on by default):
-	// with the frontier collapsed to the always-active baseline, StepBatch
-	// consumes symbols outside the start class with a memchr-style class
-	// scan instead of stepping them — exactly, since such a symbol provably
-	// fires nothing on an empty frontier. A no-op on backends that step one
-	// symbol per StepBatch (Sparse, the lazy DFA).
-	SetBaselineSkip(on bool)
 	// Step consumes one symbol at the given input offset. emit may be nil.
-	// It is the reference StepBatch is held to; production loops call
-	// StepBatch.
+	// It is the reference StepBatch is held to; the Cursor calls StepBatch.
 	Step(sym byte, off int64, emit EmitFunc)
 	// StepBatch consumes between 1 and len(input) symbols starting at
 	// absolute input offset off, observably identical to calling Step once
@@ -67,8 +62,9 @@ type Engine interface {
 	// sum and maximum of the frontier length over the consumed symbols, so
 	// callers maintain per-symbol frontier statistics exactly. len(input)
 	// must be > 0. Implementations are free to consume fewer symbols than
-	// offered (batch bounds, a frontier death, a representation switch);
-	// Sparse and the lazy DFA always consume exactly one.
+	// offered (batch bounds, a frontier death, a representation switch),
+	// never more than scalar Steps would, even on a dead frontier; Sparse
+	// and the lazy DFA always consume exactly one.
 	StepBatch(input []byte, off int64, emit EmitFunc) (consumed int, sumFrontier int64, maxFrontier int)
 	// FrontierLen returns the number of enabled states (excluding
 	// all-input states).
@@ -113,9 +109,9 @@ const (
 	// import pap/internal/engine/lazydfa (blank import suffices).
 	LazyDFAKind
 	// MetaKind selects the regime-matched stack: the lazy DFA while its
-	// cache holds and what Auto builds for the automaton beyond, with the run
-	// loops skipping dead-frontier input through the automaton's prefilter
-	// (see NewWithOpts; skipping lives in the loops, which own the input).
+	// cache holds and what Auto builds for the automaton beyond, with the
+	// cursor skipping dead-frontier input through the automaton's prefilter
+	// (see NewWithOpts).
 	MetaKind
 )
 
@@ -220,24 +216,22 @@ type Stats struct {
 	// Switches counts sparse⇄dense representation switches (Adaptive, and
 	// a lazy DFA that fell back to it); 0 when Auto resolved to Bit.
 	Switches int64
-	// BaselineSkipped counts symbols consumed by the baseline-skip fast
-	// path (see Engine.SetBaselineSkip).
-	BaselineSkipped int64
 	// Cache reports the lazy-DFA state cache.
 	Cache CacheStats
 }
 
 // bench/ — a separate module that ./... never compiles, frozen against this
-// package's API — is the only caller of the three functions below; code in
-// this module calls the Engine methods they forward to.
+// package's API — is the only caller of the three functions below.
 
 // StepBatchOf is e.StepBatch(input, off, emit).
 func StepBatchOf(e Engine, input []byte, off int64, emit EmitFunc) (consumed int, sumFrontier int64, maxFrontier int) {
 	return e.StepBatch(input, off, emit)
 }
 
-// SetBaselineSkip is e.SetBaselineSkip(on).
-func SetBaselineSkip(e Engine, on bool) { e.SetBaselineSkip(on) }
+// SetBaselineSkip does nothing: it once switched a skip inside StepBatch,
+// which now always steps (the Cursor owns the skip), as its one caller —
+// the kernel measurement, which wants no skip — requires.
+func SetBaselineSkip(Engine, bool) {}
 
 // SwitchesOf is e.Stats().Switches.
 func SwitchesOf(e Engine) int64 { return e.Stats().Switches }
@@ -376,9 +370,6 @@ func (e *Sparse) FrontierScore(q nfa.StateID) int64 {
 	return e.scoreCur[q]
 }
 
-// SetBaselineSkip is a no-op: Sparse steps one symbol per StepBatch.
-func (e *Sparse) SetBaselineSkip(bool) {}
-
 // StepBatch is exactly one Step: the sparse engine is per-state work
 // already, batching buys nothing.
 func (e *Sparse) StepBatch(input []byte, off int64, emit EmitFunc) (consumed int, sumFrontier int64, maxFrontier int) {
@@ -488,10 +479,6 @@ func (e *Sparse) stepScored(sym byte, off int64, emit EmitFunc) {
 	e.fired = fired
 	e.fp = fp
 }
-
-// clearFired empties the fired set (used by wrappers that skip input on
-// this engine's behalf: nothing fired on a skipped symbol).
-func (e *Sparse) clearFired() { e.fired = e.fired[:0] }
 
 // FrontierLen returns the number of enabled states (excluding all-input).
 func (e *Sparse) FrontierLen() int { return len(e.frontier) }

@@ -315,11 +315,11 @@ func TestAutoPolicy(t *testing.T) {
 	} {
 		n := asgNFA(c.states, c.allInput, c.starts)
 		name := fmt.Sprintf("states=%d/A=%d/starts=%d", c.states, c.allInput, c.starts)
-		scored, _ := NewWithOpts(MetaKind, n, nil, RunOpts{Scored: true})
+		scored := NewWithOpts(MetaKind, n, nil, RunOpts{Scored: true})
 		for route, e := range map[string]Engine{
 			"New(Auto)":            New(Auto, n, nil),
 			"Meta fallback":        New(MetaKind, n, nil),
-			"ScoringKind(Meta)":    scored,
+			"ScoringKind(Meta)":    scored.Engine(),
 			"ScoringKind(LazyDFA)": New(ScoringKind(LazyDFAKind), n, nil),
 		} {
 			switch e := e.(type) {

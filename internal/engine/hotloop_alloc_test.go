@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"pap/internal/nfa"
@@ -115,27 +116,30 @@ func TestScoringOffAllocs(t *testing.T) {
 	}
 }
 
-// TestBaselineSkipScanAllocs pins the baseline-skip fast path at zero
+// TestBaselineSkipScanAllocs pins the cursor's baseline skip at zero
 // allocations: a dead frontier scanning past a long out-of-class run must
-// not allocate, however many StepBatch calls the run is split into.
+// not allocate, however many stops the run is advanced in.
 func TestBaselineSkipScanAllocs(t *testing.T) {
 	n := fanoutNFA(64)
 	tab := NewTables(n)
-	e := NewBit(n, tab)
-	e.Step('z', 0, nil) // kill the start frontier: 'z' is out of class
-	if !e.Dead() {
+	c := NewWithOpts(BitKind, n, tab, RunOpts{})
+	c.Engine().Step('z', 0, nil) // kill the start frontier: 'z' is out of class
+	if !c.Engine().Dead() {
 		t.Fatal("frontier still live after a guaranteed miss")
 	}
 	input := bytes.Repeat([]byte("z"), 4096)
+	ctx := context.Background()
 	run := func() {
-		for i := 0; i < len(input); {
-			c, _, _ := e.StepBatch(input[i:], int64(i), nil)
-			i += c
+		c.Feed(input, 0, 0)
+		for stop := 1; stop <= len(input); stop *= 2 {
+			if err := c.Advance(ctx, stop); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	run()
-	if skipped := e.Stats().BaselineSkipped; skipped == 0 {
-		t.Fatal("skip fast path never engaged on an all-miss input")
+	if c.BaselineSkipped == 0 {
+		t.Fatal("baseline skip never engaged on an all-miss input")
 	}
 	if allocs := testing.AllocsPerRun(100, run); allocs != 0 {
 		t.Fatalf("baseline-skip scan allocates %.1f objects per pass, want 0", allocs)

@@ -168,10 +168,6 @@ func (e *Engine) SetBaseline(on bool) {
 	}
 }
 
-// SetBaselineSkip is a no-op: the lazy DFA steps one symbol per StepBatch
-// (a dead frontier is one cached self-edge), before and after fallback.
-func (e *Engine) SetBaselineSkip(bool) {}
-
 // StepBatch is exactly one Step.
 func (e *Engine) StepBatch(input []byte, off int64, emit engine.EmitFunc) (consumed int, sumFrontier int64, maxFrontier int) {
 	e.Step(input[0], off, emit)

@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"pap/internal/nfa"
-	"pap/internal/prefilter"
 )
 
 // CtxCheckEvery is the symbol interval between context polls in the run
@@ -19,11 +18,7 @@ const CtxCheckEvery = 4096
 type Result struct {
 	Reports []Report
 	// Stats is the engine's counters at the end of the run (or at the
-	// abort position): Transitions, Switches, Cache, and BaselineSkipped —
-	// the input bytes the engine's own baseline-skip fast path consumed by
-	// a class scan instead of a step. Like class prefilter skips that path
-	// is fully exact: every observable, including the per-symbol frontier
-	// statistics, is preserved bit-for-bit.
+	// abort position): Transitions, Switches and Cache.
 	Stats
 	MaxFrontier int
 	SumFrontier int64 // Σ frontier size over all positions (avg = Sum/len)
@@ -34,6 +29,11 @@ type Result struct {
 	// contribution is zero); literal skips additionally drop doomed partial
 	// frontiers (see RunOpts.LiteralPrefilter).
 	PrefilterSkipped int64
+	// BaselineSkipped counts input bytes the cursor's baseline skip scanned
+	// past instead of stepping (see Cursor). Like class prefilter skips it
+	// is fully exact: every observable, including the per-symbol frontier
+	// statistics, is preserved bit-for-bit.
+	BaselineSkipped int64
 	// BestScore is the maximum report Score of a scored run (see
 	// RunOpts.Scored); meaningful only when Reports is non-empty (scores
 	// may be negative, so 0 is not a sentinel). Always 0 for unscored runs.
@@ -49,46 +49,51 @@ type RunOpts struct {
 	// (pap.Match and friends) enable it; metric-bearing callers (anything
 	// recording boundaries) must not.
 	LiteralPrefilter bool
-	// DisableBaselineSkip forces every symbol through the stepping loop
-	// even on engines with the baseline-skip fast path — the ablation the
-	// conformance harness uses to prove the fast path exact.
+	// DisableBaselineSkip makes the cursor step every symbol even for the
+	// kinds that take the baseline skip — the ablation the conformance
+	// harness uses to prove the skip exact.
 	DisableBaselineSkip bool
 	// Scored enables per-transition score tracking (see Scorer): the engine
 	// kind is remapped through ScoringKind (lazy DFA and meta have no score
 	// channel), reports carry scores, Result.BestScore is filled, and the
 	// literal prefilter is never used — it is only report-exact, and a
 	// dropped doomed frontier could carry the best score. The always-exact
-	// class and baseline skips stay on: a skipped symbol fires nothing, so
-	// no score can change.
+	// baseline skip stays on: a skipped symbol fires nothing, so no score
+	// can change.
 	Scored bool
 }
 
 // NewWithOpts is New honouring run options — kind remapping and score
-// tracking under Scored, the baseline-skip ablation — and additionally
-// returns the prefilter to skip dead-frontier input with: the automaton's,
-// under MetaKind when scanning can pay off, nil otherwise. The prefilter is
-// a property of the automaton (Tables.Prefilter), not of an engine; only
-// the Meta kind opts into using it. The run loop and pap.Stream start here.
-func NewWithOpts(kind Kind, n *nfa.NFA, tab *Tables, opts RunOpts) (Engine, *prefilter.Prefilter) {
+// tracking under Scored — wrapped in the cursor the kind calls for: Bit and
+// Auto skip a dead frontier through the automaton's start-class scanner
+// (Tables.BaselineSkip) unless DisableBaselineSkip is set; Meta skips it
+// through the automaton's prefilter (Tables.Prefilter) when scanning can
+// pay off, with the literal tier under LiteralPrefilter; Sparse and the
+// lazy DFA step every symbol. The cursor polls its context every
+// CtxCheckEvery symbols. The run loop and pap.Stream start here.
+func NewWithOpts(kind Kind, n *nfa.NFA, tab *Tables, opts RunOpts) Cursor {
 	if opts.Scored {
 		kind = ScoringKind(kind)
 	}
-	if kind == MetaKind && tab == nil {
+	if tab == nil && kind != SparseKind && kind != LazyDFAKind {
 		tab = NewTables(n)
 	}
-	e := New(kind, n, tab)
+	c := Cursor{eng: New(kind, n, tab), baseline: true, every: CtxCheckEvery}
 	if opts.Scored {
-		SetScoring(e, true)
+		SetScoring(c.eng, true)
 	}
-	if opts.DisableBaselineSkip {
-		e.SetBaselineSkip(false)
-	}
-	if kind == MetaKind {
+	switch kind {
+	case SparseKind, LazyDFAKind:
+	case MetaKind:
 		if pf := tab.Prefilter(); pf.Useful() {
-			return e, pf
+			c.pf, c.literal = pf, opts.LiteralPrefilter
+		}
+	default:
+		if !opts.DisableBaselineSkip {
+			c.scan, c.inert = tab.BaselineSkip(), true
 		}
 	}
-	return e, nil
+	return c
 }
 
 // Run executes the automaton over the whole input with the default (Auto)
@@ -111,9 +116,7 @@ func RunEngineOpts(n *nfa.NFA, input []byte, kind Kind, tab *Tables, opts RunOpt
 // polled every CtxCheckEvery symbols, so the per-symbol inner loop stays
 // check-free. On cancellation it returns ctx's error together with the
 // partial result and the number of symbols processed before the poll
-// observed the cancellation. Prefilter skips jump over poll offsets without
-// checking — a skip consumes input at scan speed, so cancellation latency
-// stays bounded by the stepped stretches between candidates.
+// observed the cancellation.
 func RunContext(ctx context.Context, n *nfa.NFA, input []byte, kind Kind, tab *Tables, opts RunOpts) (Result, int, error) {
 	res, _, pos, err := run(ctx, n, input, nil, kind, tab, opts, nil)
 	return res, pos, err
@@ -147,67 +150,31 @@ func RunWithBoundaries(ctx context.Context, n *nfa.NFA, input []byte, cuts []int
 	return run(ctx, n, input, cuts, kind, tab, opts, onCut)
 }
 
-// run is the one sequential loop behind every Run* entry point: skip a
-// dead frontier through the prefilter, poll ctx, advance by StepBatch. It
-// returns the result, the boundary recorded at each cut, and the number of
-// symbols processed — len(input), or the poll position with ctx's error.
-//
-// Each cut is defined by the symbol before it: skips and batches are
-// clamped to stop one symbol short of the next cut, and that symbol is
-// stepped scalar so its Fired/Enabled record the boundary on one path
-// (in a skipped region both are provably empty). Engine-internal baseline
-// skips stay inside the window — they are clamped by the slice. Without
-// cuts nothing is clamped.
+// run is the sequential execution behind every Run* entry point: the
+// kind's cursor advances to the symbol before each cut and steps that one
+// alone, so its Fired and Enabled record the boundary; then it advances to
+// the end. It returns the result, the boundary recorded at each cut, and
+// the number of symbols processed — len(input), or the poll position with
+// ctx's error.
 func run(ctx context.Context, n *nfa.NFA, input []byte, cuts []int, kind Kind, tab *Tables, opts RunOpts,
 	onCut func(Boundary) error) (Result, []Boundary, int, error) {
-	e, pf := NewWithOpts(kind, n, tab, opts)
-	literal := opts.LiteralPrefilter && !opts.Scored
+	c := NewWithOpts(kind, n, tab, opts)
 	var res Result
-	emit := func(r Report) { res.Reports = append(res.Reports, r) }
+	c.Emit = func(r Report) { res.Reports = append(res.Reports, r) }
+	c.Feed(input, 0, 0)
 	var bounds []Boundary
 	if len(cuts) > 0 {
 		bounds = make([]Boundary, 0, len(cuts))
 	}
-	pos, nextPoll := 0, 0
 	var err error
-	for pos < len(input) {
-		hi := len(input) // symbols before hi need no boundary bookkeeping
-		if len(bounds) < len(cuts) {
-			hi = cuts[len(bounds)] - 1
+	for _, cut := range cuts {
+		if err = c.Advance(ctx, cut-1); err != nil {
+			break
 		}
-		if pf != nil && e.Dead() {
-			var j int
-			if literal {
-				j = pf.NextLiteral(input, pos)
-			} else {
-				j = pf.Next(input, pos)
-			}
-			if j = min(j, hi); j > pos {
-				res.PrefilterSkipped += int64(j - pos)
-				pos = j
-				continue
-			}
-		}
-		if pos >= nextPoll {
-			if err = ctx.Err(); err != nil {
-				break
-			}
-			nextPoll = pos + CtxCheckEvery
-		}
-		if pos < hi {
-			c, sum, peak := e.StepBatch(input[pos:hi], int64(pos), emit)
-			res.SumFrontier += sum
-			res.MaxFrontier = max(res.MaxFrontier, peak)
-			pos += c
-			continue
-		}
-		e.Step(input[pos], int64(pos), emit)
-		l := e.FrontierLen()
-		res.SumFrontier += int64(l)
-		res.MaxFrontier = max(res.MaxFrontier, l)
-		pos++
+		c.Step()
+		e := c.Engine()
 		b := Boundary{
-			Pos:     pos,
+			Pos:     cut,
 			Fired:   sortedIDs(e.AppendFired(nil)),
 			Enabled: sortedIDs(e.AppendFrontier(nil)),
 		}
@@ -221,9 +188,14 @@ func run(ctx context.Context, n *nfa.NFA, input []byte, cuts []int, kind Kind, t
 			}
 		}
 	}
-	res.Stats = e.Stats()
+	if err == nil {
+		err = c.Advance(ctx, len(input))
+	}
+	res.Stats = c.Engine().Stats()
+	res.SumFrontier, res.MaxFrontier = c.SumFrontier, c.MaxFrontier
+	res.PrefilterSkipped, res.BaselineSkipped = c.PrefilterSkipped, c.BaselineSkipped
 	res.BestScore, _ = BestReportScore(res.Reports)
-	return res, bounds, pos, err
+	return res, bounds, c.Pos(), err
 }
 
 // sortedIDs sorts ids in place and returns them.

@@ -1,20 +1,21 @@
 package engine_test
 
 // Differential step-test harness for the vectorized hot loop: every
-// batch-capable backend is run in lock-step against the scalar sparse
-// reference — the batched engine consumes a window per StepBatch call, the
-// reference replays the same window one Step at a time — and every
-// observable is compared at each window boundary: frontier set,
-// fingerprint, death, reports (with offsets), cumulative transitions, and
-// the per-symbol frontier statistics the run loops aggregate. Cases come
-// from the conformance generators (random homogeneous NFAs, adversarial
-// inputs), extended with seeded mid-run frontiers, and each is checked
-// with the baseline on and off and with the baseline-skip fast path
-// enabled and ablated. A second suite asserts the same invisibility at the
-// core level: both execution modes produce bit-identical modelled metrics
-// with the fast path on and off.
+// backend, driven by the cursor the run loops use, is run in lock-step
+// against the scalar sparse reference — the cursor advances one window at a
+// time, skipping or calling StepBatch, the reference replays the same
+// window one Step at a time — and every observable is compared at each
+// window boundary: frontier set, fingerprint, death, reports (with
+// offsets), cumulative transitions, and the per-symbol frontier statistics
+// the run loops aggregate. Cases come from the conformance generators
+// (random homogeneous NFAs, adversarial inputs), extended with seeded
+// mid-run frontiers, and each is checked with the baseline on and off and
+// with the cursor's baseline skip enabled and ablated. A second suite
+// asserts the same invisibility at the core level: both execution modes
+// produce bit-identical modelled metrics with the skip on and off.
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -48,12 +49,15 @@ type stepDiffConfig struct {
 	baseline    bool
 	disableSkip bool
 	seed        []nfa.StateID // nil = start configuration
-	window      int           // symbols offered per StepBatch call; 0 = all that remain
+	window      int           // symbols offered per Advance or StepBatch call; 0 = all that remain
+	// raw drives the engine by StepBatch itself, without a cursor: the
+	// engine contract alone, where the window is an offer and not a stop.
+	raw bool
 }
 
 func (c stepDiffConfig) String() string {
-	return fmt.Sprintf("%s/baseline=%v/skipOff=%v/seeded=%v/window=%d",
-		c.kind, c.baseline, c.disableSkip, c.seed != nil, c.window)
+	return fmt.Sprintf("%s/baseline=%v/skipOff=%v/seeded=%v/window=%d/raw=%v",
+		c.kind, c.baseline, c.disableSkip, c.seed != nil, c.window, c.raw)
 }
 
 // sortReports orders raw report events canonically; engines may emit the
@@ -82,23 +86,26 @@ func equalReports(a, b []engine.Report) bool {
 	return true
 }
 
-// runStepDiff locks one configured engine, advanced by StepBatch, against
-// the scalar sparse reference over the whole input and fails on the first
-// divergent observable. A twin of the same kind advanced by scalar Step
-// rides along for the counters only a same-kind engine has: its Stats must
-// equal the batched engine's, except for the two fields that record how
-// the input was consumed rather than what it did — Switches (the adaptive
-// density check runs once per call, so call granularity moves switch
-// points) and BaselineSkipped (only StepBatch skips; 0 on both with the
-// fast path ablated).
+// runStepDiff locks the cursor of one configured kind (or, raw, its engine
+// by StepBatch) against the scalar sparse reference over the whole input
+// and fails on the first divergent observable. A twin of the same kind advanced by scalar Step rides along
+// for the counters only a same-kind engine has: its Stats must equal the
+// cursor's engine's, except two fields that record how the input was
+// consumed rather than what it did: Switches (the adaptive density check
+// runs once per StepBatch call, so call granularity moves switch points)
+// and, once the cursor has skipped, Cache (a skipped symbol looks up no
+// cached edge). With the
+// skip ablated the cursor must skip nothing but what the Meta prefilter
+// does.
 func runStepDiff(t *testing.T, n *nfa.NFA, tab *engine.Tables, input []byte, cfg stepDiffConfig) {
 	t.Helper()
 	ref := engine.New(engine.SparseKind, n, tab)
-	sub := engine.New(cfg.kind, n, tab)
+	cur := engine.NewWithOpts(cfg.kind, n, tab, engine.RunOpts{DisableBaselineSkip: cfg.disableSkip})
+	sub := cur.Engine()
 	twin := engine.New(cfg.kind, n, tab)
+	cur.SetBaseline(cfg.baseline)
 	for _, e := range []engine.Engine{ref, sub, twin} {
 		e.SetBaseline(cfg.baseline)
-		e.SetBaselineSkip(!cfg.disableSkip)
 		if cfg.seed != nil {
 			e.Reset(cfg.seed)
 		}
@@ -107,6 +114,8 @@ func runStepDiff(t *testing.T, n *nfa.NFA, tab *engine.Tables, input []byte, cfg
 	var refReports, subReports []engine.Report
 	refEmit := func(r engine.Report) { refReports = append(refReports, r) }
 	subEmit := func(r engine.Report) { subReports = append(subReports, r) }
+	cur.Emit = subEmit
+	cur.Feed(input, 0, 0)
 
 	for i := 0; i < len(input); {
 		refReports, subReports = refReports[:0], subReports[:0]
@@ -114,14 +123,27 @@ func runStepDiff(t *testing.T, n *nfa.NFA, tab *engine.Tables, input []byte, cfg
 		if cfg.window > 0 {
 			hi = min(hi, i+cfg.window)
 		}
-		consumed, sum, max := sub.StepBatch(input[i:hi], int64(i), subEmit)
-		if consumed < 1 || consumed > hi-i {
-			t.Fatalf("%s: StepBatch at %d consumed %d of %d", cfg, i, consumed, hi-i)
-		}
+		var consumed, max int
+		var sum int64
 		// Replay the same window on the scalar reference, accumulating the
-		// per-symbol frontier statistics the run loops derive from it.
+		// per-symbol frontier statistics the run loops derive from it (the
+		// cursor's maximum runs over the whole input, StepBatch's over one
+		// call).
 		var refSum int64
 		refMax := 0
+		if cfg.raw {
+			consumed, sum, max = sub.StepBatch(input[i:hi], int64(i), subEmit)
+			if consumed < 1 || consumed > hi-i {
+				t.Fatalf("%s: StepBatch at %d consumed %d of %d", cfg, i, consumed, hi-i)
+			}
+		} else {
+			sum0 := cur.SumFrontier
+			refMax = cur.MaxFrontier
+			if err := cur.Advance(context.Background(), hi); err != nil || cur.Pos() != hi {
+				t.Fatalf("%s: advanced from %d to %d of %d, err %v", cfg, i, cur.Pos(), hi, err)
+			}
+			consumed, sum, max = hi-i, cur.SumFrontier-sum0, cur.MaxFrontier
+		}
 		for j := 0; j < consumed; j++ {
 			ref.Step(input[i+j], int64(i+j), refEmit)
 			twin.Step(input[i+j], int64(i+j), nil)
@@ -156,12 +178,14 @@ func runStepDiff(t *testing.T, n *nfa.NFA, tab *engine.Tables, input []byte, cfg
 		if got, want := sub.Stats().Transitions, ref.Stats().Transitions; got != want {
 			t.Fatalf("%s: transitions %d, reference %d", at, got, want)
 		}
-		got, want := sub.Stats(), twin.Stats()
-		if cfg.disableSkip && got.BaselineSkipped != 0 {
-			t.Fatalf("%s: skip-ablated engine skipped %d symbols", at, got.BaselineSkipped)
+		if cfg.disableSkip && (cur.BaselineSkipped != 0 || cur.PrefilterSkipped != 0 && cfg.kind != engine.MetaKind) {
+			t.Fatalf("%s: skip-ablated cursor skipped %d + %d symbols", at, cur.BaselineSkipped, cur.PrefilterSkipped)
 		}
+		got, want := sub.Stats(), twin.Stats()
 		got.Switches, want.Switches = 0, 0
-		got.BaselineSkipped, want.BaselineSkipped = 0, 0
+		if cur.PrefilterSkipped+cur.BaselineSkipped > 0 {
+			got.Cache, want.Cache = engine.CacheStats{}, engine.CacheStats{}
+		}
 		if got != want {
 			t.Fatalf("%s: stats %+v, same kind stepped scalar %+v", at, got, want)
 		}
@@ -220,9 +244,9 @@ func caseSeeds(t *testing.T, base int64, count int) []int64 {
 }
 
 // TestStepDiffLockStep is the differential harness over generated cases:
-// scalar vs batched vs baseline-skip execution must agree on every
-// observable at every window, for all backends, from the start
-// configuration and from seeded frontiers, baseline on and off.
+// scalar vs batched vs skipping execution must agree on every observable
+// at every window, for all backends, from the start configuration and from
+// seeded frontiers, baseline on and off, with the cursor's skip on and off.
 func TestStepDiffLockStep(t *testing.T) {
 	seeds := 24
 	if testing.Short() {

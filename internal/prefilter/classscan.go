@@ -8,8 +8,9 @@ import (
 
 // StartClass returns the union of all all-input state labels of n: the
 // exact set of bytes that can restart activity on a dead frontier. Every
-// baseline-skip fast path scans for this class — the prefilter run loops,
-// the bit engine's StepBatch, and core's ASG-flow rounds all share it.
+// dead-frontier skip scans for this class — the engine cursor's baseline
+// skip, in the run loops, streams and core's rounds, and the prefilter's
+// class tier.
 func StartClass(n *nfa.NFA) nfa.Class {
 	var c nfa.Class
 	for _, q := range n.AllInputStates() {

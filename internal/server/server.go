@@ -183,7 +183,7 @@ func New(cfg Config) *Server {
 	s.engineSwitches = m.Counter("papd_engine_switches_total",
 		"Sparse-dense representation switches made by adaptive engines.", "")
 	s.prefilterSkipped = m.Counter("papd_prefilter_skipped_bytes_total",
-		"Input bytes the literal/class prefilter proved inert and never stepped.", "")
+		"Input bytes proven inert and never stepped outside the baseline skip (in parallel matches, dead enumeration flows' rounds).", "")
 	s.baselineSkipped = m.Counter("papd_baseline_skipped_bytes_total",
 		"Input bytes the exact baseline-skip fast path scanned past instead of stepping.", "")
 	s.scoredMatches = m.Counter("papd_scored_matches_total",

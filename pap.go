@@ -333,11 +333,11 @@ func (a *Automaton) Match(input []byte) []Match {
 // corresponding machinery.
 type EngineInfo struct {
 	// PrefilterSkippedBytes counts input bytes never stepped because the
-	// prefilter proved them inert on a dead frontier.
+	// prefilter proved them inert on a dead frontier (EngineMeta only).
 	PrefilterSkippedBytes int64
-	// BaselineSkippedBytes counts input bytes the engine's exact
-	// baseline-skip fast path scanned past (start-class scan while only
-	// always-active states were live). Fully exact: reports, frontier
+	// BaselineSkippedBytes counts input bytes the exact baseline skip
+	// scanned past (start-class scan while only always-active states were
+	// live). Fully exact: reports, frontier
 	// statistics, and modelled cycles are identical to stepping.
 	BaselineSkippedBytes int64
 	// EngineSwitches counts sparse⇄dense representation switches
@@ -352,11 +352,11 @@ type EngineInfo struct {
 }
 
 // infoOf assembles an EngineInfo from an engine's counters and the bytes
-// the loop around it (engine.Run*, Stream) skipped through the prefilter.
-func infoOf(st engine.Stats, prefilterSkipped int64) EngineInfo {
+// the cursor driving it (engine.Run*, Stream) skipped.
+func infoOf(st engine.Stats, prefilterSkipped, baselineSkipped int64) EngineInfo {
 	return EngineInfo{
 		PrefilterSkippedBytes: prefilterSkipped,
-		BaselineSkippedBytes:  st.BaselineSkipped,
+		BaselineSkippedBytes:  baselineSkipped,
 		EngineSwitches:        st.Switches,
 		CacheHits:             st.Cache.Hits,
 		CacheMisses:           st.Cache.Misses,
@@ -389,7 +389,7 @@ func (a *Automaton) MatchWithInfo(input []byte, k EngineKind) ([]Match, EngineIn
 func (a *Automaton) MatchWithInfoContext(ctx context.Context, input []byte, k EngineKind) ([]Match, EngineInfo, error) {
 	res, pos, err := engine.RunContext(ctx, a.n, input, k.toKind(), a.tables(),
 		engine.RunOpts{LiteralPrefilter: true, Scored: a.n.Scored()})
-	info := infoOf(res.Stats, res.PrefilterSkipped)
+	info := infoOf(res.Stats, res.PrefilterSkipped, res.BaselineSkipped)
 	if err != nil {
 		return nil, info, &AbortError{
 			Cause:    err,
@@ -470,10 +470,12 @@ type RunStats struct {
 	// EngineSwitches counts sparse⇄dense representation switches made by
 	// adaptive engines across all flows (0 for fixed backends).
 	EngineSwitches int64 `json:"engine_switches"`
-	// PrefilterSkippedBytes counts input bytes the simulator's prefilter
-	// proved inert and never stepped, across all flows and the golden
-	// boundary run. Pure simulator observability: skipped symbols are
-	// still charged their modelled AP cycles.
+	// PrefilterSkippedBytes counts input bytes the simulator proved inert
+	// and never stepped outside the baseline skip: on every engine the
+	// rest of the round of an enumeration flow whose frontier died (no
+	// prefilter is involved), plus, under EngineMeta, what the golden
+	// boundary run's prefilter skipped. Pure simulator observability:
+	// skipped symbols are still charged their modelled AP cycles.
 	PrefilterSkippedBytes int64 `json:"prefilter_skipped"`
 	// BaselineSkippedBytes counts input bytes covered by the exact
 	// baseline-skip fast path (start-class scan over regions where only

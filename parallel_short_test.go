@@ -196,6 +196,48 @@ func TestMatchParallelShortAllocs(t *testing.T) {
 	}
 }
 
+// TestMatchShortAllocs pins what a sequential Match of one 256-byte
+// needle_requests-like record allocates: its engine, the cursor's report
+// sink and the result — 5 objects without a match, 7 with one (the
+// reports and the matches). The cursor itself lives on the caller's stack;
+// a closure or a heap object per call would add to it.
+func TestMatchShortAllocs(t *testing.T) {
+	a, corpus := needleRuleset(t, 8*256)
+	for _, c := range []struct {
+		name    string
+		record  []byte
+		matches bool
+		pin     float64
+	}{
+		{"no match", corpus[:256], false, 5},
+		{"match", corpus[7*256:], true, 7}, // every sixteenth record, from the eighth, holds a needle
+	} {
+		if got := len(a.Match(c.record)) > 0; got != c.matches {
+			t.Fatalf("%s: record matches = %v", c.name, got)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { a.Match(c.record) }); allocs > c.pin {
+			t.Fatalf("%s: a 256-byte Match allocates %.0f objects, want at most %.0f", c.name, allocs, c.pin)
+		}
+	}
+}
+
+// TestPrefilterSkippedSources pins where the prefilter_skipped figures
+// come from on the default engine: a parallel match counts the rest of each
+// round of an enumeration flow whose frontier died, with no prefilter
+// involved, while a sequential match has no prefilter to count with.
+func TestPrefilterSkippedSources(t *testing.T) {
+	a, input := snortRuleset(t, 64<<10)
+	_, info := a.MatchWithInfo(input, EngineAuto)
+	rep, err := a.MatchParallel(input, DefaultConfig(4))
+	if err != nil || !rep.Stats.Verified {
+		t.Fatalf("MatchParallel: %v", err)
+	}
+	if info.PrefilterSkippedBytes != 0 || rep.Stats.PrefilterSkippedBytes == 0 {
+		t.Fatalf("prefilter skipped %d bytes sequentially and %d in parallel, want 0 and more",
+			info.PrefilterSkippedBytes, rep.Stats.PrefilterSkippedBytes)
+	}
+}
+
 // BenchmarkMatchParallelBySize measures where running a parallel match's
 // segments on more than the calling goroutine starts to pay: both core
 // schedulers over a needle_requests-like and a snort_sparse-like ruleset, at

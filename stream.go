@@ -5,7 +5,6 @@ import (
 	"errors"
 
 	"pap/internal/engine"
-	"pap/internal/prefilter"
 )
 
 // ErrStreamClosed is returned by Stream.WriteContext after Close.
@@ -25,17 +24,13 @@ var ErrStreamClosed = errors.New("pap: stream closed")
 //	    }
 //	}
 type Stream struct {
-	a      *Automaton
-	kind   EngineKind
-	eng    engine.Engine
-	pf     *prefilter.Prefilter // non-nil only under EngineMeta with a useful one
+	a    *Automaton
+	kind EngineKind
+	// cur is the one cursor the stream's writes advance, kept across them:
+	// its skips are exact per byte (a stream never takes the literal
+	// tier), so chunk boundaries need no special handling.
+	cur    engine.Cursor
 	offset int64
-	// skipped counts bytes proven inert by the prefilter and never
-	// stepped. Only the class scanner runs here — it is exact per byte,
-	// so chunk boundaries (and literals straddling them) need no special
-	// handling: the first byte of any viable trace is in the start class
-	// and stops the skip.
-	skipped int64
 	// scratch accumulates the current chunk's matches and reports
 	// accumulates its raw report events; both are reused across Write
 	// calls, and emit is allocated once here, so steady-state writes
@@ -84,19 +79,20 @@ func (a *Automaton) NewStream(opts ...StreamOption) *Stream {
 	if a.n.Scored() {
 		s.scored = true
 	}
-	s.newEngine()
 	s.emit = func(r engine.Report) { s.reports = append(s.reports, r) }
+	s.newEngine()
 	return s
 }
 
-// newEngine (re)positions the stream's engine, and the prefilter that
-// goes with its kind, at the start configuration.
+// newEngine (re)positions the stream's cursor, with the engine and the
+// skip its kind calls for, at the start configuration.
 func (s *Stream) newEngine() {
 	var tab *engine.Tables
 	if s.kind != EngineSparse {
 		tab = s.a.tables()
 	}
-	s.eng, s.pf = engine.NewWithOpts(s.kind.toKind(), s.a.n, tab, engine.RunOpts{Scored: s.scored})
+	s.cur = engine.NewWithOpts(s.kind.toKind(), s.a.n, tab, engine.RunOpts{Scored: s.scored})
+	s.cur.Emit = s.emit
 }
 
 // collect dedupes the accumulated raw reports into scratch and folds them
@@ -128,43 +124,8 @@ func (s *Stream) Write(chunk []byte) []Match {
 	return ms
 }
 
-// streamCtxEvery is the symbol interval between context polls in
-// WriteContext — coarse enough to stay off the hot per-symbol path.
-const streamCtxEvery = 4096
-
-// advance consumes chunk in windows of streamCtxEvery symbols with ctx
-// polled before each, and returns ctx's error if a poll stopped it early
-// (s.offset tells how far it got). Within a window a dead frontier skips
-// through the prefilter — the skip may run past the window, which only
-// delays the next poll: skips are bounded by the chunk and cost no
-// per-symbol work — and everything else goes through StepBatch: the
-// vectorized kernel on a live frontier, the exact baseline-skip scan on a
-// dead one. Chunk boundaries need no special handling, all three are exact
-// per byte.
-func (s *Stream) advance(ctx context.Context, chunk []byte) error {
-	for i := 0; i < len(chunk); {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		for end := min(i+streamCtxEvery, len(chunk)); i < end; {
-			if s.pf != nil && s.eng.Dead() {
-				if j := s.pf.Next(chunk, i); j > i {
-					s.offset += int64(j - i)
-					s.skipped += int64(j - i)
-					i = j
-					continue
-				}
-			}
-			c, _, _ := s.eng.StepBatch(chunk[i:end], s.offset, s.emit)
-			s.offset += int64(c)
-			i += c
-		}
-	}
-	return nil
-}
-
-// WriteContext is Write under a context: the chunk is consumed in
-// coarse-grained slices with ctx polled between them, and a cancelled or
+// WriteContext is Write under a context: ctx is polled before the chunk's
+// first symbol and every engine.CtxCheckEvery symbols after, and a cancelled or
 // expired ctx stops mid-chunk with ctx's error wrapped in *AbortError
 // (Progress reports the global stream offsets covered by this chunk and
 // the position reached). Symbols before the stop are consumed — Offset
@@ -178,7 +139,9 @@ func (s *Stream) WriteContext(ctx context.Context, chunk []byte) ([]Match, error
 	start := s.offset
 	s.scratch = s.scratch[:0]
 	s.reports = s.reports[:0]
-	err := s.advance(ctx, chunk)
+	s.cur.Feed(chunk, 0, start)
+	err := s.cur.Advance(ctx, len(chunk))
+	s.offset = start + int64(s.cur.Pos())
 	s.collect()
 	if err != nil {
 		return s.scratch, &AbortError{
@@ -208,7 +171,7 @@ func (s *Stream) Offset() int64 { return s.offset }
 
 // ActiveStates returns the number of currently enabled states beyond the
 // always-active baseline — a load indicator for monitoring.
-func (s *Stream) ActiveStates() int { return s.eng.FrontierLen() }
+func (s *Stream) ActiveStates() int { return s.cur.Engine().FrontierLen() }
 
 // Engine returns the stream's configured backend.
 func (s *Stream) Engine() EngineKind { return s.kind }
@@ -226,29 +189,30 @@ func (s *Stream) BestScore() (int64, bool) { return s.best, s.bestValid }
 // EngineSwitches returns the number of sparse⇄dense representation
 // switches the backend has made (always 0 for fixed backends; for
 // EngineMeta this counts the inner adaptive fallback, if engaged).
-func (s *Stream) EngineSwitches() int64 { return s.eng.Stats().Switches }
+func (s *Stream) EngineSwitches() int64 { return s.cur.Engine().Stats().Switches }
 
 // PrefilterSkipped returns the number of input bytes the stream's
 // prefilter proved inert and never stepped (0 unless the backend carries
 // a prefilter, i.e. EngineMeta over a ruleset with a narrow start class).
-func (s *Stream) PrefilterSkipped() int64 { return s.skipped }
+func (s *Stream) PrefilterSkipped() int64 { return s.cur.PrefilterSkipped }
 
-// BaselineSkipped returns the number of input bytes the backend's exact
-// baseline-skip fast path scanned past instead of stepping (0 for backends
-// without the fast path, and for rulesets whose start class is too wide to
-// ever skip). Unlike the prefilter this path preserves every observable.
-func (s *Stream) BaselineSkipped() int64 { return s.eng.Stats().BaselineSkipped }
+// BaselineSkipped returns the number of input bytes the exact baseline
+// skip scanned past instead of stepping (0 for backends without it, and
+// for rulesets whose start class is too wide to ever skip). Unlike the
+// prefilter this path preserves every observable.
+func (s *Stream) BaselineSkipped() int64 { return s.cur.BaselineSkipped }
 
 // EngineInfo returns the stream's cumulative backend observability
 // counters since creation or the last Reset.
-func (s *Stream) EngineInfo() EngineInfo { return infoOf(s.eng.Stats(), s.skipped) }
+func (s *Stream) EngineInfo() EngineInfo {
+	return infoOf(s.cur.Engine().Stats(), s.cur.PrefilterSkipped, s.cur.BaselineSkipped)
+}
 
 // Reset rewinds the stream to offset 0 and the start configuration,
 // reopening it if it was closed.
 func (s *Stream) Reset() {
 	s.newEngine()
 	s.offset = 0
-	s.skipped = 0
 	s.scratch = s.scratch[:0]
 	s.closed = false
 	s.best, s.bestValid = 0, false

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+
+	"pap/internal/engine"
 )
 
 // TestStreamMatchesWholeInput: chunked streaming must produce exactly the
@@ -152,7 +154,7 @@ func TestStreamEngineEquivalence(t *testing.T) {
 			t.Fatalf("Engine() = %v, want %v", s.Engine(), k)
 		}
 		var got []Match
-		sizes := []int{1, 63, 512, streamCtxEvery + 904}
+		sizes := []int{1, 63, 512, engine.CtxCheckEvery + 904}
 		for pos, i := 0, 0; pos < len(input); i++ {
 			end := min(pos+sizes[i%len(sizes)], len(input))
 			ms := s.Write(input[pos:end])
