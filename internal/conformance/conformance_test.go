@@ -63,41 +63,45 @@ func TestConformance(t *testing.T) {
 	t.Logf("conformance: %d cases, %d failures in %v", sum.Cases, len(sum.Failures), time.Since(start))
 }
 
-// TestSweepCoversBothRepresentations keeps the differential net under the
-// Adaptive engine: ordinary generated automata fit a word or two, where
-// New(Auto, …) is Bit outright, so the list side and the switch path are
-// exercised only by the wide profile. Over the cases of the short default
-// sweep, Auto must construct both engines and an Adaptive run must switch
-// in each direction at least once.
+// TestSweepCoversBothRepresentations keeps the differential net under what
+// the bit engine keeps between batches — the delta, its summary and the
+// frontier count (see engine.Bit.StepBatch): ordinary generated automata
+// fit a word or two, so only the wide profile gives the delta a long vector
+// to stay sparse in. Over the cases of the short default sweep, Auto must
+// be the bit engine, some cases must be at least 16 words wide, and on
+// those, stepped batch by batch, a frontier must die at a batch's end and
+// be reborn in a later batch.
 func TestSweepCoversBothRepresentations(t *testing.T) {
-	var bit, adaptive, toDense, toSparse int
+	var wide, deaths, rebirths int
 	for i := 0; i < 1000; i++ {
 		c, err := NewCase(CaseSeed(1, i))
 		if err != nil {
 			t.Fatal(err)
 		}
-		ad, ok := engine.New(engine.Auto, c.NFA, nil).(*engine.Adaptive)
+		e, ok := engine.New(engine.Auto, c.NFA, nil).(*engine.Bit)
 		if !ok {
-			bit++
+			t.Fatalf("case %d: New(Auto) = %T, want the bit engine", i, e)
+		}
+		if (c.NFA.Len()+63)/64 < 16 {
 			continue
 		}
-		adaptive++
+		wide++
+		dead := e.Dead()
 		for pos := 0; pos < len(c.Input); {
-			was := ad.Dense()
-			n, _, _ := ad.StepBatch(c.Input[pos:], int64(pos), nil)
+			n, _, _ := e.StepBatch(c.Input[pos:], int64(pos), nil)
 			pos += n
-			switch now := ad.Dense(); {
-			case now && !was:
-				toDense++
-			case was && !now:
-				toSparse++
+			now := e.Dead()
+			if now && !dead {
+				deaths++
+			} else if dead && !now {
+				rebirths++
 			}
+			dead = now
 		}
 	}
-	t.Logf("auto: %d bit, %d adaptive; switches: %d to dense, %d to sparse", bit, adaptive, toDense, toSparse)
-	if bit == 0 || adaptive == 0 || toDense == 0 || toSparse == 0 {
-		t.Fatalf("default sweep does not cover the adaptive engine: %d bit, %d adaptive, %d switches to dense, %d to sparse",
-			bit, adaptive, toDense, toSparse)
+	t.Logf("%d cases of 16 words or more; frontiers died %d times and were reborn %d times", wide, deaths, rebirths)
+	if wide == 0 || deaths == 0 || rebirths == 0 {
+		t.Fatalf("default sweep does not cover the kept delta: %d wide cases, %d deaths, %d rebirths", wide, deaths, rebirths)
 	}
 }
 

@@ -212,19 +212,19 @@ func RandomSpec(rng *rand.Rand) *NFASpec {
 	return spec
 }
 
-// RandomWideSpec generates the wide profile: about two thousand states with one
-// or two all-input states, the shape on which the default engine is the
-// Adaptive selector rather than Bit outright (RandomSpec's automata fit one
-// or two vector words, where the Active State Group always outweighs the
-// vector). Only a live region of 24-63 states, scattered over the ID
-// space, is reachable; the rest is padding that widens the vectors without
+// RandomWideSpec generates the wide profile: about two thousand states — a
+// vector of 24 to 40 words — with one or two all-input states, the shape
+// on which the bit engine's delta stays sparse in a long vector and is
+// carried from batch to batch (RandomSpec's automata fit one or two vector
+// words). Only a live region of 24-63 states, scattered over the ID space,
+// is reachable; the rest is padding that widens the vectors without
 // widening any symbol's range, so the enumeration stays as cheap as on an
 // ordinary case. Live states fan out to two or three live successors over
-// a one- or two-symbol alphabet: a hot run multiplies the frontier past the
-// dense threshold within a few symbols and a miss run empties it again, so
-// both representations and both switch directions occur on RandomInput's
-// ordinary inputs. A block of start-of-data states now and then makes the
-// run begin on the dense side.
+// a one- or two-symbol alphabet: a hot run multiplies the frontier within
+// a few symbols and a miss run empties it again, so on RandomInput's
+// ordinary inputs frontiers die and are reborn across batches. A block of
+// start-of-data states now and then makes the run begin with a large
+// frontier.
 func RandomWideSpec(rng *rand.Rand) *NFASpec {
 	size := 1536 + rng.Intn(1024)
 	live := rng.Perm(size)[:24+rng.Intn(40)]

@@ -426,10 +426,8 @@ func checkParallel(c *Case, oracle []engine.Report, rng *rand.Rand) (string, str
 
 // checkSchedulerParity asserts the cross-segment parallel scheduler is
 // observationally identical to the serial one: same reports as the oracle,
-// and every modelled metric — whole-run and per-segment — bit-identical.
-// (Only EngineSwitches is exempt: which pool worker, and thus which
-// adaptive engine instance with its hysteresis state, picks up each flow
-// round is wall-clock-scheduling-dependent by design.)
+// and every field — whole-run and per-segment — bit-identical, with no
+// exemption.
 func checkSchedulerParity(c *Case, oracle []engine.Report, rng *rand.Rand) (string, string) {
 	if len(c.Input) < 8 {
 		return "", "" // too short to partition meaningfully
@@ -590,7 +588,7 @@ func checkCancellation(c *Case, oracle []engine.Report, rng *rand.Rand) (string,
 // checkScored is the scored-match invariant: with score tracking on, every
 // execution path must reproduce the scored oracle's report set score for
 // score and agree on the best score — sequential runs on all five engine
-// kinds (lazy DFA and meta fall back to the adaptive scorer), the
+// kinds (lazy DFA and meta fall back to the bit engine's scorer), the
 // baseline-skip ablation, chunked streaming exactly as Stream.Write chunks,
 // boundary-recording runs whose recorded frontier scores must equal the
 // oracle's at every cut, boundary-re-seeded segment resume, and the full
@@ -749,7 +747,7 @@ func checkScored(c *Case, rng *rand.Rand) (string, string) {
 }
 
 // diffResultMetrics compares every modelled metric of a serial and a
-// parallel result, EngineSwitches excepted, returning "" when bit-identical.
+// parallel result, returning "" when bit-identical.
 func diffResultMetrics(a, b *core.Result) string {
 	if d := diffReports(a.Reports, b.Reports); d != "" {
 		return "reports: " + d
@@ -787,9 +785,7 @@ func diffResultMetrics(a, b *core.Result) string {
 		return fmt.Sprintf("segment count: serial %d, parallel %d", len(a.Segments), len(b.Segments))
 	}
 	for i := range a.Segments {
-		sa, sb := a.Segments[i], b.Segments[i]
-		sa.EngineSwitches, sb.EngineSwitches = 0, 0
-		if sa != sb {
+		if sa, sb := a.Segments[i], b.Segments[i]; sa != sb {
 			return fmt.Sprintf("segment %d: serial %+v, parallel %+v", i, sa, sb)
 		}
 	}

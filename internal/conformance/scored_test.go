@@ -88,7 +88,7 @@ func TestScoredAllZeroEqualsUnscored(t *testing.T) {
 				if got.BestScore != 0 {
 					t.Fatalf("seed %d %s scored=%v: best score %d, want 0", seed, kind, scored, got.BestScore)
 				}
-				// The scored run remaps lazydfa/meta to the adaptive scorer,
+				// The scored run remaps lazydfa/meta to the bit engine's scorer,
 				// whose transition accounting legitimately differs; on the
 				// natively scoring backends every observable must match.
 				if scored && (kind == engine.LazyDFAKind || kind == engine.MetaKind) {

@@ -91,7 +91,6 @@ type segmentResult struct {
 	ConvCompares  int64 // comparator accesses (overlapped, §3.3.3)
 	EventsEmitted int64 // all output-buffer entries, true and false paths
 	Transitions   int64 // successor traversals (energy proxy, §5.3)
-	EngSwitches   int64 // adaptive-engine representation switches (Auto only)
 	PrefilterSkip int64 // input bytes of dead enumeration flows' inert round
 	// ends (simulator fast path; the modelled cycles still charge them)
 	BaselineSkip int64 // input bytes covered by the exact baseline-skip
@@ -220,7 +219,6 @@ func (p *Plan) runSegmentRounds(ctx context.Context, seg *segmentResult, input [
 		return
 	}
 	stretch := max(1, engine.CtxCheckEvery/cfg.TDMQuantum) * cfg.TDMQuantum
-	switches := e.Stats().Switches
 	// Every flow round advances through one of two cursors over e: skip,
 	// which skips dead frontiers under every engine kind (the start-class
 	// scan unless DisableBaselineSkip, nil when a saturated class can never
@@ -362,7 +360,6 @@ func (p *Plan) runSegmentRounds(ctx context.Context, seg *segmentResult, input [
 		}
 	}
 	seg.pos = pos
-	seg.EngSwitches += e.Stats().Switches - switches
 	// Hardware-faithful totals: on the AP every alive flow re-fires the
 	// always-enabled baseline each cycle, so the baseline's transitions and
 	// report events are duplicated across flows (the simulator computes

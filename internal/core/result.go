@@ -12,23 +12,22 @@ import (
 
 // SegmentStats is the exported per-segment view of one PAP execution.
 type SegmentStats struct {
-	Index          int
-	Start, End     int
-	BoundarySym    byte
-	InitFlows      int
-	Rounds         int
-	AvgFlows       float64
-	Deactivations  int
-	Convergences   int
-	FIVKills       int
-	FIVApplied     bool
-	Cycles         ap.Cycles
-	SwitchCycles   ap.Cycles
-	HostCycles     ap.Cycles
-	KnownAt        ap.Cycles
-	Events         int64
-	Transitions    int64
-	EngineSwitches int64 // adaptive-backend representation switches
+	Index         int
+	Start, End    int
+	BoundarySym   byte
+	InitFlows     int
+	Rounds        int
+	AvgFlows      float64
+	Deactivations int
+	Convergences  int
+	FIVKills      int
+	FIVApplied    bool
+	Cycles        ap.Cycles
+	SwitchCycles  ap.Cycles
+	HostCycles    ap.Cycles
+	KnownAt       ap.Cycles
+	Events        int64
+	Transitions   int64
 	// PrefilterSkipped counts input bytes this segment's enumeration flows
 	// skipped as the inert rest of a round after their frontier died (no
 	// prefilter is involved) — a simulator fast-path figure; the modelled
@@ -90,14 +89,10 @@ type Result struct {
 	// §5.3 energy proxy: PAP transitions per symbol / sequential
 	// transitions per symbol.
 	TransitionRatio float64
-	// EngineSwitches counts adaptive-backend representation switches
-	// across all segment engines (0 for the fixed backends) — a simulator
-	// observability figure, not an AP cost.
-	EngineSwitches int64
 	// PrefilterSkipped counts input bytes the segments' enumeration flows
 	// skipped as the inert rest of a round after their frontier died,
-	// plus what the golden run's prefilter skipped (MetaKind only) — like
-	// EngineSwitches a simulator observability figure, never an AP cost
+	// plus what the golden run's prefilter skipped (MetaKind only) — a
+	// simulator observability figure, never an AP cost
 	// (skipped symbols are still charged their modelled cycles).
 	PrefilterSkipped int64
 	// BaselineSkipped counts input bytes covered by the exact baseline-skip
@@ -433,7 +428,6 @@ func (p *Plan) aggregate(res *Result, segs []*segmentResult) {
 			KnownAt:          seg.KnownAt,
 			Events:           seg.EventsEmitted,
 			Transitions:      seg.Transitions,
-			EngineSwitches:   seg.EngSwitches,
 			PrefilterSkipped: seg.PrefilterSkip,
 			BaselineSkipped:  seg.BaselineSkip,
 			SFAMappings:      seg.SFAMappings,
@@ -444,7 +438,6 @@ func (p *Plan) aggregate(res *Result, segs []*segmentResult) {
 		switchCyc += seg.SwitchCycles
 		events += seg.EventsEmitted
 		trans += seg.Transitions
-		res.EngineSwitches += seg.EngSwitches
 		res.PrefilterSkipped += seg.PrefilterSkip
 		res.BaselineSkipped += seg.BaselineSkip
 		res.SFAMappings += int64(seg.SFAMappings)

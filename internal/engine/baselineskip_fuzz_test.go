@@ -14,8 +14,9 @@ import (
 // mostly-missing alphabet so the frontier repeatedly decays onto the
 // ASG-only baseline — the regime where the skip scanner engages — and
 // windows of 1..130 symbols straddle the 64-symbol batch boundary both
-// ways. Cursors over a skipping bit engine, a skipping adaptive engine and
-// a skip-ablated bit engine must agree with the reference on every
+// ways. Cursors over a skipping bit engine, a sparse engine under the same
+// class-scan skip and a skip-ablated bit engine must agree with the
+// reference on every
 // observable after every window, including the frontier statistics and
 // across baseline on/off flips at window boundaries (a dead frontier with
 // the baseline off skips the rest of its window).
@@ -28,13 +29,12 @@ func FuzzBaselineSkip(f *testing.F) {
 	f.Add(int64(11), bytes.Repeat([]byte("z"), 180))
 	f.Add(int64(23), []byte("azzzzazzzzbzzzzczzzzdzzzzazzzza"))
 	f.Add(int64(42), []byte("abcdabcdabcdabcd"))
-	// Wide class (seed%8 == 0, see fuzzNFA): the adaptive engine crosses its
-	// thresholds both ways between the hit runs and the miss runs.
+	// Wide class (seed%8 == 0, see fuzzNFA): the bit engine's delta fills
+	// its words in the hit runs and dies in the miss runs.
 	f.Add(int64(24), bytes.Repeat(append(bytes.Repeat([]byte{0}, 24), bytes.Repeat([]byte{5}, 40)...), 5))
 	// Wide class with the latch profile (seed%16 == 12): the '.*' states come
-	// on at once and stay on through the miss runs; the adaptive engine moves
-	// the frontier to the list in a miss run and back in a hit run, where the
-	// bit side must drop its latch and form it again.
+	// on at once and stay on through the miss runs, beside a delta that
+	// fills and drains.
 	f.Add(int64(444), bytes.Repeat(append(bytes.Repeat([]byte{0}, 24), bytes.Repeat([]byte{5}, 40)...), 5))
 	f.Fuzz(func(t *testing.T, seed int64, input []byte) {
 		if len(input) > 4096 {
@@ -51,10 +51,10 @@ func FuzzBaselineSkip(f *testing.F) {
 
 		tab := NewTables(n)
 		ref := NewSparse(n)
-		names := []string{"sparse-ref", "bit-skip", "adaptive-skip", "bit-noskip"}
+		names := []string{"sparse-ref", "bit-skip", "sparse-skip", "bit-noskip"}
 		subs := []Cursor{
 			NewWithOpts(BitKind, n, tab, RunOpts{}),
-			NewCursor(NewAdaptive(n, tab), tab.BaselineSkip(), true),
+			NewCursor(NewSparse(n), tab.BaselineSkip(), true),
 			NewWithOpts(BitKind, n, tab, RunOpts{DisableBaselineSkip: true}),
 		}
 		all := []Engine{ref}

@@ -4,25 +4,21 @@
 // enabling its children for the next step — and all-input start states are
 // re-enabled every step.
 //
-// Four implementations are provided with identical observable behaviour,
+// Three implementations are provided with identical observable behaviour,
 // selected through five kinds (see Kind and New):
 //
+//   - Bit, the one vector engine, tracks the frontier as a dense bit
+//     vector, the way the AP's state-enable mask and State Vector Cache do,
+//     and steps up to 64 symbols per StepBatch call at the cost of the live
+//     delta beside a per-symbol background, not of the vector's length. The
+//     Auto kind (the default) and BitKind build it.
 //   - Sparse tracks the enabled frontier as a deduplicated slice, the way
-//     VASim does; cost is proportional to the number of active states.
-//   - Bit tracks the frontier as a dense bit vector, the way the AP's
-//     state-enable mask and State Vector Cache do, and steps up to 64
-//     symbols per StepBatch call.
-//   - Adaptive switches between the two by what a step costs — frontier
-//     plus all-input states walked on the list, ⌈states/64⌉ words on the
-//     vector — with hysteresis both ways. The Auto kind makes that choice
-//     once, at construction, when the automaton alone settles it (an
-//     Active State Group the list could never walk cheaply enough): New
-//     then returns Bit itself, and Adaptive only for wide automata with few
-//     all-input states, where quiet phases are cheaper on the list.
+//     VASim does; cost is proportional to the number of active states. It
+//     is the reference the other engines are tested against.
 //   - The lazy DFA (package lazydfa) determinizes recurring frontiers into
 //     a bounded cache. The LazyDFA kind falls back to Sparse on cache
-//     blowup; the Meta kind is the same engine falling back to what Auto
-//     builds, run under the automaton's prefilter.
+//     blowup; the Meta kind is the same engine falling back to Bit, run
+//     under the automaton's prefilter.
 //
 // All of them satisfy the one Engine contract, and none skips input: one
 // Cursor above every engine owns the dead-frontier skip, the context poll
@@ -62,9 +58,9 @@ type Engine interface {
 	// sum and maximum of the frontier length over the consumed symbols, so
 	// callers maintain per-symbol frontier statistics exactly. len(input)
 	// must be > 0. Implementations are free to consume fewer symbols than
-	// offered (batch bounds, a frontier death, a representation switch),
-	// never more than scalar Steps would, even on a dead frontier; Sparse
-	// and the lazy DFA always consume exactly one.
+	// offered (batch bounds, a frontier death), never more than scalar
+	// Steps would, even on a dead frontier; Sparse and the lazy DFA always
+	// consume exactly one.
 	StepBatch(input []byte, off int64, emit EmitFunc) (consumed int, sumFrontier int64, maxFrontier int)
 	// FrontierLen returns the number of enabled states (excluding
 	// all-input states).
@@ -93,15 +89,12 @@ type Engine interface {
 type Kind uint8
 
 const (
-	// Auto (the default) selects the representation by step cost: the Bit
-	// engine outright when the automaton's all-input states alone outweigh
-	// its vector words, the Adaptive engine — list while frontier plus
-	// all-input states are cheap to walk, vector beyond — otherwise. See
-	// the policy constants in adaptive.go.
+	// Auto (the default) is the Bit engine, for every automaton: its batch
+	// costs the live delta, so no automaton needs the list engine beside it.
 	Auto Kind = iota
-	// SparseKind forces the frontier-list engine.
+	// SparseKind forces the frontier-list engine, the reference.
 	SparseKind
-	// BitKind forces the dense bit-vector engine.
+	// BitKind names the Bit engine, like Auto.
 	BitKind
 	// LazyDFAKind forces the lazy-DFA engine: frontiers are determinized
 	// on the fly into a bounded fingerprint-keyed state cache, falling
@@ -109,7 +102,7 @@ const (
 	// import pap/internal/engine/lazydfa (blank import suffices).
 	LazyDFAKind
 	// MetaKind selects the regime-matched stack: the lazy DFA while its
-	// cache holds and what Auto builds for the automaton beyond, with the
+	// cache holds and the Bit engine beyond, with the
 	// cursor skipping dead-frontier input through the automaton's prefilter
 	// (see NewWithOpts).
 	MetaKind
@@ -134,9 +127,9 @@ func (k Kind) String() string {
 	return "auto"
 }
 
-// ParseKind parses an engine name: "auto" (or "adaptive"), "sparse", "bit"
-// (or "dense"), "lazydfa" (or "lazy-dfa"), "meta". The empty string is
-// Auto.
+// ParseKind parses an engine name: "auto" (or "adaptive", the name of a
+// cost-switching engine Auto once built), "sparse", "bit" (or "dense"),
+// "lazydfa" (or "lazy-dfa"), "meta". The empty string is Auto.
 func ParseKind(s string) (Kind, error) {
 	switch s {
 	case "", "auto", "adaptive":
@@ -176,26 +169,20 @@ func newLazyDFA(n *nfa.NFA, tab *Tables, newFB func() Engine) Engine {
 }
 
 // New returns an engine of the given kind at the automaton's start
-// configuration; for Auto, and for Meta's fallback, the concrete engine is
-// chosen here from the automaton (see alwaysDense). tab may be nil (private
-// tables are built on demand); pass a shared *Tables to amortise
+// configuration: Auto, BitKind and Meta's fallback are the Bit engine. tab
+// may be nil (private tables are built on demand); pass a shared *Tables to amortise
 // match-vector construction across engines of the same automaton — Tables
 // fills are atomic, so sharing is race-safe. Sparse engines ignore tab.
 func New(kind Kind, n *nfa.NFA, tab *Tables) Engine {
 	switch kind {
 	case SparseKind:
 		return NewSparse(n)
-	case BitKind:
-		return NewBit(n, tab)
 	case LazyDFAKind:
 		return newLazyDFA(n, tab, nil)
 	case MetaKind:
-		return newLazyDFA(n, tab, func() Engine { return New(Auto, n, tab) })
+		return newLazyDFA(n, tab, func() Engine { return NewBit(n, tab) })
 	default:
-		if alwaysDense(n) {
-			return NewBit(n, tab)
-		}
-		return NewAdaptive(n, tab)
+		return NewBit(n, tab)
 	}
 }
 
@@ -213,9 +200,6 @@ type Stats struct {
 	// Transitions counts transition-edge traversals, the paper's
 	// dynamic-energy proxy; identical across backends.
 	Transitions int64
-	// Switches counts sparse⇄dense representation switches (Adaptive, and
-	// a lazy DFA that fell back to it); 0 when Auto resolved to Bit.
-	Switches int64
 	// Cache reports the lazy-DFA state cache.
 	Cache CacheStats
 }
@@ -233,13 +217,14 @@ func StepBatchOf(e Engine, input []byte, off int64, emit EmitFunc) (consumed int
 // the kernel measurement, which wants no skip — requires.
 func SetBaselineSkip(Engine, bool) {}
 
-// SwitchesOf is e.Stats().Switches.
-func SwitchesOf(e Engine) int64 { return e.Stats().Switches }
+// SwitchesOf returns 0: it once counted the representation switches of a
+// cost-switching engine that Auto no longer builds, and is kept for its one
+// frozen caller.
+func SwitchesOf(Engine) int64 { return 0 }
 
 var (
 	_ Engine = (*Sparse)(nil)
 	_ Engine = (*Bit)(nil)
-	_ Engine = (*Adaptive)(nil)
 )
 
 // Report is one output event: reporting state State (carrying rule

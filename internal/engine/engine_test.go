@@ -237,10 +237,10 @@ func randomBuilder(rng *rand.Rand, states int) *nfa.Builder {
 // randomWideBuilder is the wide size class of the property and fuzz tests:
 // 1024-4095 states with one or two all-input states, so that — unlike on
 // randomNFA's automata, which fit a word or two and have a sixth of their
-// states all-input — the list side of the cost policy is live: Auto is the
-// Adaptive engine and a frontier of a few states belongs on the list. Two
-// successors per state and 'a' in five labels out of eight make runs of
-// 'a' grow the frontier past the dense threshold; other symbols shrink it.
+// states all-input — the bit engine's delta is a few live words of a long
+// vector, kept sparse from batch to batch. Two successors per state and
+// 'a' in five labels out of eight make runs of 'a' grow the frontier until
+// the delta fills half its words; other symbols shrink it.
 // It returns the builder, like randomBuilder; state 0 is all-input.
 func randomWideBuilder(rng *rand.Rand) *nfa.Builder {
 	states := 1024 + rng.Intn(3072)

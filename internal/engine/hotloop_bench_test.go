@@ -1,6 +1,7 @@
 package engine_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"os"
@@ -232,39 +233,76 @@ func TestHotLoopGuard(t *testing.T) {
 }
 
 // bestOf returns the best-round throughput (MB/s) of RunEngineOpts per
-// kind. Rounds are interleaved across kinds, so a noisy stretch of the host
-// hits all of them, and continue until at least rounds are done and a
-// second has been spent: slow automata get their few rounds, fast ones
-// enough samples for the minimum to settle. One untimed pass per kind
-// warms tables and caches first.
+// kind over tables built once (see bestOfRuns).
 func bestOf(n *nfa.NFA, input []byte, rounds int, kinds ...engine.Kind) []float64 {
 	tab := engine.NewTables(n).BuildAll()
-	best := make([]time.Duration, len(kinds))
+	runs := make([]func(), len(kinds))
+	for i, k := range kinds {
+		runs[i] = func() { engine.RunEngineOpts(n, input, k, tab, engine.RunOpts{}) }
+	}
+	return bestOfRuns(len(input), rounds, runs...)
+}
+
+// bestOfRuns returns the best-round throughput (MB/s) of each run over an
+// input of size bytes. Rounds are interleaved across runs, so a noisy
+// stretch of the host hits all of them, and continue until at least rounds
+// are done and a second has been spent: slow automata get their few
+// rounds, fast ones enough samples for the minimum to settle. One untimed
+// pass per run warms tables and caches first.
+func bestOfRuns(size, rounds int, runs ...func()) []float64 {
+	best := make([]time.Duration, len(runs))
 	begin := time.Now()
 	for r := -1; r < rounds || time.Since(begin) < time.Second; r++ {
-		for i, k := range kinds {
+		for i, run := range runs {
 			start := time.Now()
-			engine.RunEngineOpts(n, input, k, tab, engine.RunOpts{})
+			run()
 			if d := time.Since(start); r >= 0 && (best[i] == 0 || d < best[i]) {
 				best[i] = d
 			}
 		}
 	}
-	out := make([]float64, len(kinds))
+	out := make([]float64, len(runs))
 	for i, d := range best {
-		out[i] = float64(len(input)) / 1e6 / d.Seconds()
+		out[i] = float64(size) / 1e6 / d.Seconds()
 	}
 	return out
+}
+
+// sparseSkip runs the sparse engine over input under the class-scan cursor
+// of the bit and auto kinds, collecting its reports as RunEngineOpts does:
+// the list-plus-skip engine Auto ran on wide automata with few all-input
+// states while the bit engine's batch still paid for its whole vector.
+func sparseSkip(n *nfa.NFA, input []byte, tab *engine.Tables) []engine.Report {
+	var reports []engine.Report
+	c := engine.NewCursor(engine.NewSparse(n), tab.BaselineSkip(), true)
+	c.Emit = func(r engine.Report) { reports = append(reports, r) }
+	c.Feed(input, 0, 0)
+	_ = c.Advance(context.Background(), len(input)) // a cursor that never polls never fails
+	return reports
+}
+
+// bitAndSparseSkip returns the best-round throughput (MB/s) of the bit
+// engine through RunEngineOpts and of sparseSkip.
+func bitAndSparseSkip(n *nfa.NFA, input []byte, rounds int) (bit, skip float64) {
+	tab := engine.NewTables(n).BuildAll()
+	v := bestOfRuns(len(input), rounds,
+		func() { engine.RunEngineOpts(n, input, engine.BitKind, tab, engine.RunOpts{}) },
+		func() { sparseSkip(n, input, tab) })
+	return v[0], v[1]
 }
 
 // TestAutoGuard guards the invariant ROADMAP item 3 names — the default is
 // never slower than a forced kind: through RunEngineOpts, auto must reach
 // 0.8x the better of sparse and bit on the BenchmarkHotLoop workloads
-// (narrow automata with a large Active State Group, where Auto is Bit) and
-// on the full-scale Snort automaton over its own trace (wide, its Active
-// State Group an eighth of its width: the row the policy constants moved
-// over to Bit when the kernel stopped paying the vector's length per
-// symbol). Same gate and best-of-N relative timing as TestHotLoopGuard.
+// (narrow automata with a large Active State Group) and on the full-scale
+// Snort automaton over its own trace (wide, its Active State Group an
+// eighth of its width). On the BenchmarkAutoPolicyBreakEven rows where the
+// list once won — literal rules, W of 256 and 1024 words, A of 1, 2 and 4
+// all-input states — the bit engine must reach 0.8x the sparse engine under
+// the same class-scan cursor (sparseSkip), the list-plus-skip engine Auto
+// ran there before the bit engine's batch boundary stopped costing the
+// whole vector. Same gate and best-of-N relative timing as
+// TestHotLoopGuard.
 func TestAutoGuard(t *testing.T) {
 	if os.Getenv("PAP_BENCH_GUARD") == "" {
 		t.Skip("set PAP_BENCH_GUARD=1 to run the default-engine regression guard")
@@ -283,13 +321,22 @@ func TestAutoGuard(t *testing.T) {
 				w.name, auto, sparse, bit)
 		}
 	}
+	for _, words := range []int{256, 1024} {
+		for _, asg := range []int{1, 2, 4} {
+			name := fmt.Sprintf("dotstar=false/W=%d/A=%d", words, asg)
+			n, input := breakEvenLoad(t, false, words, asg)
+			bit, skip := bitAndSparseSkip(n, input, 8)
+			t.Logf("%s: bit %.2f, sparse+skip %.2f MB/s", name, bit, skip)
+			if bit < 0.8*skip {
+				t.Errorf("%s: bit %.2f MB/s is below 0.8x the sparse engine under the class scan (%.2f)", name, bit, skip)
+			}
+		}
+	}
 }
 
-// BenchmarkAutoPolicySweep is one of the two measurements behind the Auto
-// policy's constants (adaptive.go; tables in docs/ENGINES.md): every
-// Table 1 automaton and the extras, at scales 0.1 and 1.0, over the
-// benchmark's own trace, through RunEngineOpts with each forced kind and
-// with auto. Run with -benchtime 1x.
+// BenchmarkAutoPolicySweep times the engines on every Table 1 automaton and
+// the extras, at scales 0.1 and 1.0, over the benchmark's own trace (see
+// policyRow; tables in docs/ENGINES.md). Run with -benchtime 1x.
 func BenchmarkAutoPolicySweep(b *testing.B) {
 	for _, spec := range append(workloads.All(), workloads.Extras()...) {
 		for _, scale := range []float64{0.1, 1.0} {
@@ -304,9 +351,10 @@ func BenchmarkAutoPolicySweep(b *testing.B) {
 	}
 }
 
-// BenchmarkAutoPolicyBreakEven is the other: it holds the width W and
-// grows the Active State Group A, which the Table 1 automata never vary
-// apart, to find where the list stops winning. Each automaton has A
+// BenchmarkAutoPolicyBreakEven holds the width W and grows the Active
+// State Group A, which the Table 1 automata never vary apart: the shape
+// where a list engine under the class scan once beat the bit engine, whose
+// batch then paid for the whole vector. Each automaton has A
 // unanchored rules of twelve random letters — or, with dotstar, of six,
 // '.*' and six, whose '.*' stays live once reached — padded to W words
 // with anchored 256-letter rules that die on the first byte. The input is
@@ -367,16 +415,19 @@ func breakEvenLoad(tb testing.TB, dotstar bool, words, asg int) (*nfa.NFA, []byt
 	return n, input[:1<<14]
 }
 
-// policyRow times sparse, bit and auto over n and input and reports them
-// with the quantities the policy reads: MB/s per kind, auto over the better
-// forced kind, whether auto is the Bit engine outright (those rows differ
-// from bit by noise only), and the states, all-input states and mean
+// policyRow times the sparse engine, the bit engine (which Auto builds)
+// and the sparse engine under the class-scan cursor (sparseSkip) over n and
+// input, and reports them with the states, all-input states and mean
 // frontier length.
 func policyRow(b *testing.B, n *nfa.NFA, input []byte) {
 	b.ResetTimer()
 	var v []float64
 	for i := 0; i < b.N; i++ {
-		v = bestOf(n, input, 3, engine.SparseKind, engine.BitKind, engine.Auto)
+		tab := engine.NewTables(n).BuildAll()
+		v = bestOfRuns(len(input), 3,
+			func() { engine.RunEngineOpts(n, input, engine.SparseKind, tab, engine.RunOpts{}) },
+			func() { engine.RunEngineOpts(n, input, engine.BitKind, tab, engine.RunOpts{}) },
+			func() { sparseSkip(n, input, tab) })
 	}
 	b.ReportMetric(float64(n.Len()), "states")
 	b.ReportMetric(float64(len(n.AllInputStates())), "all-input")
@@ -384,11 +435,5 @@ func policyRow(b *testing.B, n *nfa.NFA, input []byte) {
 	b.ReportMetric(float64(golden.SumFrontier)/float64(len(input)), "avg-frontier")
 	b.ReportMetric(v[0], "sparse-MB/s")
 	b.ReportMetric(v[1], "bit-MB/s")
-	b.ReportMetric(v[2], "auto-MB/s")
-	b.ReportMetric(v[2]/max(v[0], v[1]), "auto/best")
-	autoIsBit := 0.0
-	if _, ok := engine.New(engine.Auto, n, nil).(*engine.Bit); ok {
-		autoIsBit = 1
-	}
-	b.ReportMetric(autoIsBit, "auto=bit")
+	b.ReportMetric(v[2], "sparse+skip-MB/s")
 }

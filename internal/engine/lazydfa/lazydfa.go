@@ -16,7 +16,7 @@
 // demand), and after too many flushes the engine concludes the workload
 // is cache-hostile (dense, ever-changing frontiers) and falls back
 // permanently to an inner engine — sparse by default, or whatever the
-// caller supplies (engine.MetaKind supplies what engine.Auto builds).
+// caller supplies (engine.MetaKind supplies the Bit engine).
 // Cumulative counters carry across the fallback, so observables stay
 // exact through the switch.
 package lazydfa
@@ -334,8 +334,7 @@ func (e *Engine) Fingerprint() uint64 {
 }
 
 // Stats returns the cache counters plus, carried across cache flushes and
-// fallback, the cumulative transition count (and the fallback engine's
-// representation switches, when it is adaptive).
+// fallback, the cumulative transition count.
 func (e *Engine) Stats() engine.Stats {
 	st := engine.Stats{
 		Transitions: e.trans,
@@ -349,9 +348,7 @@ func (e *Engine) Stats() engine.Stats {
 		},
 	}
 	if e.fb != nil {
-		fb := e.fb.Stats()
-		st.Transitions += fb.Transitions
-		st.Switches = fb.Switches
+		st.Transitions += e.fb.Stats().Transitions
 	}
 	return st
 }

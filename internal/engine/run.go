@@ -18,7 +18,7 @@ const CtxCheckEvery = 4096
 type Result struct {
 	Reports []Report
 	// Stats is the engine's counters at the end of the run (or at the
-	// abort position): Transitions, Switches and Cache.
+	// abort position): Transitions and Cache.
 	Stats
 	MaxFrontier int
 	SumFrontier int64 // Σ frontier size over all positions (avg = Sum/len)

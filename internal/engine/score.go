@@ -18,7 +18,7 @@ import "pap/internal/nfa"
 // array is touched and the unscored hot paths are byte-identical to before.
 
 // Scorer is implemented by backends that can track per-state best-path
-// scores alongside the frontier (Sparse, Bit, Adaptive). Backends without
+// scores alongside the frontier (Sparse, Bit). Backends without
 // score support (lazy DFA, meta) are mapped away by ScoringKind before
 // construction.
 type Scorer interface {
@@ -37,8 +37,8 @@ type Scorer interface {
 
 // ScoringKind maps an engine selection to one that supports scoring: the
 // lazy-DFA and meta backends have no score channel (a determinized state
-// collapses frontiers score-blind), so they fall back to Auto — whichever
-// of Bit and Adaptive New builds for the automaton. Other kinds pass through.
+// collapses frontiers score-blind), so they fall back to Auto, the Bit
+// engine. Other kinds pass through.
 func ScoringKind(k Kind) Kind {
 	if k == LazyDFAKind || k == MetaKind {
 		return Auto
@@ -100,5 +100,4 @@ func BestReportScore(rs []Report) (int64, bool) {
 var (
 	_ Scorer = (*Sparse)(nil)
 	_ Scorer = (*Bit)(nil)
-	_ Scorer = (*Adaptive)(nil)
 )

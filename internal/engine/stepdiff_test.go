@@ -90,11 +90,9 @@ func equalReports(a, b []engine.Report) bool {
 // by StepBatch) against the scalar sparse reference over the whole input
 // and fails on the first divergent observable. A twin of the same kind advanced by scalar Step rides along
 // for the counters only a same-kind engine has: its Stats must equal the
-// cursor's engine's, except two fields that record how the input was
-// consumed rather than what it did: Switches (the adaptive density check
-// runs once per StepBatch call, so call granularity moves switch points)
-// and, once the cursor has skipped, Cache (a skipped symbol looks up no
-// cached edge). With the
+// cursor's engine's, except, once the cursor has skipped, Cache, which
+// records how the input was consumed rather than what it did (a skipped
+// symbol looks up no cached edge). With the
 // skip ablated the cursor must skip nothing but what the Meta prefilter
 // does.
 func runStepDiff(t *testing.T, n *nfa.NFA, tab *engine.Tables, input []byte, cfg stepDiffConfig) {
@@ -182,7 +180,6 @@ func runStepDiff(t *testing.T, n *nfa.NFA, tab *engine.Tables, input []byte, cfg
 			t.Fatalf("%s: skip-ablated cursor skipped %d + %d symbols", at, cur.BaselineSkipped, cur.PrefilterSkipped)
 		}
 		got, want := sub.Stats(), twin.Stats()
-		got.Switches, want.Switches = 0, 0
 		if cur.PrefilterSkipped+cur.BaselineSkipped > 0 {
 			got.Cache, want.Cache = engine.CacheStats{}, engine.CacheStats{}
 		}
@@ -219,10 +216,9 @@ func randomFrontier(rng *rand.Rand, n *nfa.NFA) []nfa.StateID {
 	return seed
 }
 
-// wideCaseSeed is a conformance seed of the wide profile on which the
-// adaptive engine switches several times in each direction. Ordinary cases
-// fit a word or two, where Auto is Bit outright; this one keeps the list
-// side and the switch path in both harnesses below.
+// wideCaseSeed is a conformance seed of the wide profile, a vector of at
+// least 16 words. Ordinary cases fit a word or two; this one keeps the
+// batch kernel's sparse delta in a long vector in both harnesses below.
 const wideCaseSeed = 512
 
 // caseSeeds returns count consecutive conformance seeds from base, then
@@ -233,8 +229,8 @@ func caseSeeds(t *testing.T, base int64, count int) []int64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sw := engine.RunEngineOpts(c.NFA, c.Input, engine.Auto, nil, engine.RunOpts{}).Switches; sw < 2 {
-		t.Fatalf("conformance case %d switches representation %d times under auto; pick a wide seed that crosses both ways", wideCaseSeed, sw)
+	if w := (c.NFA.Len() + 63) / 64; w < 16 {
+		t.Fatalf("conformance case %d is %d words wide; pick a seed of the wide profile", wideCaseSeed, w)
 	}
 	var seeds []int64
 	for s := 0; s < count; s++ {
@@ -412,7 +408,6 @@ func TestStepDiffExecModes(t *testing.T) {
 				for i := range on.Segments {
 					sa, sb := on.Segments[i], off.Segments[i]
 					sa.BaselineSkipped, sb.BaselineSkipped = 0, 0
-					sa.EngineSwitches, sb.EngineSwitches = 0, 0
 					if sa != sb {
 						t.Fatalf("case %d %v parallel=%v: segment %d metrics differ:\n on: %+v\noff: %+v",
 							s, mode, parallel, i, sa, sb)

@@ -305,9 +305,8 @@ func (s *Server) automatonJSON(e *Entry) automatonJSON {
 }
 
 // countEngineInfo feeds one match's (or stream write's delta of) backend
-// observability counters into the engine-switch and skipped-bytes metrics.
+// observability counters into the skipped-bytes metrics.
 func (s *Server) countEngineInfo(info pap.EngineInfo) {
-	s.engineSwitches.Add(info.EngineSwitches)
 	s.prefilterSkipped.Add(info.PrefilterSkippedBytes)
 	s.baselineSkipped.Add(info.BaselineSkippedBytes)
 }
@@ -528,7 +527,6 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 		resp.AP = st
 		s.speedupHist.Observe(st.Speedup)
 		s.countEngineInfo(pap.EngineInfo{
-			EngineSwitches:        st.EngineSwitches,
 			PrefilterSkippedBytes: st.PrefilterSkippedBytes,
 			BaselineSkippedBytes:  st.BaselineSkippedBytes,
 		})

@@ -147,7 +147,6 @@ type Server struct {
 	cancellations    map[string]*Counter
 	speedupHist      *Histogram
 	engineSteps      *Counter
-	engineSwitches   *Counter
 	prefilterSkipped *Counter
 	baselineSkipped  *Counter
 	scoredMatches    *Counter
@@ -180,8 +179,6 @@ func New(cfg Config) *Server {
 		"", []float64{1, 2, 4, 8, 16, 32, 64, 128, 256})
 	s.engineSteps = m.Counter("papd_engine_steps_total",
 		"Input symbols stepped through execution engines.", "")
-	s.engineSwitches = m.Counter("papd_engine_switches_total",
-		"Sparse-dense representation switches made by adaptive engines.", "")
 	s.prefilterSkipped = m.Counter("papd_prefilter_skipped_bytes_total",
 		"Input bytes proven inert and never stepped outside the baseline skip (in parallel matches, dead enumeration flows' rounds).", "")
 	s.baselineSkipped = m.Counter("papd_baseline_skipped_bytes_total",

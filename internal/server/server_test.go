@@ -561,41 +561,13 @@ func TestWireSelectsNothing(t *testing.T) {
 	}
 }
 
-// TestSequentialMatchCountsEngineSwitches: papd_engine_switches_total must
-// move on the default path — a sequential /match on the auto engine — when
-// the run changes representation, not only on parallel matches and stream
-// writes.
-func TestSequentialMatchCountsEngineSwitches(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
-	// Wide with one all-input state, so auto is the adaptive engine starting
-	// on the list (a narrow ruleset is the bit engine outright and never
-	// switches): the anchored rule only pads the automaton to ~4000 states
-	// (63 vector words), and every "a" of the payload parks one more [^!]*
-	// state on the frontier, which passes the dense threshold at 21.
-	reg, _ := json.Marshal(registerRequest{Name: "wide", Patterns: []string{
-		strings.Repeat("a[^!]*", 32) + "z",
-		"^" + strings.Repeat("x{250}", 16),
-	}})
-	if code, body := doJSON(t, "POST", ts.URL+"/v1/automata", reg, nil); code != 201 {
-		t.Fatalf("register = %d %q", code, body)
-	}
-	before := metricValue(t, ts.URL, "papd_engine_switches_total")
-	payload := append(bytes.Repeat([]byte("a"), 40), bytes.Repeat([]byte("q"), 256)...)
-	var m matchResponse
-	if code, body := doJSON(t, "POST", ts.URL+"/v1/automata/wide/match", payload, &m); code != 200 {
-		t.Fatalf("match = %d %q", code, body)
-	}
-	if after := metricValue(t, ts.URL, "papd_engine_switches_total"); after <= before {
-		t.Fatalf("papd_engine_switches_total = %v after a sequential match that went dense, %v before", after, before)
-	}
-}
-
 // TestAPStatsWireKeys pins the "ap" object of a parallel match response —
 // its key set, key order and JSON value types — for a plain and a scored
 // request. The lists are literal, taken from the responses of the commit
 // before pap.RunStats itself became the wire record, less the mode and SFA
-// keys that left with SFA mode, so the struct and its tags cannot drift
-// from what clients already parse.
+// keys that left with SFA mode and engine_switches, which left with the
+// cost-switching engine, so the struct and its tags cannot drift from what
+// clients already parse.
 func TestAPStatsWireKeys(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	reg, _ := json.Marshal(registerRequest{
@@ -612,8 +584,7 @@ func TestAPStatsWireKeys(t *testing.T) {
 		"baseline_ns:number", "parallel_ns:number", "cut_symbol:number",
 		"cut_range:number", "avg_active_flows:number",
 		"switch_overhead_pct:number", "false_report_ratio:number",
-		"engine_switches:number", "prefilter_skipped:number",
-		"baseline_skipped:number",
+		"prefilter_skipped:number", "baseline_skipped:number",
 	}
 	with := func(extra ...string) []string {
 		return append(append(append([]string{}, common...), extra...), "verified:bool")

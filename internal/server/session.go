@@ -35,13 +35,12 @@ type Session struct {
 }
 
 // delta returns how far the stream's backend counters moved since the
-// previous write — the representation switches and skipped bytes this one
-// write caused, for metrics — and advances the high-water marks. Callers
+// previous write — the skipped bytes this one write caused, for metrics —
+// and advances the high-water marks. Callers
 // hold s.mu.
 func (s *Session) delta() pap.EngineInfo {
 	info := s.stream.EngineInfo()
 	d := pap.EngineInfo{
-		EngineSwitches:        info.EngineSwitches - s.lastInfo.EngineSwitches,
 		PrefilterSkippedBytes: info.PrefilterSkippedBytes - s.lastInfo.PrefilterSkippedBytes,
 		BaselineSkippedBytes:  info.BaselineSkippedBytes - s.lastInfo.BaselineSkippedBytes,
 	}
@@ -66,7 +65,6 @@ type SessionInfo struct {
 	Writes         int64     `json:"writes"`
 	Matches        int64     `json:"matches"`
 	ActiveStates   int       `json:"active_states"`
-	EngineSwitches int64     `json:"engine_switches"`
 	// Scored reports whether the session's stream tracks per-transition
 	// scores (opened with scored=true, or over a scored automaton).
 	Scored bool `json:"scored,omitempty"`
@@ -133,7 +131,6 @@ func (s *Session) Info() SessionInfo {
 		Writes:          s.writes,
 		Matches:         s.matches,
 		ActiveStates:    s.stream.ActiveStates(),
-		EngineSwitches:  info.EngineSwitches,
 		BaselineSkipped: info.BaselineSkippedBytes,
 		Scored:          s.Scored,
 	}

@@ -62,18 +62,14 @@ import (
 type EngineKind int
 
 const (
-	// EngineAuto (the default) picks the representation by what a step
-	// costs — frontier plus all-input states walked on the list, one word
-	// per 64 states on the vector. Where the automaton's all-input states
-	// alone outweigh its vector it is the bit engine outright; on wide
-	// automata with few all-input states it switches between the two as
-	// the frontier grows and shrinks, with hysteresis both ways.
+	// EngineAuto (the default) is the bit engine, for every automaton: a
+	// step costs the live part of the frontier beside a per-symbol
+	// background, not the vector's length.
 	EngineAuto EngineKind = iota
 	// EngineSparse forces the VASim-style frontier-list engine: cost
 	// proportional to active states; fastest on quiet inputs.
 	EngineSparse
-	// EngineBit forces the AP-faithful dense bit-vector engine: cost
-	// proportional to the automaton size; fastest on dense frontiers.
+	// EngineBit names the AP-faithful bit-vector engine, like EngineAuto.
 	EngineBit
 	// EngineLazyDFA forces the lazy-DFA engine: recurring frontiers are
 	// determinized once into a bounded fingerprint-keyed cache and then
@@ -82,8 +78,8 @@ const (
 	EngineLazyDFA
 	// EngineMeta selects the regime-matched meta stack: literal/class
 	// prefiltering skips quiet (dead-frontier) input at scan speed, the
-	// lazy DFA serves recurring frontiers from its cache, and the
-	// adaptive sparse/bit selector takes over on cache blowup.
+	// lazy DFA serves recurring frontiers from its cache, and the bit
+	// engine takes over on cache blowup.
 	EngineMeta
 )
 
@@ -150,7 +146,7 @@ type Automaton struct {
 	n *nfa.NFA
 
 	// tabOnce/tab lazily build the per-symbol transition tables shared by
-	// every dense or adaptive engine run over this automaton (safe for
+	// every bit engine run over this automaton (safe for
 	// concurrent use; sparse-only runs never pay for them).
 	tabOnce sync.Once
 	tab     *engine.Tables
@@ -340,9 +336,6 @@ type EngineInfo struct {
 	// live). Fully exact: reports, frontier
 	// statistics, and modelled cycles are identical to stepping.
 	BaselineSkippedBytes int64
-	// EngineSwitches counts sparse⇄dense representation switches
-	// (EngineAuto, and EngineMeta once its lazy DFA fell back).
-	EngineSwitches int64
 	// CacheHits/CacheMisses/CacheEvictions are lazy-DFA state-cache
 	// counters (EngineLazyDFA and EngineMeta).
 	CacheHits, CacheMisses, CacheEvictions int64
@@ -357,7 +350,6 @@ func infoOf(st engine.Stats, prefilterSkipped, baselineSkipped int64) EngineInfo
 	return EngineInfo{
 		PrefilterSkippedBytes: prefilterSkipped,
 		BaselineSkippedBytes:  baselineSkipped,
-		EngineSwitches:        st.Switches,
 		CacheHits:             st.Cache.Hits,
 		CacheMisses:           st.Cache.Misses,
 		CacheEvictions:        st.Cache.Evictions,
@@ -467,9 +459,6 @@ type RunStats struct {
 	SwitchOverheadPct float64 `json:"switch_overhead_pct"`
 	// FalseReportRatio is emitted report events / true events (≥ 1).
 	FalseReportRatio float64 `json:"false_report_ratio"`
-	// EngineSwitches counts sparse⇄dense representation switches made by
-	// adaptive engines across all flows (0 for fixed backends).
-	EngineSwitches int64 `json:"engine_switches"`
 	// PrefilterSkippedBytes counts input bytes the simulator proved inert
 	// and never stepped outside the baseline skip: on every engine the
 	// rest of the round of an enumeration flow whose frontier died (no
@@ -611,7 +600,6 @@ func (a *Automaton) MatchParallelContext(ctx context.Context, input []byte, cfg 
 			AvgActiveFlows:        res.AvgActiveFlows,
 			SwitchOverheadPct:     res.SwitchOverheadPct,
 			FalseReportRatio:      res.ReportIncrease,
-			EngineSwitches:        res.EngineSwitches,
 			PrefilterSkippedBytes: res.PrefilterSkipped,
 			BaselineSkippedBytes:  res.BaselineSkipped,
 			FingerprintCollisions: res.FingerprintCollisions,

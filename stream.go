@@ -186,11 +186,6 @@ func (s *Stream) Scored() bool { return s.scored }
 // streams every score is 0, so it degenerates to a has-matched indicator.
 func (s *Stream) BestScore() (int64, bool) { return s.best, s.bestValid }
 
-// EngineSwitches returns the number of sparse⇄dense representation
-// switches the backend has made (always 0 for fixed backends; for
-// EngineMeta this counts the inner adaptive fallback, if engaged).
-func (s *Stream) EngineSwitches() int64 { return s.cur.Engine().Stats().Switches }
-
 // PrefilterSkipped returns the number of input bytes the stream's
 // prefilter proved inert and never stepped (0 unless the backend carries
 // a prefilter, i.e. EngineMeta over a ruleset with a narrow start class).

@@ -9,8 +9,8 @@ import (
 // backend, feeding an input through Write in randomized splits — including
 // empty and 1-byte chunks — must produce exactly the matches of a single
 // Write of the whole input, with identical per-(offset, state) dedup
-// behaviour. Engines rotate across trials so the adaptive backend migrates
-// representations mid-stream.
+// behaviour. Engines rotate across trials so every backend sees chunk
+// boundaries mid-frontier.
 func TestStreamChunkInvariance(t *testing.T) {
 	a, err := Compile("prop", []string{"abc", "bc+d", "x.z", "a{2,4}b"})
 	if err != nil {
